@@ -9,7 +9,7 @@ closed-form equilibration rule sqrt(E[dt^2] / E[dg^2]).
 
 import numpy as np
 
-from psgdkit import DensePrecond, DiagPrecond, TangentPair, closed_form_diagonal, sym_eig
+from psgdkit import DensePrecond, DiagPrecond, TangentPair, closed_form_diagonal
 
 h = np.diag([1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0, -8.0, 9.0, -10.0])
 rng = np.random.default_rng(0)
@@ -19,7 +19,7 @@ for step in range(20_000):
     dt = rng.standard_normal(10)
     p.update(TangentPair(dt, h @ dt), 0.01)
     if step + 1 in (100, 1000, 5000, 20_000):
-        eig = np.abs(sym_eig(p.q @ h @ p.q.T).eigenvalues)
+        eig = np.abs(np.linalg.eigvalsh(p.q @ h @ p.q.T))
         print(f"after {step + 1:6d} pairs   |eig(PH)| in [{eig.min():.3f}, {eig.max():.3f}]")
 
 print("\ndiagonal family vs the closed form on H = diag(2, -5):")

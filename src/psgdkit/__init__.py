@@ -27,7 +27,7 @@ from .errors import (
     NumericInputError,
     PsgdkitError,
 )
-from .linalg import SymEigResult, kron_matvec, max_norm, sym_eig, tri_solve, triu_project
+from .linalg import max_norm, tri_solve, triu_project
 from .optimizer import (
     RunConfig,
     RunResult,
@@ -48,11 +48,9 @@ from .preconditioners import (
     ScanPrecond,
     SpluPrecond,
     closed_form_diagonal,
-    direct_sum_route,
     estimation_criterion,
     make_preconditioner,
     scan_q2_matvec,
-    splu_matvec,
 )
 from .problems import (
     BoundEvaluator,

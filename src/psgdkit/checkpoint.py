@@ -3,27 +3,24 @@
 Record layout (all integers little-endian, payload little-endian float64):
 
     magic    4 bytes   b"PCS1"
-    tag      1 byte    1 dense, 2 diag, 3 splu, 4 kron, 5 scan, 6 direct sum
+    tag      1 byte    the family's ``tag``
     nshape   uint32    number of shape fields
-    shape    nshape x uint64
+    shape    nshape x uint64, the family's ``shape_fields``
     npayload uint64    number of float64 values
-    payload  npayload x float64, factors concatenated in a fixed order
+    payload  npayload x float64, the family's ``factors`` in declared order,
+                       matrices row-major
 
-Shapes and payload order per variant:
-    dense      shape [dim];    payload Q row-major
-    diag       shape [dim];    payload q
-    splu       shape [dim, r]; payload L1, L2, l3, U1, U2, u3 (row-major)
-    kron       shape [m, n];   payload Q1, Q2 (row-major)
-    scan       shape [m, n];   payload q1, d2, c2
-    direct sum shape [];       payload empty, followed by uint32 block count
-               and, per block, uint16 name length + UTF-8 name + nested record
+A direct sum (tag 6) has no shape fields and an empty payload, followed by a
+uint32 block count and, per block, uint16 name length + UTF-8 name + nested
+record. Loading rebuilds each family through its constructor and checks
+every factor against its declared structure.
 """
 
 import struct
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NumericInputError
 from .preconditioners import (
     DensePrecond,
     DiagPrecond,
@@ -37,45 +34,28 @@ from .preconditioners import (
 __all__ = ["load_state", "save_state", "state_from_bytes", "state_to_bytes"]
 
 _MAGIC = b"PCS1"
-_TAGS = {DensePrecond: 1, DiagPrecond: 2, SpluPrecond: 3, KronPrecond: 4,
-         ScanPrecond: 5, DirectSumPrecond: 6}
-
-
-def _payload(p: Preconditioner):
-    if isinstance(p, DensePrecond):
-        return [p.dim], [p.q]
-    if isinstance(p, DiagPrecond):
-        return [p.dim], [p.q]
-    if isinstance(p, SpluPrecond):
-        return [p.dim, p.r], [p.l1, p.l2, p.l3, p.u1, p.u2, p.u3]
-    if isinstance(p, KronPrecond):
-        return [p.m, p.n], [p.q1, p.q2]
-    if isinstance(p, ScanPrecond):
-        return [p.m, p.n], [p.q1, p.d2, p.c2]
-    raise ContractViolationError(f"cannot serialize {type(p).__name__}")
+_BY_TAG = {cls.tag: cls for cls in (DensePrecond, DiagPrecond, SpluPrecond, KronPrecond,
+                                    ScanPrecond, DirectSumPrecond)}
 
 
 def state_to_bytes(p: Preconditioner) -> bytes:
-    tag = _TAGS.get(type(p))
-    if tag is None:
-        raise ContractViolationError(f"cannot serialize {type(p).__name__}")
-    out = [_MAGIC, struct.pack("<B", tag)]
-    if isinstance(p, DirectSumPrecond):
-        out.append(struct.pack("<I", 0))
-        out.append(struct.pack("<Q", 0))
+    """The record of a state, written as it is: its values are not checked."""
+    cls = type(p)
+    if _BY_TAG.get(getattr(cls, "tag", None)) is not cls:
+        raise ContractViolationError(f"cannot serialize {cls.__name__}")
+    arrays = [np.ravel(getattr(p, name)) for name, _ in cls.factors]
+    flat = np.concatenate(arrays) if arrays else np.zeros(0)
+    out = [_MAGIC, struct.pack("<BI", cls.tag, len(cls.shape_fields))]
+    out.extend(struct.pack("<Q", int(getattr(p, f))) for f in cls.shape_fields)
+    out.append(struct.pack("<Q", flat.size))
+    out.append(np.asarray(flat, dtype="<f8").tobytes())
+    if cls is DirectSumPrecond:
         out.append(struct.pack("<I", len(p.blocks)))
         for name, block in p.blocks:
             encoded = name.encode("utf-8")
             out.append(struct.pack("<H", len(encoded)))
             out.append(encoded)
             out.append(state_to_bytes(block))
-        return b"".join(out)
-    shape, arrays = _payload(p)
-    flat = np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
-    out.append(struct.pack("<I", len(shape)))
-    out.extend(struct.pack("<Q", int(s)) for s in shape)
-    out.append(struct.pack("<Q", flat.size))
-    out.append(np.asarray(flat, dtype="<f8").tobytes())
     return b"".join(out)
 
 
@@ -95,63 +75,57 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
 
+def _check_factor(name: str, structure: str, a: np.ndarray) -> None:
+    """Reject a loaded factor that breaks its declared structure."""
+    if not np.isfinite(a).all():
+        raise NumericInputError(f"non-finite entries in factor {name}")
+    if structure == "free":
+        return
+    diagonal = a if structure == "positive" else a.diagonal()
+    if not (diagonal > 0.0).all():
+        raise ContractViolationError(f"non-positive diagonal entry in factor {name}")
+    if structure == "upper" and np.tril(a, -1).any():
+        raise ContractViolationError(f"entries below the upper triangle of factor {name}")
+    if structure == "lower" and np.triu(a, 1).any():
+        raise ContractViolationError(f"entries above the lower triangle of factor {name}")
+
+
 def _read_record(r: _Reader) -> Preconditioner:
     if r.take(4) != _MAGIC:
         raise ContractViolationError("bad magic in preconditioner record")
     tag = r.unpack("<B")
-    nshape = r.unpack("<I")
-    shape = [r.unpack("<Q") for _ in range(nshape)]
+    cls = _BY_TAG.get(tag)
+    if cls is None:
+        raise ContractViolationError(f"unknown preconditioner tag {tag}")
+    shape = [r.unpack("<Q") for _ in range(r.unpack("<I"))]
+    if len(shape) != len(cls.shape_fields):
+        raise ContractViolationError(
+            f"{cls.__name__} record needs {len(cls.shape_fields)} shape fields, got {len(shape)}")
     npayload = r.unpack("<Q")
-    payload = np.frombuffer(r.take(8 * npayload), dtype="<f8").astype(float)
-
-    def cut(*dims):
-        nonlocal payload
-        n = int(np.prod(dims)) if dims else 0
-        chunk, payload = payload[:n], payload[n:]
-        return chunk.reshape(dims) if len(dims) > 1 else chunk
-
-    if tag == 1:
-        (dim,) = shape
-        p = DensePrecond(dim)
-        p.q = cut(dim, dim)
-        return p
-    if tag == 2:
-        (dim,) = shape
-        p = DiagPrecond(dim)
-        p.q = cut(dim)
-        return p
-    if tag == 3:
-        dim, order = shape
-        p = SpluPrecond(dim, order)
-        k = dim - order
-        p.l1 = cut(order, order)
-        p.l2 = cut(k, order)
-        p.l3 = cut(k)
-        p.u1 = cut(order, order)
-        p.u2 = cut(order, k)
-        p.u3 = cut(k)
-        return p
-    if tag == 4:
-        m, n = shape
-        p = KronPrecond(m, n)
-        p.q1 = cut(m, m)
-        p.q2 = cut(n, n)
-        return p
-    if tag == 5:
-        m, n = shape
-        p = ScanPrecond(m, n)
-        p.q1 = cut(m)
-        p.d2 = cut(n)
-        p.c2 = cut(n - 1)
-        return p
-    if tag == 6:
-        nblocks = r.unpack("<I")
+    if cls is DirectSumPrecond:
+        if npayload:
+            raise ContractViolationError(f"direct sum record has a payload of {npayload} values")
         blocks = []
-        for _ in range(nblocks):
+        for _ in range(r.unpack("<I")):
             name = r.take(r.unpack("<H")).decode("utf-8")
             blocks.append((name, _read_record(r)))
         return DirectSumPrecond(blocks)
-    raise ContractViolationError(f"unknown preconditioner tag {tag}")
+
+    p = cls(*shape)
+    size = sum(getattr(p, name).size for name, _ in cls.factors)
+    if npayload != size:
+        raise ContractViolationError(
+            f"{cls.__name__} record of shape {shape} needs a payload of {size} values, "
+            f"got {npayload}")
+    payload = np.frombuffer(r.take(8 * npayload), dtype="<f8").astype(float)
+    start = 0
+    for name, structure in cls.factors:
+        fresh = getattr(p, name)
+        a = payload[start:start + fresh.size].reshape(fresh.shape)
+        start += fresh.size
+        _check_factor(name, structure, a)
+        setattr(p, name, a)
+    return p
 
 
 def state_from_bytes(data: bytes) -> Preconditioner:

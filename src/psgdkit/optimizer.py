@@ -140,11 +140,20 @@ def _finish_row(t, loss, g_norm, pg_norm, clipped, started) -> TraceRow:
     return TraceRow(t, loss, g_norm, pg_norm, clipped, wall)
 
 
-def _check_finite(t, loss, g, started):
+def _begin_step(theta, problem: Problem, cfg: RunConfig, t: int, timing: bool):
+    """Start the timer, bind iteration t's batch and evaluate loss and gradient.
+
+    Returns (started, bound evaluator, loss, gradient, gradient norm) and
+    raises RunDiverged when the loss or the gradient is not finite.
+    """
+    started = time.perf_counter_ns() if timing else None
+    ev = problem.bind_batch(batch_seed_for(cfg.seed, t))
+    loss = ev.loss(theta)
+    g = ev.grad(theta)
     g_norm = float(np.linalg.norm(g))
     if not (np.isfinite(loss) and np.isfinite(g_norm)):
         raise RunDiverged(_finish_row(t, loss, g_norm, float("nan"), False, started))
-    return g_norm
+    return started, ev, loss, g, g_norm
 
 
 def psgd_step(theta, problem: Problem, precond: Preconditioner, cfg: RunConfig,
@@ -155,11 +164,7 @@ def psgd_step(theta, problem: Problem, precond: Preconditioner, cfg: RunConfig,
     the probe (when the schedule admits t) produces the state for t + 1. Both
     the probe and the gradient see the same bound batch.
     """
-    started = time.perf_counter_ns() if timing else None
-    ev = problem.bind_batch(batch_seed_for(cfg.seed, t))
-    loss = ev.loss(theta)
-    g = ev.grad(theta)
-    g_norm = _check_finite(t, loss, g, started)
+    started, ev, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
 
     pg = precond.apply(g)  # incoming (last-iteration) state
     if _admits(cfg, t):
@@ -177,22 +182,14 @@ def psgd_step(theta, problem: Problem, precond: Preconditioner, cfg: RunConfig,
 
 def sgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
              timing: bool = False):
-    started = time.perf_counter_ns() if timing else None
-    ev = problem.bind_batch(batch_seed_for(cfg.seed, t))
-    loss = ev.loss(theta)
-    g = ev.grad(theta)
-    g_norm = _check_finite(t, loss, g, started)
+    started, _, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
     theta = theta - cfg.mu * g
     return theta, state, _finish_row(t, loss, g_norm, g_norm, False, started)
 
 
 def rmsprop_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
                  timing: bool = False):
-    started = time.perf_counter_ns() if timing else None
-    ev = problem.bind_batch(batch_seed_for(cfg.seed, t))
-    loss = ev.loss(theta)
-    g = ev.grad(theta)
-    g_norm = _check_finite(t, loss, g, started)
+    started, _, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
     v = np.zeros_like(g) if state is None else state
     v = cfg.rmsprop_beta * v + (1.0 - cfg.rmsprop_beta) * g * g
     step = g / (np.sqrt(v) + cfg.rmsprop_eps)
@@ -209,11 +206,7 @@ def esgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
     gradient differencing at the small probe scale, rescaled back to a
     unit-normal probe by linearity.
     """
-    started = time.perf_counter_ns() if timing else None
-    ev = problem.bind_batch(batch_seed_for(cfg.seed, t))
-    loss = ev.loss(theta)
-    g = ev.grad(theta)
-    g_norm = _check_finite(t, loss, g, started)
+    started, ev, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
 
     v = rng.standard_normal(theta.shape[0])
     if ev.hvp is not None:

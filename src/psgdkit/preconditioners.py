@@ -40,11 +40,9 @@ __all__ = [
     "ScanPrecond",
     "SpluPrecond",
     "closed_form_diagonal",
-    "direct_sum_route",
     "estimation_criterion",
     "make_preconditioner",
     "scan_q2_matvec",
-    "splu_matvec",
 ]
 
 # Diagonal entries below this make triangular solves meaningless.
@@ -52,10 +50,18 @@ _SOLVE_FLOOR = 1e-300
 # Candidate states whose diagonals fall below this are rejected outright.
 _REJECT_FLOOR = 1e-150
 
-# The update kernels call ndarray.dot rather than @, and ufunc reductions such
-# as this one rather than ndarray.min or .sum: on their tiny arrays each skips a
-# layer that costs about as much as the arithmetic, and the bits are the same.
-_amin = np.minimum.reduce
+# The kernels call ndarray.dot rather than @, ufunc reductions rather than
+# ndarray.sum, and take a vector's minimum as v[v.argmin()] (nan when an entry
+# is nan): on their tiny arrays each skips a layer that costs about as much as
+# the arithmetic, and the bits are the same.
+
+
+def _admissible(*diagonals: np.ndarray) -> bool:
+    """True when every candidate diagonal entry is at least _REJECT_FLOOR (so not nan)."""
+    for d in diagonals:
+        if d.size and not d[d.argmin()] >= _REJECT_FLOOR:
+            return False
+    return True
 
 
 def _check_step(step: float) -> None:
@@ -65,9 +71,11 @@ def _check_step(step: float) -> None:
 
 def _all_finite(a: np.ndarray) -> bool:
     # A finite a.a proves every entry finite, since a sum of squares cannot
-    # cancel an inf or a nan; np.vdot reports no overflow, and only a sum
-    # that overflows needs the entries scanned.
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+    # cancel an inf or a nan; neither product reports an overflow, and only a
+    # sum that overflows needs the entries scanned. A vector's own dot is the
+    # cheaper call.
+    return (math.isfinite(a.dot(a) if a.ndim == 1 else np.vdot(a, a))
+            or bool(np.isfinite(a).all()))
 
 
 def _finite_max_norm(*parts) -> float:
@@ -92,15 +100,29 @@ class _BlockPair(NamedTuple):
 class Preconditioner:
     """Common surface of all variants: apply P, apply P^{-1}, learn from pairs.
 
-    ``update`` is the checked entry point. It validates the step, the pair's
-    dims and the state once (diagonal floor, then finiteness of the factors
-    named in ``_finite_factors``) and then runs the family's ``_update``
-    kernel, which works on raw arrays and checks nothing more.
+    Each family declares its state once, as class data:
+
+    - ``tag``: its checkpoint record tag;
+    - ``shape_fields``: the attributes that hold its constructor arguments,
+      in constructor order;
+    - ``factors``: its factor attributes in checkpoint payload order, each
+      with its structure: ``"upper"`` or ``"lower"`` (a square triangular
+      factor with a positive diagonal), ``"positive"`` (a vector of positive
+      diagonal entries) or ``"free"``.
+
+    ``min_diag``, the finiteness check in ``update`` and the checkpoint
+    record are all derived from this declaration. ``update`` is the checked
+    entry point. It validates the step, the pair's dims and the state once
+    (diagonal floor, then finiteness of every factor) and then runs the
+    family's ``_update`` kernel, which works on raw arrays and checks
+    nothing more.
     """
 
     dim: int
+    tag: int
+    shape_fields = ()
+    factors = ()
     _collapsed = "factor diagonal collapsed"  # DegenerateStateError message
-    _finite_factors = ()  # factors that must be finite before the unchecked solves
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -115,7 +137,7 @@ class Preconditioner:
         dg = self._check_dim(pair.delta_g)
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(self._collapsed)
-        for name in self._finite_factors:
+        for name, _ in self.factors:
             if not _all_finite(getattr(self, name)):
                 raise NumericInputError(f"non-finite entries in factor {name}")
         self._update(dt, dg, step)
@@ -124,8 +146,21 @@ class Preconditioner:
         raise NotImplementedError
 
     def min_diag(self) -> float:
-        """Smallest diagonal entry over the factors; the group needs it positive."""
-        raise NotImplementedError
+        """Smallest diagonal entry over the factors; the group needs it positive.
+
+        It is nan when a diagonal entry is nan.
+        """
+        low = np.inf
+        for name, structure in self.factors:
+            if structure != "free":
+                d = getattr(self, name)
+                if structure != "positive":
+                    d = d.diagonal()
+                if d.size:
+                    x = d[d.argmin()]
+                    if x < low or x != x:
+                        low = x
+        return low
 
     def param_count(self) -> int:
         raise NotImplementedError
@@ -148,8 +183,10 @@ class Preconditioner:
 class DensePrecond(Preconditioner):
     """Full preconditioner with an upper-triangular Cholesky-like factor."""
 
+    tag = 1
+    shape_fields = ("dim",)
+    factors = (("q", "upper"),)
     _collapsed = "dense factor diagonal collapsed"
-    _finite_factors = ("q",)
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -166,9 +203,6 @@ class DensePrecond(Preconditioner):
         w = tri_solve(self.q, v, transpose=True)
         return tri_solve(self.q, w)
 
-    def min_diag(self):
-        return _amin(self.q.diagonal())
-
     def _pair_gradient(self, dt, dg):
         a = self.q.dot(dg)
         b = _tri_solve_unchecked(self.q, dt, transpose=True)
@@ -180,9 +214,8 @@ class DensePrecond(Preconditioner):
         if nrm == 0.0:
             return
         cand = self.q - (step / nrm) * grad.dot(self.q)
-        if _amin(cand.diagonal()) < _REJECT_FLOOR:
-            return
-        self.q = cand
+        if _admissible(cand.diagonal()):
+            self.q = cand
 
     def param_count(self):
         return (self.dim * self.dim + self.dim) // 2
@@ -194,6 +227,9 @@ class DensePrecond(Preconditioner):
 class DiagPrecond(Preconditioner):
     """Diagonal preconditioner; its criterion optimum is the equilibration rule."""
 
+    tag = 2
+    shape_fields = ("dim",)
+    factors = (("q", "positive"),)
     _collapsed = "diagonal factor collapsed"
 
     def __init__(self, dim: int):
@@ -210,9 +246,6 @@ class DiagPrecond(Preconditioner):
         v = self._check_dim(v)
         return v / (self.q * self.q)
 
-    def min_diag(self):
-        return _amin(self.q)
-
     def _pair_gradient(self, dt, dg):
         a = self.q * dg
         b = dt / self.q
@@ -224,9 +257,8 @@ class DiagPrecond(Preconditioner):
         if nrm == 0.0:
             return
         cand = self.q - (step / nrm) * grad * self.q
-        if _amin(cand) < _REJECT_FLOOR:
-            return
-        self.q = cand
+        if _admissible(cand):
+            self.q = cand
 
     def param_count(self):
         return self.dim
@@ -259,8 +291,10 @@ class KronPrecond(Preconditioner):
     own normalized relative-gradient step.
     """
 
+    tag = 4
+    shape_fields = ("m", "n")
+    factors = (("q1", "upper"), ("q2", "upper"))
     _collapsed = "Kronecker factor diagonal collapsed"
-    _finite_factors = ("q1", "q2")
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
@@ -292,10 +326,8 @@ class KronPrecond(Preconditioner):
         x = tri_solve(self.q2, x)
         return self._vec(x.T)
 
-    def min_diag(self):
-        return min(_amin(self.q1.diagonal()), _amin(self.q2.diagonal()))
-
     def _pair_gradient(self, dt, dg):
+        dt, dg = self._mat(dt), self._mat(dg)
         a = self.q1.dot(dg).dot(self.q2.T)
         bt = _tri_solve_unchecked(self.q1, dt, transpose=True)      # Q1^{-T} dT
         bt = _tri_solve_unchecked(self.q2, bt.T, transpose=True).T  # ... Q2^{-1}
@@ -304,15 +336,15 @@ class KronPrecond(Preconditioner):
         return g1, g2
 
     def _update(self, dt, dg, step):
-        g1, g2 = self._pair_gradient(self._mat(dt), self._mat(dg))
+        g1, g2 = self._pair_gradient(dt, dg)
         n1, n2 = _finite_max_norm(g1), _finite_max_norm(g2)
         if n1 > 0.0:
             cand = self.q1 - (step / n1) * g1.dot(self.q1)
-            if _amin(cand.diagonal()) >= _REJECT_FLOOR:
+            if _admissible(cand.diagonal()):
                 self.q1 = cand
         if n2 > 0.0:
             cand = self.q2 - (step / n2) * g2.dot(self.q2)
-            if _amin(cand.diagonal()) >= _REJECT_FLOOR:
+            if _admissible(cand.diagonal()):
                 self.q2 = cand
 
     def param_count(self):
@@ -331,6 +363,9 @@ class ScanPrecond(Preconditioner):
     multiplicative updates stay on the group.
     """
 
+    tag = 5
+    shape_fields = ("m", "n")
+    factors = (("q1", "positive"), ("d2", "positive"), ("c2", "free"))
     _collapsed = "scaling/normalization factor collapsed"
 
     def __init__(self, m: int, n: int):
@@ -389,6 +424,7 @@ class ScanPrecond(Preconditioner):
         return self._vec(self._right_q2t_inv(self._right_q2_inv(x)))
 
     def _pair_gradient(self, dt, dg):
+        dt, dg = self._mat(dt), self._mat(dg)
         a = self.q1[:, None] * self._right_q2t(dg)
         bt = self._right_q2_inv(dt / self.q1[:, None])
         aa, bb = a * a, bt * bt
@@ -397,15 +433,12 @@ class ScanPrecond(Preconditioner):
         gc = a[:, :-1].T.dot(a[:, -1]) - bt[:, :-1].T.dot(bt[:, -1]) if self.n > 1 else np.zeros(0)
         return g1, gd, gc
 
-    def min_diag(self):
-        return min(_amin(self.q1), _amin(self.d2))
-
     def _update(self, dt, dg, step):
-        g1, gd, gc = self._pair_gradient(self._mat(dt), self._mat(dg))
+        g1, gd, gc = self._pair_gradient(dt, dg)
         n1 = max_norm(g1)
         if n1 > 0.0:
             cand = self.q1 - (step / n1) * g1 * self.q1
-            if _amin(cand) >= _REJECT_FLOOR:
+            if _admissible(cand):
                 self.q1 = cand
 
         n2 = max(max_norm(gd), max_norm(gc))
@@ -413,7 +446,7 @@ class ScanPrecond(Preconditioner):
             mu = step / n2
             cand_d = self.d2 - mu * gd * self.d2
             cand_c = self.c2 - mu * (gd[:-1] * self.c2 + self.d2[-1] * gc)
-            if _amin(cand_d) >= _REJECT_FLOOR:
+            if _admissible(cand_d):
                 self.d2 = cand_d
                 self.c2 = cand_c
 
@@ -453,8 +486,11 @@ class SpluPrecond(Preconditioner):
     costs O(rL) using the block inverse formulas for the 2x2 partition.
     """
 
+    tag = 3
+    shape_fields = ("dim", "r")
+    factors = (("l1", "lower"), ("l2", "free"), ("l3", "positive"),
+               ("u1", "upper"), ("u2", "free"), ("u3", "positive"))
     _collapsed = "sparse-LU factor diagonal collapsed"
-    _finite_factors = ("l1", "l2", "l3", "u1", "u2", "u3")
 
     def __init__(self, dim: int, order: int):
         if dim < 1:
@@ -473,10 +509,6 @@ class SpluPrecond(Preconditioner):
 
     def _split(self, v):
         return v[: self.r], v[self.r:]
-
-    def min_diag(self):
-        return min(_amin(self.l1.diagonal()), _amin(self.u1.diagonal()),
-                   _amin(self.l3, initial=np.inf), _amin(self.u3, initial=np.inf))
 
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
         """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
@@ -512,17 +544,20 @@ class SpluPrecond(Preconditioner):
     def apply_inv(self, v):
         return self.matvec(self.matvec(v, "qinvt"), "qinv")
 
+    def materialize_lu(self):
+        """Dense (L, U); test and diagnostic helper, O(L^2) storage."""
+        r = self.r
+        low = np.diag(np.concatenate([np.zeros(r), self.l3]))
+        low[:r, :r] = self.l1
+        low[r:, :r] = self.l2
+        up = np.diag(np.concatenate([np.zeros(r), self.u3]))
+        up[:r, :r] = self.u1
+        up[:r, r:] = self.u2
+        return low, up
+
     def materialize_q(self) -> np.ndarray:
         """Dense Q = L U; test and diagnostic helper, O(L^2) storage."""
-        k = self.dim - self.r
-        low = np.zeros((self.dim, self.dim))
-        low[: self.r, : self.r] = self.l1
-        low[self.r:, : self.r] = self.l2
-        low[self.r:, self.r:] = np.diag(self.l3)
-        up = np.zeros((self.dim, self.dim))
-        up[: self.r, : self.r] = self.u1
-        up[: self.r, self.r:] = self.u2
-        up[self.r:, self.r:] = np.diag(self.u3)
+        low, up = self.materialize_lu()
         return low @ up
 
     def _pair_gradient(self, dt, dg):
@@ -570,7 +605,7 @@ class SpluPrecond(Preconditioner):
             cand_l1 = self.l1 - mu * gl1.dot(self.l1)
             cand_l2 = self.l2 - mu * (gl2.dot(self.l1) + gl3[:, None] * self.l2)
             cand_l3 = self.l3 - mu * gl3 * self.l3
-            if min(_amin(cand_l1.diagonal()), _amin(cand_l3, initial=np.inf)) >= _REJECT_FLOOR:
+            if _admissible(cand_l1.diagonal(), cand_l3):
                 self.l1, self.l2, self.l3 = cand_l1, cand_l2, cand_l3
 
         if nu > 0.0:
@@ -578,16 +613,11 @@ class SpluPrecond(Preconditioner):
             cand_u1 = self.u1 - mu * self.u1.dot(gu1)
             cand_u2 = self.u2 - mu * (self.u1.dot(gu2) + gu3[None, :] * self.u2)
             cand_u3 = self.u3 - mu * gu3 * self.u3
-            if min(_amin(cand_u1.diagonal()), _amin(cand_u3, initial=np.inf)) >= _REJECT_FLOOR:
+            if _admissible(cand_u1.diagonal(), cand_u3):
                 self.u1, self.u2, self.u3 = cand_u1, cand_u2, cand_u3
 
     def param_count(self):
         return 2 * (self.r + 1) * self.dim - self.r * self.r - 2 * self.r
-
-
-def splu_matvec(p: SpluPrecond, v: np.ndarray, which: str) -> np.ndarray:
-    """Module-level alias for :meth:`SpluPrecond.matvec`."""
-    return p.matvec(v, which)
 
 
 class DirectSumPrecond(Preconditioner):
@@ -596,6 +626,8 @@ class DirectSumPrecond(Preconditioner):
     Blocks are orthogonal, so each one learns from its own slice of a pair
     and takes its own normalized step.
     """
+
+    tag = 6
 
     def __init__(self, blocks):
         blocks = list(blocks)
@@ -609,12 +641,6 @@ class DirectSumPrecond(Preconditioner):
             start += p.dim
         self.dim = start
 
-    def route(self, pair: TangentPair):
-        """Slice a pair into per-block pairs (in block order)."""
-        dt = self._check_dim(pair.delta_theta)
-        dg = self._check_dim(pair.delta_g)
-        return [TangentPair(dt[s], dg[s]) for s in self.slices]
-
     def apply(self, g):
         g = self._check_dim(g)
         return np.concatenate([p.apply(g[s]) for (_, p), s in zip(self.blocks, self.slices)])
@@ -624,9 +650,9 @@ class DirectSumPrecond(Preconditioner):
         return np.concatenate([p.apply_inv(v[s]) for (_, p), s in zip(self.blocks, self.slices)])
 
     def update(self, pair, step):
-        # Each block slice gets the checks route() gives it, without a copy into
-        # a TangentPair; each block's own update then checks the step and its
-        # state and runs its kernel on the views.
+        # Each block slice gets the probe checks a TangentPair would give it,
+        # without the copy; each block's own update then checks the step and
+        # its state and runs its kernel on the views.
         dt = self._check_dim(pair.delta_theta)
         dg = self._check_dim(pair.delta_g)
         subs = [_BlockPair(dt[s], dg[s]) for s in self.slices]
@@ -646,11 +672,6 @@ class DirectSumPrecond(Preconditioner):
         for (_, p), s in zip(self.blocks, self.slices):
             q[s, s] = p.materialize_q()
         return q
-
-
-def direct_sum_route(p: DirectSumPrecond, pair: TangentPair):
-    """Module-level alias for :meth:`DirectSumPrecond.route`."""
-    return p.route(pair)
 
 
 def estimation_criterion(p: Preconditioner, pairs) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import TangentPair
-from .linalg import sym_eig
 from .preconditioners import (
     DensePrecond,
     DiagPrecond,
@@ -83,10 +82,7 @@ def _criterion_dense(q, pairs):
 def _mean_pair_gradients(p, pairs):
     acc = None
     for pr in pairs:
-        if hasattr(p, "_mat"):
-            parts = p._pair_gradient(p._mat(pr.delta_theta), p._mat(pr.delta_g))
-        else:
-            parts = p._pair_gradient(pr.delta_theta, pr.delta_g)
+        parts = p._pair_gradient(pr.delta_theta, pr.delta_g)
         parts = parts if isinstance(parts, tuple) else (parts,)
         if acc is None:
             acc = [np.array(g, dtype=float, copy=True) for g in parts]
@@ -104,18 +100,6 @@ def _random_pairs(rng, dim, count=16):
         dt = rng.standard_normal(dim)
         pairs.append(TangentPair(dt, h @ dt + 0.1 * rng.standard_normal(dim)))
     return pairs
-
-
-def _splu_dense_lu(p):
-    low = np.zeros((p.dim, p.dim))
-    low[: p.r, : p.r] = p.l1
-    low[p.r:, : p.r] = p.l2
-    low[p.r:, p.r:] = np.diag(p.l3)
-    up = np.zeros((p.dim, p.dim))
-    up[: p.r, : p.r] = p.u1
-    up[: p.r, p.r:] = p.u2
-    up[p.r:, p.r:] = np.diag(p.u3)
-    return low, up
 
 
 def _anchor_worst(variant, rng, n_dirs=20, h=1e-6):
@@ -207,7 +191,7 @@ def _anchor_worst(variant, rng, n_dirs=20, h=1e-6):
         p.u3 = 0.5 + rng.random(dim - r)
         pairs = _random_pairs(rng, dim)
         gl1, gl2, gl3, gu1, gu2, gu3 = _mean_pair_gradients(p, pairs)
-        low, up = _splu_dense_lu(p)
+        low, up = p.materialize_lu()
         for k in range(n_dirs):
             if k % 2 == 0:
                 e = np.zeros((dim, dim))
@@ -267,7 +251,7 @@ def suite_fixedpoint():
     for _ in range(20000):
         dt = rng.standard_normal(10)
         p.update(TangentPair(dt, h @ dt), 0.01)
-    eig = sym_eig(p.q @ h @ p.q.T).eigenvalues
+    eig = np.linalg.eigvalsh(p.q @ h @ p.q.T)
     results.append(_result("fixedpoint/dense-eig-max", np.max(np.abs(eig)), 1.1))
     results.append(_result("fixedpoint/dense-eig-min", np.min(np.abs(eig)), 0.9, larger_ok=True))
 

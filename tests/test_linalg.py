@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from psgdkit.errors import ContractViolationError, NumericInputError
-from psgdkit.linalg import kron_matvec, max_norm, sym_eig, tri_solve, triu_project
+from psgdkit.linalg import max_norm, tri_solve, triu_project
 
 
 class TestTriSolve:
@@ -68,86 +68,6 @@ class TestTriSolve:
     def test_nonpositive_diagonal(self):
         with pytest.raises(ContractViolationError):
             tri_solve(np.array([[1.0, 0.0], [0.0, -2.0]]), np.ones(2))
-
-
-class TestKronMatvec:
-    def test_identity(self):
-        g = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_allclose(kron_matvec(np.eye(3), np.eye(2), g), g)
-
-    def test_diagonal_factors(self):
-        q1 = np.diag([2.0, 3.0])
-        q2 = np.diag([5.0])
-        g = np.array([[1.0], [1.0]])
-        np.testing.assert_allclose(kron_matvec(q2, q1, g), [[10.0], [15.0]])
-
-    def test_triangular_factors(self):
-        # direct multiplication: Q1 I Q2^T = [[1,1],[0,1]] @ [[1,1],[0,1]]
-        q1 = np.array([[1.0, 1.0], [0.0, 1.0]])
-        q2 = np.array([[1.0, 0.0], [1.0, 1.0]])
-        np.testing.assert_allclose(kron_matvec(q2, q1, np.eye(2)),
-                                   [[1.0, 2.0], [0.0, 1.0]])
-
-    def test_matches_materialized_kronecker(self):
-        # column-major vec: kron(Q2, Q1) @ vec(G) == vec(Q1 G Q2^T), checked
-        # on every shape with M N <= 64
-        rng = np.random.default_rng(6)
-        for m in range(1, 9):
-            for n in range(1, 9):
-                q1 = rng.standard_normal((m, m))
-                q2 = rng.standard_normal((n, n))
-                g = rng.standard_normal((m, n))
-                direct = np.ravel(kron_matvec(q2, q1, g), order="F")
-                full = np.kron(q2, q1) @ np.ravel(g, order="F")
-                np.testing.assert_allclose(direct, full, rtol=1e-12, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            kron_matvec(np.eye(3), np.eye(3), np.ones((2, 3)))
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        res = sym_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(res.eigenvalues, [1.0, 3.0])
-
-    def test_symmetry_forced_pair(self):
-        res = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-    @pytest.mark.parametrize("dim", [3, 8, 64])
-    def test_reconstruction_and_orthonormality(self, dim):
-        rng = np.random.default_rng(dim)
-        for _ in range(3):
-            a = rng.standard_normal((dim, dim))
-            s = 0.5 * (a + a.T)
-            w, v = sym_eig(s)
-            assert np.linalg.norm(v @ np.diag(w) @ v.T - s) <= 1e-10 * np.linalg.norm(s)
-            np.testing.assert_allclose(v.T @ v, np.eye(dim), atol=1e-12)
-            assert np.all(np.diff(w) >= 0)
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((12, 12))
-        s = 0.5 * (a + a.T)
-        w, _ = sym_eig(s)
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(s), rtol=1e-10, atol=1e-10)
-
-    def test_similarity_with_nonsymmetric_product(self):
-        # eigenvalues of Q H Q^T equal the eigenvalues of (Q^T Q) H
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            q = np.triu(rng.standard_normal((6, 6)))
-            np.fill_diagonal(q, 1.0 + rng.random(6))
-            a = rng.standard_normal((6, 6))
-            h = 0.5 * (a + a.T)
-            w, _ = sym_eig(q @ h @ q.T)
-            ref = np.sort(np.real(np.linalg.eigvals(q.T @ q @ h)))
-            np.testing.assert_allclose(w, ref, rtol=1e-8, atol=1e-10)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ContractViolationError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestTriuProject:

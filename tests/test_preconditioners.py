@@ -11,11 +11,9 @@ from psgdkit.preconditioners import (
     ScanPrecond,
     SpluPrecond,
     closed_form_diagonal,
-    direct_sum_route,
     estimation_criterion,
     make_preconditioner,
     scan_q2_matvec,
-    splu_matvec,
 )
 from psgdkit.problems import ParamBlock, ParamLayout
 from psgdkit.verify import min_group_diagonal
@@ -126,6 +124,10 @@ class TestUpdate:
         (lambda: SpluPrecond(5, 2), "u1", (0, 0)),
         (lambda: SpluPrecond(5, 2), "u2", (1, 2)),
         (lambda: SpluPrecond(5, 2), "u3", (2,)),
+        (lambda: DiagPrecond(3), "q", (1,)),
+        (lambda: ScanPrecond(2, 3), "q1", (0,)),
+        (lambda: ScanPrecond(2, 3), "d2", (2,)),
+        (lambda: ScanPrecond(2, 3), "c2", (1,)),
     ])
     def test_non_finite_factor_raises_on_update(self, maker, factor, index, bad):
         p = maker()
@@ -135,6 +137,14 @@ class TestUpdate:
             p.update(random_pair(np.random.default_rng(0), p.dim), 0.1)
         for k, v in before.items():
             np.testing.assert_array_equal(getattr(p, k), v)
+
+    def test_diag_rejects_nan_candidate(self):
+        # the gradient [inf, 0] normalizes to a zero step, and 0 * inf turns
+        # the first candidate entry into nan, which must not be admitted
+        p = DiagPrecond(2)
+        with np.errstate(all="ignore"):
+            p.update(TangentPair(np.ones(2), np.array([1e200, 1.0])), 0.1)
+        np.testing.assert_array_equal(p.q, [1.0, 1.0])
 
     def test_overflowing_gradient_raises_on_update(self):
         p = DensePrecond(2)
@@ -170,7 +180,7 @@ class TestSpluMatvec:
         p = SpluPrecond(7, 3)
         v = np.arange(7.0)
         for which in ("q", "qt", "qinv", "qinvt"):
-            np.testing.assert_allclose(splu_matvec(p, v, which), v)
+            np.testing.assert_allclose(p.matvec(v, which), v)
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -180,9 +190,9 @@ class TestSpluMatvec:
         for _ in range(10):
             v = rng.standard_normal(12)
             np.testing.assert_allclose(
-                splu_matvec(p, splu_matvec(p, v, "q"), "qinv"), v, atol=1e-10)
+                p.matvec(p.matvec(v, "q"), "qinv"), v, atol=1e-10)
             np.testing.assert_allclose(
-                splu_matvec(p, splu_matvec(p, v, "qt"), "qinvt"), v, atol=1e-10)
+                p.matvec(p.matvec(v, "qt"), "qinvt"), v, atol=1e-10)
 
     def test_dense_materialization_agreement(self):
         rng = np.random.default_rng(5)
@@ -192,16 +202,16 @@ class TestSpluMatvec:
         q = p.materialize_q()
         for _ in range(10):
             v = rng.standard_normal(8)
-            np.testing.assert_allclose(splu_matvec(p, v, "q"), q @ v, atol=1e-12)
-            np.testing.assert_allclose(splu_matvec(p, v, "qt"), q.T @ v, atol=1e-12)
-            np.testing.assert_allclose(splu_matvec(p, v, "qinv"),
+            np.testing.assert_allclose(p.matvec(v, "q"), q @ v, atol=1e-12)
+            np.testing.assert_allclose(p.matvec(v, "qt"), q.T @ v, atol=1e-12)
+            np.testing.assert_allclose(p.matvec(v, "qinv"),
                                        np.linalg.solve(q, v), atol=1e-12)
-            np.testing.assert_allclose(splu_matvec(p, v, "qinvt"),
+            np.testing.assert_allclose(p.matvec(v, "qinvt"),
                                        np.linalg.solve(q.T, v), atol=1e-12)
 
     def test_bad_selector(self):
         with pytest.raises(ContractViolationError):
-            splu_matvec(SpluPrecond(4, 2), np.ones(4), "p")
+            SpluPrecond(4, 2).matvec(np.ones(4), "p")
 
 
 class TestScanQ2Matvec:
@@ -236,32 +246,6 @@ class TestScanQ2Matvec:
 
 
 class TestDirectSum:
-    def test_routing_slices(self):
-        p = DirectSumPrecond([("a", DiagPrecond(2)), ("b", DiagPrecond(3))])
-        pair = TangentPair(np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                           np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
-        sub = direct_sum_route(p, pair)
-        np.testing.assert_array_equal(sub[0].delta_theta, [1.0, 2.0])
-        np.testing.assert_array_equal(sub[1].delta_theta, [3.0, 4.0, 5.0])
-        np.testing.assert_array_equal(sub[0].delta_g, [5.0, 4.0])
-        np.testing.assert_array_equal(sub[1].delta_g, [3.0, 2.0, 1.0])
-
-    def test_single_block_identity_routing(self):
-        p = DirectSumPrecond([("only", DiagPrecond(4))])
-        pair = TangentPair(np.arange(1.0, 5.0), np.arange(4.0, 0.0, -1.0))
-        (sub,) = direct_sum_route(p, pair)
-        np.testing.assert_array_equal(sub.delta_theta, pair.delta_theta)
-        np.testing.assert_array_equal(sub.delta_g, pair.delta_g)
-
-    def test_scatter_gather_round_trip(self):
-        p = DirectSumPrecond([("a", DiagPrecond(2)), ("b", DiagPrecond(3))])
-        pair = TangentPair(np.arange(1.0, 6.0), np.arange(5.0, 0.0, -1.0))
-        sub = direct_sum_route(p, pair)
-        np.testing.assert_array_equal(
-            np.concatenate([s.delta_theta for s in sub]), pair.delta_theta)
-        np.testing.assert_array_equal(
-            np.concatenate([s.delta_g for s in sub]), pair.delta_g)
-
     def test_all_zero_block_probe_rejected(self):
         p = DirectSumPrecond([("a", DiagPrecond(2)), ("b", DiagPrecond(3))])
         pair = TangentPair(np.array([0.0, 0.0, 1.0, 2.0, 3.0]), np.ones(5))
@@ -332,6 +316,17 @@ class TestMinDiag:
         for p, expected in cases:
             assert p.min_diag() == expected
             assert min_group_diagonal(p) == expected
+
+    @pytest.mark.parametrize("maker, factor, index", [
+        (lambda: DensePrecond(3), "q", (1, 1)),
+        (lambda: SpluPrecond(4, 2), "l1", (0, 0)),
+        (lambda: SpluPrecond(4, 2), "u3", (1,)),
+        (lambda: ScanPrecond(2, 3), "d2", (2,)),
+    ])
+    def test_nan_diagonal_gives_nan(self, maker, factor, index):
+        p = maker()
+        getattr(p, factor)[index] = np.nan
+        assert np.isnan(p.min_diag())
 
 
 class TestGroupInvariants:
