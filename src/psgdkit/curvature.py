@@ -114,12 +114,14 @@ def approx_delta_g(grad_at, theta: np.ndarray, delta_theta: np.ndarray) -> np.nd
 
     ``grad_at`` must be a closure already bound to a single mini-batch so both
     evaluations see the same realization; it is exact (up to rounding) on
-    quadratics and O(|dt|) accurate otherwise.
+    quadratics and O(|dt|) accurate otherwise. ``grad(theta)`` is evaluated
+    first: a bound evaluator that remembers its last theta then still holds
+    the step's gradient, so the probe costs one new gradient evaluation.
     """
     theta = np.asarray(theta, dtype=float)
     delta_theta = np.asarray(delta_theta, dtype=float)
-    g1 = np.asarray(grad_at(theta + delta_theta), dtype=float)
     g0 = np.asarray(grad_at(theta), dtype=float)
+    g1 = np.asarray(grad_at(theta + delta_theta), dtype=float)
     if not (np.isfinite(g0).all() and np.isfinite(g1).all()):
         raise NumericEvaluationError("non-finite gradient during probe differencing")
     return g1 - g0

@@ -512,9 +512,16 @@ class SpluPrecond(Preconditioner):
 
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
         """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
+        return self._matvec(self._checked(v), which)
+
+    def _checked(self, v):
+        """v as a float vector of this dim, once the diagonals are above the floor."""
         v = self._check_dim(v)
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(self._collapsed)
+        return v
+
+    def _matvec(self, v, which):
         v1, v2 = self._split(v)
         if which == "q":
             w1 = self.u1 @ v1 + self.u2 @ v2
@@ -539,10 +546,10 @@ class SpluPrecond(Preconditioner):
         raise ContractViolationError(f"unknown matvec selector {which!r}")
 
     def apply(self, g):
-        return self.matvec(self.matvec(g, "q"), "qt")
+        return self._matvec(self._matvec(self._checked(g), "q"), "qt")
 
     def apply_inv(self, v):
-        return self.matvec(self.matvec(v, "qinvt"), "qinv")
+        return self._matvec(self._matvec(self._checked(v), "qinvt"), "qinv")
 
     def materialize_lu(self):
         """Dense (L, U); test and diagnostic helper, O(L^2) storage."""
@@ -605,7 +612,9 @@ class SpluPrecond(Preconditioner):
             cand_l1 = self.l1 - mu * gl1.dot(self.l1)
             cand_l2 = self.l2 - mu * (gl2.dot(self.l1) + gl3[:, None] * self.l2)
             cand_l3 = self.l3 - mu * gl3 * self.l3
-            if _admissible(cand_l1.diagonal(), cand_l3):
+            # the diagonals alone would let an inf off the diagonal through
+            if (_admissible(cand_l1.diagonal(), cand_l3)
+                    and all(map(_all_finite, (cand_l1, cand_l2, cand_l3)))):
                 self.l1, self.l2, self.l3 = cand_l1, cand_l2, cand_l3
 
         if nu > 0.0:
@@ -613,7 +622,8 @@ class SpluPrecond(Preconditioner):
             cand_u1 = self.u1 - mu * self.u1.dot(gu1)
             cand_u2 = self.u2 - mu * (self.u1.dot(gu2) + gu3[None, :] * self.u2)
             cand_u3 = self.u3 - mu * gu3 * self.u3
-            if _admissible(cand_u1.diagonal(), cand_u3):
+            if (_admissible(cand_u1.diagonal(), cand_u3)
+                    and all(map(_all_finite, (cand_u1, cand_u2, cand_u3)))):
                 self.u1, self.u2, self.u3 = cand_u1, cand_u2, cand_u3
 
     def param_count(self):

@@ -3,7 +3,10 @@
 Each problem binds a mini-batch by seed (a pure function), returning an
 evaluator whose loss, gradient and optional Hessian-vector product all see the
 same batch realization. That makes gradient differencing on one batch and
-run-level determinism structural rather than a calling convention.
+run-level determinism structural rather than a calling convention. The network
+problems evaluate a bound batch at most once per distinct theta: loss, gradient
+and Hvp at one theta share one forward pass, and a repeated gradient is a
+lookup.
 
 Parameters are described by a layout of named tensors; flat vectors use
 column-major order per block, matching the matricization the Kronecker-style
@@ -81,6 +84,32 @@ class ParamLayout:
                 f"flat vector of length {self.size} expected, got {theta.shape}")
         return [np.reshape(theta[s], b.shape, order="F")
                 for b, s in zip(self.blocks, self.slices)]
+
+
+def _last_value(fn):
+    """fn(th), recomputed only when th differs in value from the last call's th.
+
+    The key is th's exact value (its shape and bytes as float64), since a
+    caller may change an array in place between calls. fn runs on a read-only
+    copy of th rebuilt from the key, so what it returns cannot alias the
+    caller's array, and an array result is made read-only, so no caller can
+    write into what the next call returns. A call that raises caches nothing.
+    """
+    last = (None, None)  # (key, value), swapped as one tuple so no reader mixes two calls
+
+    def memo(th):
+        nonlocal last
+        th = np.asarray(th, dtype=float)
+        key = (th.shape, th.tobytes())
+        seen, value = last
+        if seen != key:
+            value = fn(np.frombuffer(key[1]).reshape(th.shape))
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            last = (key, value)
+        return value
+
+    return memo
 
 
 @dataclass(frozen=True)
@@ -220,6 +249,7 @@ def make_xor_mlp(hidden: int) -> Problem:
     xa = np.hstack([x, np.ones((4, 1))])
     nb = 4.0
 
+    @_last_value
     def forward(th):
         w1, w2 = layout.unflatten(th)
         a1 = xa @ w1.T
@@ -232,6 +262,7 @@ def make_xor_mlp(hidden: int) -> Problem:
         _, _, _, _, s = forward(th)
         return float(np.mean(_softplus(s) - targets * s))
 
+    @_last_value
     def grad(th):
         w1, w2, z, za, s = forward(th)
         ds = (_sigmoid(s) - targets) / nb
@@ -298,13 +329,14 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
 
     def bind(seed: int) -> BoundEvaluator:
         values, marks, targets = make_batch(seed)
+        inputs = np.stack([values.T, marks.T], axis=2)  # (seq_len, batch, 2), C order
 
+        @_last_value
         def forward(th):
             w, wo = layout.unflatten(th)
             wh, wx, bias = w[:, :hidden], w[:, hidden:hidden + 2], w[:, hidden + 2]
             states = [np.zeros((batch_size, hidden))]
-            for t in range(seq_len):
-                u = np.stack([values[:, t], marks[:, t]], axis=1)
+            for u in inputs:
                 a = states[-1] @ wh.T + u @ wx.T + bias
                 states.append(np.tanh(a))
             ha = np.hstack([states[-1], np.ones((batch_size, 1))])
@@ -315,21 +347,25 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
             _, _, _, _, pred = forward(th)
             return float(np.mean((pred - targets) ** 2))
 
+        @_last_value
         def grad(th):
             w, wo, states, ha, pred = forward(th)
             wh = w[:, :hidden]
             dpred = 2.0 * (pred - targets) / batch_size
             gwo = (dpred @ ha)[None, :]
-            gw = np.zeros_like(w)
+            # each block sums its terms from t = seq_len down, starting at 0
+            gwh = np.zeros((hidden, hidden))
+            gwx = np.zeros((hidden, 2))
+            gb = np.zeros(hidden)
             dh = np.outer(dpred, wo[0, :hidden])
             for t in range(seq_len, 0, -1):
                 ht = states[t]
                 da = dh * (1.0 - ht * ht)
-                u = np.stack([values[:, t - 1], marks[:, t - 1]], axis=1)
-                gw[:, :hidden] += da.T @ states[t - 1]
-                gw[:, hidden:hidden + 2] += da.T @ u
-                gw[:, hidden + 2] += da.sum(axis=0)
+                gwh += da.T @ states[t - 1]
+                gwx += da.T @ inputs[t - 1]
+                gb += da.sum(axis=0)
                 dh = da @ wh
+            gw = np.concatenate([gwh, gwx, gb[:, None]], axis=1)
             return layout.flatten([gw, gwo])
 
         return BoundEvaluator(loss=loss, grad=grad, hvp=None)

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from psgdkit.optimizer import (
     skip_admits,
 )
 from psgdkit.preconditioners import DensePrecond, make_preconditioner
-from psgdkit.problems import make_quadratic, make_rosenbrock
+from psgdkit.problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
 
 
 def quad_config(**kw):
@@ -241,3 +244,40 @@ class TestRosenbrockRun:
         res = run(prob, cfg)
         assert not res.diverged
         assert res.rows[-1].train_loss < 1e-8
+
+
+def _golden_cases():
+    rnn = make_addition_rnn(10, 6, batch_size=16)
+    xor = make_xor_mlp(4)
+    return {
+        "rnn-psgd-scan": (rnn, RunConfig(
+            method="psgd", precond_variant="scan", mu=0.1, precond_mu=0.01,
+            clip_omega=10.0 * math.sqrt(rnn.dim), probe=ProbeConfig(mode="approximate"),
+            skip_schedule="log10", iters=200, seed=0)),
+        "rnn-esgd": (rnn, RunConfig(method="esgd", mu=0.05, iters=200, seed=0)),
+        "xor-psgd-kron": (xor, RunConfig(
+            method="psgd", precond_variant="kron", mu=0.5, precond_mu=0.05,
+            clip_omega=10.0 * math.sqrt(xor.dim), probe=ProbeConfig(mode="exact"),
+            iters=200, seed=0)),
+    }
+
+
+GOLDEN_TRAJECTORIES = {
+    "rnn-psgd-scan": "e7e1e1791e8f57c707ceb0255714654f0cac1c161862fb31a2ecdfa1dcc60951",
+    "rnn-esgd": "12236b5071ef69fa9bb72e05a3b6897a11517292aca929286b9e6366d25a3ec5",
+    "xor-psgd-kron": "7a15f53e8ea62ecd2bcedfba44a7379ee487c7ab4574013ee0a6c1fd00634b6e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
+def test_golden_trajectories(name):
+    # sha256 over every row's loss, gradient norms and clip flag, then the
+    # final theta, all as little-endian float64: a speed-up that changes one
+    # bit of a differenced probe, a BPTT sum or an update changes the digest
+    problem, cfg = _golden_cases()[name]
+    res = run(problem, cfg)
+    rows = np.array([[r.train_loss, r.grad_norm, r.precond_grad_norm, r.clipped]
+                     for r in res.rows], dtype="<f8")
+    digest = hashlib.sha256(rows.tobytes() + res.theta.astype("<f8").tobytes()).hexdigest()
+    assert not res.diverged and len(res.rows) == cfg.iters
+    assert digest == GOLDEN_TRAJECTORIES[name]

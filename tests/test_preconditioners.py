@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from psgdkit.curvature import TangentPair
-from psgdkit.errors import ContractViolationError, DegenerateCurvatureError, NumericInputError
+from psgdkit.errors import (
+    ContractViolationError,
+    DegenerateCurvatureError,
+    DegenerateStateError,
+    NumericInputError,
+    PsgdkitError,
+)
 from psgdkit.preconditioners import (
     DensePrecond,
     DiagPrecond,
@@ -106,7 +112,6 @@ class TestUpdate:
         np.testing.assert_array_equal(p.q, [1.5e-150])
 
     def test_collapsed_state_raises_on_update(self):
-        from psgdkit.errors import DegenerateStateError
         p = DensePrecond(2)
         p.q = np.diag([1e-301, 1.0])
         with pytest.raises(DegenerateStateError):
@@ -145,6 +150,35 @@ class TestUpdate:
         with np.errstate(all="ignore"):
             p.update(TangentPair(np.ones(2), np.array([1e200, 1.0])), 0.1)
         np.testing.assert_array_equal(p.q, [1.0, 1.0])
+
+    @pytest.mark.parametrize("dim, order, seed", [(12, 3, 1), (6, 6, 5), (16, 10, 1)])
+    def test_splu_admits_no_non_finite_candidate(self, dim, order, seed):
+        # Probes scaled by up to 1e+-150 overflow the candidate factors; a
+        # candidate with an inf off the diagonal once passed the diagonal
+        # check, so an update returned normally and every later one raised.
+        # These seeds made that happen within 300 updates.
+        rng = np.random.default_rng(seed)
+
+        def probe():
+            v = rng.standard_normal(dim)
+            if rng.random() < 0.5:
+                return 10.0 ** rng.uniform(-150, 150) * v
+            v[rng.integers(dim)] *= 10.0 ** rng.uniform(-150, 150)
+            return v
+
+        p = SpluPrecond(dim, order)
+        returned = 0
+        for _ in range(300):
+            pair = TangentPair(probe(), probe())
+            with np.errstate(all="ignore"):
+                try:
+                    p.update(pair, 0.9)
+                except PsgdkitError:
+                    continue
+            returned += 1
+            for name, _ in p.factors:
+                assert np.isfinite(getattr(p, name)).all(), name
+        assert returned > 150
 
     def test_overflowing_gradient_raises_on_update(self):
         p = DensePrecond(2)
@@ -212,6 +246,21 @@ class TestSpluMatvec:
     def test_bad_selector(self):
         with pytest.raises(ContractViolationError):
             SpluPrecond(4, 2).matvec(np.ones(4), "p")
+
+    @pytest.mark.parametrize("method, inner, outer", [("apply", "q", "qt"),
+                                                      ("apply_inv", "qinvt", "qinv")])
+    def test_apply_checks_input_and_state(self, method, inner, outer):
+        rng = np.random.default_rng(6)
+        p = SpluPrecond(6, 2)
+        for _ in range(50):
+            p.update(random_pair(rng, 6, scale=rng.uniform(0.3, 2.0)), 0.3)
+        v = rng.standard_normal(6)
+        assert getattr(p, method)(v).tobytes() == p.matvec(p.matvec(v, inner), outer).tobytes()
+        with pytest.raises(ContractViolationError):
+            getattr(p, method)(np.ones(5))
+        p.u3[1] = 1e-301
+        with pytest.raises(DegenerateStateError):
+            getattr(p, method)(v)
 
 
 class TestScanQ2Matvec:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psgdkit.curvature import approx_delta_g
 from psgdkit.errors import ContractViolationError
 from psgdkit.problems import (
     ParamBlock,
@@ -171,3 +172,91 @@ class TestSelfChecks:
     ])
     def test_twenty_random_points(self, maker, tol):
         assert gradient_selfcheck(maker(), n_points=20) <= tol
+
+
+MEMO_MAKERS = {
+    "rnn": lambda: make_addition_rnn(6, 3, batch_size=4),
+    "xor": lambda: make_xor_mlp(3),
+}
+
+
+class TestBoundEvaluatorMemo:
+    """A network evaluator remembers its last theta; it must act as if it did not."""
+
+    @staticmethod
+    def fresh(name):
+        # a new problem, so not even the XOR problem's shared evaluator has seen a theta
+        return MEMO_MAKERS[name]().bind_batch(3)
+
+    @staticmethod
+    def points(name):
+        rng = np.random.default_rng(11)
+        dim = MEMO_MAKERS[name]().dim
+        return 0.5 * rng.standard_normal(dim), 0.5 * rng.standard_normal(dim), rng.standard_normal(dim)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_MAKERS))
+    def test_interleaved_calls_match_fresh_evaluators(self, name):
+        th1, th2, v = self.points(name)
+        ev = self.fresh(name)
+        calls = [("grad", th1), ("loss", th1), ("grad", th2), ("hvp", th1), ("grad", th1),
+                 ("loss", th2), ("hvp", th2), ("grad", th2), ("loss", th1), ("grad", th1)]
+        for method, th in calls:
+            if method == "hvp" and ev.hvp is None:
+                continue
+            args = (th.copy(), v) if method == "hvp" else (th.copy(),)
+            got = getattr(ev, method)(*args)
+            want = getattr(self.fresh(name), method)(*args)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (method, th is th1)
+        assert ev.grad(th1.copy()) is ev.grad(th1.copy())  # a repeated gradient is a lookup
+
+    @pytest.mark.parametrize("name", sorted(MEMO_MAKERS))
+    def test_theta_mutated_in_place(self, name):
+        th1, th2, v = self.points(name)
+        ev = self.fresh(name)
+        th = th1.copy()
+        g1 = ev.grad(th).copy()
+        th[:] = th2
+        np.testing.assert_array_equal(ev.grad(th), self.fresh(name).grad(th2))
+        assert ev.loss(th) == self.fresh(name).loss(th2)
+        assert not np.array_equal(g1, ev.grad(th))
+        # the remembered pass must not alias the caller's array either: a hit
+        # on th1's forward pass after th changed still sees th1
+        th[:] = th1
+        ev.loss(th)
+        th[:] = th2
+        np.testing.assert_array_equal(ev.grad(th1.copy()), self.fresh(name).grad(th1))
+        if ev.hvp is not None:
+            ev.loss(th1.copy())
+            np.testing.assert_array_equal(ev.hvp(th1.copy(), v), self.fresh(name).hvp(th1, v))
+
+    @pytest.mark.parametrize("name", sorted(MEMO_MAKERS))
+    def test_wrong_length_still_rejected_after_valid_call(self, name):
+        th1, _, _ = self.points(name)
+        ev = self.fresh(name)
+        g = ev.grad(th1)
+        for bad in (th1[:-1], np.append(th1, 0.0), th1[:, None]):
+            with pytest.raises(ContractViolationError):
+                ev.grad(bad)
+            with pytest.raises(ContractViolationError):
+                ev.loss(bad)
+        np.testing.assert_array_equal(ev.grad(th1), g)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_MAKERS))
+    def test_returned_gradient_cannot_be_written_into(self, name):
+        th1, _, _ = self.points(name)
+        ev = self.fresh(name)
+        g = ev.grad(th1)
+        try:
+            g += 1.0
+        except ValueError:
+            pass
+        np.testing.assert_array_equal(ev.grad(th1), self.fresh(name).grad(th1))
+
+    @pytest.mark.parametrize("name", sorted(MEMO_MAKERS))
+    def test_differenced_probe_matches_fresh_gradients(self, name):
+        th1, _, v = self.points(name)
+        dt = 1e-4 * v
+        ev = self.fresh(name)
+        ev.grad(th1)  # the step's gradient, as the optimizer evaluates it first
+        want = self.fresh(name).grad(th1 + dt) - self.fresh(name).grad(th1)
+        assert approx_delta_g(ev.grad, th1, dt).tobytes() == want.tobytes()
