@@ -12,10 +12,14 @@ Record layout (all integers little-endian, payload little-endian float64):
 
 A direct sum (tag 6) has no shape fields and an empty payload, followed by a
 uint32 block count and, per block, uint16 name length + UTF-8 name + nested
-record. Loading rebuilds each family through its constructor and checks
-every factor against its declared structure.
+record. Loading sizes each record from its shape fields and reads its
+payload before it builds anything, so a record cannot make the loader
+allocate more than the record holds. It then rebuilds each family through
+its constructor and checks every factor against its declared structure.
+Direct sums nest at most ``MAX_NESTING`` deep, in saving and in loading.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -34,12 +38,22 @@ from .preconditioners import (
 __all__ = ["load_state", "save_state", "state_from_bytes", "state_to_bytes"]
 
 _MAGIC = b"PCS1"
+MAX_NESTING = 32  # direct sums inside direct sums, counting the outermost
 _BY_TAG = {cls.tag: cls for cls in (DensePrecond, DiagPrecond, SpluPrecond, KronPrecond,
                                     ScanPrecond, DirectSumPrecond)}
 
 
 def state_to_bytes(p: Preconditioner) -> bytes:
     """The record of a state, written as it is: its values are not checked."""
+    return _record(p, 0)
+
+
+def _nesting_check(depth: int) -> None:
+    if depth == MAX_NESTING:
+        raise ContractViolationError(f"direct sums nested more than {MAX_NESTING} deep")
+
+
+def _record(p: Preconditioner, depth: int) -> bytes:
     cls = type(p)
     if _BY_TAG.get(getattr(cls, "tag", None)) is not cls:
         raise ContractViolationError(f"cannot serialize {cls.__name__}")
@@ -50,12 +64,13 @@ def state_to_bytes(p: Preconditioner) -> bytes:
     out.append(struct.pack("<Q", flat.size))
     out.append(np.asarray(flat, dtype="<f8").tobytes())
     if cls is DirectSumPrecond:
+        _nesting_check(depth)
         out.append(struct.pack("<I", len(p.blocks)))
         for name, block in p.blocks:
             encoded = name.encode("utf-8")
             out.append(struct.pack("<H", len(encoded)))
             out.append(encoded)
-            out.append(state_to_bytes(block))
+            out.append(_record(block, depth + 1))
     return b"".join(out)
 
 
@@ -90,7 +105,7 @@ def _check_factor(name: str, structure: str, a: np.ndarray) -> None:
         raise ContractViolationError(f"entries above the lower triangle of factor {name}")
 
 
-def _read_record(r: _Reader) -> Preconditioner:
+def _read_record(r: _Reader, depth: int = 0) -> Preconditioner:
     if r.take(4) != _MAGIC:
         raise ContractViolationError("bad magic in preconditioner record")
     tag = r.unpack("<B")
@@ -105,24 +120,28 @@ def _read_record(r: _Reader) -> Preconditioner:
     if cls is DirectSumPrecond:
         if npayload:
             raise ContractViolationError(f"direct sum record has a payload of {npayload} values")
+        _nesting_check(depth)
         blocks = []
         for _ in range(r.unpack("<I")):
-            name = r.take(r.unpack("<H")).decode("utf-8")
-            blocks.append((name, _read_record(r)))
+            try:
+                name = r.take(r.unpack("<H")).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContractViolationError("direct sum block name is not UTF-8") from None
+            blocks.append((name, _read_record(r, depth + 1)))
         return DirectSumPrecond(blocks)
 
-    p = cls(*shape)
-    size = sum(getattr(p, name).size for name, _ in cls.factors)
+    shapes = cls.factor_shapes(*shape)
+    size = sum(math.prod(s) for s in shapes)
     if npayload != size:
         raise ContractViolationError(
             f"{cls.__name__} record of shape {shape} needs a payload of {size} values, "
             f"got {npayload}")
     payload = np.frombuffer(r.take(8 * npayload), dtype="<f8").astype(float)
+    p = cls(*shape)
     start = 0
-    for name, structure in cls.factors:
-        fresh = getattr(p, name)
-        a = payload[start:start + fresh.size].reshape(fresh.shape)
-        start += fresh.size
+    for (name, structure), s in zip(cls.factors, shapes):
+        a = payload[start:start + math.prod(s)].reshape(s)
+        start += a.size
         _check_factor(name, structure, a)
         setattr(p, name, a)
     return p

@@ -7,6 +7,7 @@ preconditioner learning therefore commute and could run in parallel; here they
 run sequentially but the trajectory is identical either way.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -135,6 +136,11 @@ def _admits(cfg: RunConfig, t: int) -> bool:
     return True if cfg.skip_schedule == "never" else skip_admits(t)
 
 
+def _norm(x) -> float:
+    """The 2-norm of a float vector: what np.linalg.norm computes, without its checks."""
+    return math.sqrt(x.dot(x))
+
+
 def _finish_row(t, loss, g_norm, pg_norm, clipped, started) -> TraceRow:
     wall = time.perf_counter_ns() - started if started is not None else 0
     return TraceRow(t, loss, g_norm, pg_norm, clipped, wall)
@@ -143,15 +149,17 @@ def _finish_row(t, loss, g_norm, pg_norm, clipped, started) -> TraceRow:
 def _begin_step(theta, problem: Problem, cfg: RunConfig, t: int, timing: bool):
     """Start the timer, bind iteration t's batch and evaluate loss and gradient.
 
-    Returns (started, bound evaluator, loss, gradient, gradient norm) and
-    raises RunDiverged when the loss or the gradient is not finite.
+    A seeded problem is bound with iteration t's batch seed, a seed-free one
+    with the run's seed. Returns (started, bound evaluator, loss, gradient,
+    gradient norm) and raises RunDiverged when the loss or the gradient is
+    not finite.
     """
     started = time.perf_counter_ns() if timing else None
-    ev = problem.bind_batch(batch_seed_for(cfg.seed, t))
+    ev = problem.bind_batch(batch_seed_for(cfg.seed, t) if problem.seeded else cfg.seed)
     loss = ev.loss(theta)
     g = ev.grad(theta)
-    g_norm = float(np.linalg.norm(g))
-    if not (np.isfinite(loss) and np.isfinite(g_norm)):
+    g_norm = _norm(g)
+    if not (math.isfinite(loss) and math.isfinite(g_norm)):
         raise RunDiverged(_finish_row(t, loss, g_norm, float("nan"), False, started))
     return started, ev, loss, g, g_norm
 
@@ -170,7 +178,7 @@ def psgd_step(theta, problem: Problem, precond: Preconditioner, cfg: RunConfig,
     if _admits(cfg, t):
         precond.update(make_tangent_pair(ev, theta, cfg.probe, rng), cfg.precond_mu)
 
-    pg_norm = float(np.linalg.norm(pg))
+    pg_norm = _norm(pg)
     clipped = False
     if cfg.clip_omega is not None:
         scale = max(1.0, pg_norm / cfg.clip_omega)
@@ -194,7 +202,7 @@ def rmsprop_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
     v = cfg.rmsprop_beta * v + (1.0 - cfg.rmsprop_beta) * g * g
     step = g / (np.sqrt(v) + cfg.rmsprop_eps)
     theta = theta - cfg.mu * step
-    return theta, v, _finish_row(t, loss, g_norm, float(np.linalg.norm(step)), False, started)
+    return theta, v, _finish_row(t, loss, g_norm, _norm(step), False, started)
 
 
 def esgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
@@ -219,7 +227,7 @@ def esgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
     p = closed_form_diagonal(np.ones_like(g), m2_sum / count)
     pg = p * g
     theta = theta - cfg.mu * pg
-    return theta, (m2_sum, count), _finish_row(t, loss, g_norm, float(np.linalg.norm(pg)),
+    return theta, (m2_sum, count), _finish_row(t, loss, g_norm, _norm(pg),
                                                False, started)
 
 

@@ -108,7 +108,10 @@ class Preconditioner:
     - ``factors``: its factor attributes in checkpoint payload order, each
       with its structure: ``"upper"`` or ``"lower"`` (a square triangular
       factor with a positive diagonal), ``"positive"`` (a vector of positive
-      diagonal entries) or ``"free"``.
+      diagonal entries) or ``"free"``;
+    - ``factor_shapes(*shape_fields)``: the factors' shapes, computed without
+      allocating. It rejects the shape fields the constructor rejects, and
+      the constructor calls it to do so.
 
     ``min_diag``, the finiteness check in ``update`` and the checkpoint
     record are all derived from this declaration. ``update`` is the checked
@@ -128,6 +131,10 @@ class Preconditioner:
         raise NotImplementedError
 
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @classmethod
+    def factor_shapes(cls, *shape_fields) -> list:
         raise NotImplementedError
 
     def update(self, pair: TangentPair, step: float) -> None:
@@ -188,9 +195,14 @@ class DensePrecond(Preconditioner):
     factors = (("q", "upper"),)
     _collapsed = "dense factor diagonal collapsed"
 
-    def __init__(self, dim: int):
+    @classmethod
+    def factor_shapes(cls, dim):
         if dim < 1:
             raise ContractViolationError("dimension must be at least 1")
+        return [(dim, dim)]
+
+    def __init__(self, dim: int):
+        self.factor_shapes(dim)
         self.dim = dim
         self.q = np.eye(dim)
 
@@ -232,9 +244,14 @@ class DiagPrecond(Preconditioner):
     factors = (("q", "positive"),)
     _collapsed = "diagonal factor collapsed"
 
-    def __init__(self, dim: int):
+    @classmethod
+    def factor_shapes(cls, dim):
         if dim < 1:
             raise ContractViolationError("dimension must be at least 1")
+        return [(dim,)]
+
+    def __init__(self, dim: int):
+        self.factor_shapes(dim)
         self.dim = dim
         self.q = np.ones(dim)
 
@@ -296,9 +313,14 @@ class KronPrecond(Preconditioner):
     factors = (("q1", "upper"), ("q2", "upper"))
     _collapsed = "Kronecker factor diagonal collapsed"
 
-    def __init__(self, m: int, n: int):
+    @classmethod
+    def factor_shapes(cls, m, n):
         if m < 1 or n < 1:
             raise ContractViolationError("factor sizes must be at least 1")
+        return [(m, m), (n, n)]
+
+    def __init__(self, m: int, n: int):
+        self.factor_shapes(m, n)
         self.m = m
         self.n = n
         self.dim = m * n
@@ -368,9 +390,14 @@ class ScanPrecond(Preconditioner):
     factors = (("q1", "positive"), ("d2", "positive"), ("c2", "free"))
     _collapsed = "scaling/normalization factor collapsed"
 
-    def __init__(self, m: int, n: int):
+    @classmethod
+    def factor_shapes(cls, m, n):
         if m < 1 or n < 1:
             raise ContractViolationError("factor sizes must be at least 1")
+        return [(m,), (n,), (n - 1,)]
+
+    def __init__(self, m: int, n: int):
+        self.factor_shapes(m, n)
         self.m = m
         self.n = n
         self.dim = m * n
@@ -492,11 +519,17 @@ class SpluPrecond(Preconditioner):
                ("u1", "upper"), ("u2", "free"), ("u3", "positive"))
     _collapsed = "sparse-LU factor diagonal collapsed"
 
-    def __init__(self, dim: int, order: int):
+    @classmethod
+    def factor_shapes(cls, dim, order):
         if dim < 1:
             raise ContractViolationError("dimension must be at least 1")
         if not 1 <= order <= dim:
             raise ContractViolationError("order must satisfy 1 <= r <= dim")
+        k = dim - order
+        return [(order, order), (k, order), (k,), (order, order), (order, k), (k,)]
+
+    def __init__(self, dim: int, order: int):
+        self.factor_shapes(dim, order)
         self.dim = dim
         self.r = order
         k = dim - order

@@ -3,10 +3,11 @@
 Each problem binds a mini-batch by seed (a pure function), returning an
 evaluator whose loss, gradient and optional Hessian-vector product all see the
 same batch realization. That makes gradient differencing on one batch and
-run-level determinism structural rather than a calling convention. The network
-problems evaluate a bound batch at most once per distinct theta: loss, gradient
-and Hvp at one theta share one forward pass, and a repeated gradient is a
-lookup.
+run-level determinism structural rather than a calling convention. A problem
+whose batch ignores the seed says so (``seeded=False``), so a run need not
+derive one. The network problems evaluate a bound batch at most once per
+distinct theta: loss, gradient and Hvp at one theta share one forward pass,
+and a repeated gradient is a lookup.
 
 Parameters are described by a layout of named tensors; flat vectors use
 column-major order per block, matching the matricization the Kronecker-style
@@ -77,11 +78,16 @@ class ParamLayout:
             parts.append(np.ravel(t, order="F"))
         return np.concatenate(parts)
 
-    def unflatten(self, theta: np.ndarray):
+    def checked(self, theta) -> np.ndarray:
+        """theta as a float array, once it is a flat vector of this layout's size."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.size,):
             raise ContractViolationError(
                 f"flat vector of length {self.size} expected, got {theta.shape}")
+        return theta
+
+    def unflatten(self, theta: np.ndarray):
+        theta = self.checked(theta)
         return [np.reshape(theta[s], b.shape, order="F")
                 for b, s in zip(self.blocks, self.slices)]
 
@@ -129,13 +135,21 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Problem:
-    """A benchmark problem: layout, batch binding, and a default start point."""
+    """A benchmark problem: layout, batch binding, and a default start point.
+
+    ``seeded`` says whether ``bind_batch`` depends on its seed. A run derives
+    a fresh batch seed per iteration only for a seeded problem; a seed-free
+    one is bound with the run's seed, which gives the same batch. A problem
+    is seeded unless it says otherwise, since nothing can tell from the
+    ``bind_batch`` callable alone.
+    """
 
     name: str
     layout: ParamLayout
     bind_batch: Callable[[int], BoundEvaluator]
     initial_theta: Callable[[int], np.ndarray]
     ground_truth: Optional[GroundTruth] = None
+    seeded: bool = True
 
     @property
     def dim(self) -> int:
@@ -163,6 +177,7 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     if noise_scale < 0.0:
         raise ContractViolationError("noise scale must be nonnegative")
     layout = ParamLayout([ParamBlock("theta", (dim,))])
+    upper = np.triu(np.ones((dim, dim), bool))
 
     def bind(seed: int) -> BoundEvaluator:
         if noise_scale == 0.0:
@@ -173,7 +188,7 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
             n_acc = np.zeros_like(b)
             for _ in range(batch_size):
                 raw = rng.standard_normal((dim, dim))
-                s_acc += np.triu(raw) + np.triu(raw, 1).T
+                s_acc += np.where(upper, raw, raw.T)  # raw's upper triangle, mirrored
                 n_acc += rng.standard_normal(dim)
             h_hat = h + noise_scale * s_acc / batch_size
             b_hat = b + noise_scale * n_acc / batch_size
@@ -189,6 +204,7 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
         bind_batch=bind,
         initial_theta=lambda seed: np.random.default_rng(seed).standard_normal(dim),
         ground_truth=GroundTruth(hessian=h, linear=b),
+        seeded=noise_scale != 0.0,
     )
 
 
@@ -219,6 +235,7 @@ def make_rosenbrock() -> Problem:
         layout=layout,
         bind_batch=lambda seed: ev,
         initial_theta=lambda seed: np.array([-1.2, 1.0]),
+        seeded=False,
     )
 
 
@@ -231,12 +248,29 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+class _XorPass:
+    """The XOR network's intermediates at one theta.
+
+    The forward ones (w2, z, za, s) are set when the pass is made; the
+    backward ones and the gradient stay None until a gradient or an Hvp at
+    that theta first asks for them.
+    """
+
+    __slots__ = ("w2", "z", "za", "s", "p", "ds", "dz", "dtanh", "grad")
+
+    def __init__(self, w2, z, za, s):
+        self.w2, self.z, self.za, self.s = w2, z, za, s
+        self.p = self.ds = self.dz = self.dtanh = self.grad = None
+
+
 def make_xor_mlp(hidden: int) -> Problem:
     """Two-layer tanh network on the four-point XOR set with logistic loss.
 
     Both affine blocks take inputs augmented with a constant 1. The batch is
-    always the full set, the gradient is hand-coded backprop, and the exact
-    Hvp comes from a forward-over-reverse pass.
+    always the full set, so the problem is seed-free. The gradient is
+    hand-coded backprop and the exact Hvp comes from a forward-over-reverse
+    pass; loss, gradient and Hvp at one theta share one record of the
+    intermediates, each computed at most once.
     """
     if hidden < 2:
         raise ContractViolationError("need at least two hidden units")
@@ -244,52 +278,58 @@ def make_xor_mlp(hidden: int) -> Problem:
         ParamBlock("w1", (hidden, 3), augmented=True),
         ParamBlock("w2", (1, hidden + 1), augmented=True),
     ])
+    n1 = 3 * hidden  # w1's share of theta, column-major as in the layout
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     targets = np.array([0.0, 1.0, 1.0, 0.0])
-    xa = np.hstack([x, np.ones((4, 1))])
+    ones, zeros = np.ones((4, 1)), np.zeros((4, 1))
+    xa = np.concatenate([x, ones], axis=1)
     nb = 4.0
 
     @_last_value
     def forward(th):
-        w1, w2 = layout.unflatten(th)
-        a1 = xa @ w1.T
-        z = np.tanh(a1)
-        za = np.hstack([z, np.ones((4, 1))])
-        s = za @ w2.ravel()
-        return w1, w2, z, za, s
+        w1 = layout.checked(th)[:n1].reshape((hidden, 3), order="F")
+        w2 = th[n1:]
+        z = np.tanh(xa @ w1.T)
+        za = np.concatenate([z, ones], axis=1)
+        return _XorPass(w2, z, za, za @ w2)
+
+    def backward(th):
+        f = forward(th)
+        if f.grad is None:
+            f.p = _sigmoid(f.s)
+            f.ds = (f.p - targets) / nb
+            f.dz = f.ds[:, None] * f.w2[:hidden]
+            f.dtanh = 1.0 - f.z * f.z
+            gw1 = (f.dz * f.dtanh).T @ xa
+            grad = np.concatenate([gw1.ravel(order="F"), f.ds @ f.za])
+            grad.flags.writeable = False
+            f.grad = grad
+        return f
 
     def loss(th):
-        _, _, _, _, s = forward(th)
-        return float(np.mean(_softplus(s) - targets * s))
+        s = forward(th).s
+        return float(np.add.reduce(_softplus(s) - targets * s) / nb)
 
-    @_last_value
     def grad(th):
-        w1, w2, z, za, s = forward(th)
-        ds = (_sigmoid(s) - targets) / nb
-        gw2 = (ds @ za)[None, :]
-        dz = np.outer(ds, w2[0, :hidden])
-        da1 = dz * (1.0 - z * z)
-        gw1 = da1.T @ xa
-        return layout.flatten([gw1, gw2])
+        return backward(th).grad
 
     def hvp(th, v):
-        w1, w2, z, za, s = forward(th)
-        v1, v2 = layout.unflatten(v)
-        p = _sigmoid(s)
-        ds = (p - targets) / nb
+        f = backward(th)
+        v = layout.checked(v)
+        v1 = v[:n1].reshape((hidden, 3), order="F")
+        v2 = v[n1:]
+        p, ds, w2 = f.p, f.ds, f.w2
 
-        ra1 = xa @ v1.T
-        rz = (1.0 - z * z) * ra1
-        rza = np.hstack([rz, np.zeros((4, 1))])
-        rs = za @ v2.ravel() + np.sum(rza * w2[0], axis=1)
+        rz = f.dtanh * (xa @ v1.T)
+        rza = np.concatenate([rz, zeros], axis=1)
+        rs = f.za @ v2 + np.add.reduce(rza * w2, axis=1)
         rds = p * (1.0 - p) * rs / nb
 
-        rgw2 = (rds @ za + ds @ rza)[None, :]
-        dz = np.outer(ds, w2[0, :hidden])
-        rdz = np.outer(ds, v2[0, :hidden]) + np.outer(rds, w2[0, :hidden])
-        rda1 = rdz * (1.0 - z * z) - 2.0 * dz * z * rz
+        rgw2 = rds @ f.za + ds @ rza
+        rdz = ds[:, None] * v2[:hidden] + rds[:, None] * w2[:hidden]
+        rda1 = rdz * f.dtanh - 2.0 * f.dz * f.z * rz
         rgw1 = rda1.T @ xa
-        return layout.flatten([rgw1, rgw2])
+        return np.concatenate([rgw1.ravel(order="F"), rgw2])
 
     ev = BoundEvaluator(loss=loss, grad=grad, hvp=hvp)
     return Problem(
@@ -297,6 +337,7 @@ def make_xor_mlp(hidden: int) -> Problem:
         layout=layout,
         bind_batch=lambda seed: ev,
         initial_theta=lambda seed: 0.5 * np.random.default_rng(seed).standard_normal(layout.size),
+        seeded=False,
     )
 
 

@@ -4,7 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from psgdkit.checkpoint import load_state, save_state, state_from_bytes, state_to_bytes
+from psgdkit.checkpoint import (
+    MAX_NESTING,
+    load_state,
+    save_state,
+    state_from_bytes,
+    state_to_bytes,
+)
 from psgdkit.curvature import TangentPair
 from psgdkit.errors import ContractViolationError, PsgdkitError
 from psgdkit.preconditioners import (
@@ -88,6 +94,19 @@ def test_corrupt_record_rejected():
         state_from_bytes(data + b"\x00")
 
 
+def test_nesting_bound_holds_for_save_and_load():
+    def nested(depth):
+        p = DiagPrecond(2)
+        for _ in range(depth):
+            p = DirectSumPrecond([("a", p)])
+        return p
+
+    deepest = nested(MAX_NESTING)
+    assert state_to_bytes(state_from_bytes(state_to_bytes(deepest))) == state_to_bytes(deepest)
+    with pytest.raises(ContractViolationError, match="nested"):
+        state_to_bytes(nested(MAX_NESTING + 1))
+
+
 # sha256 of state_to_bytes(trained(maker())); the record format and every
 # update trajectory must keep these exact bytes
 GOLDEN = {
@@ -138,6 +157,11 @@ def splu_payload(dim, r, **factors):
                            for f in ("l1", "l2", "l3", "u1", "u2", "u3")])
 
 
+def direct_sum_header(name=b"a"):
+    """A direct sum record with one block, up to that block's own record."""
+    return b"PCS1" + struct.pack("<BIQI", 6, 0, 0, 1) + struct.pack("<H", len(name)) + name
+
+
 MALFORMED = {
     "payload-too-long": (record(1, [2], np.arange(1.0, 7.0)), "payload"),
     "payload-too-short": (record(1, [2], [1.0, 0.0, 1.0]), "payload"),
@@ -164,6 +188,13 @@ MALFORMED = {
     "negative-diagonal-in-direct-sum": (
         b"PCS1" + struct.pack("<BIQI", 6, 0, 0, 1) + struct.pack("<H", 1) + b"a"
         + record(2, [2], [1.0, -1.0]), "diagonal.*q"),
+    # sized and checked before anything is allocated
+    "dense-dim-2^40": (record(1, [2 ** 40], []), "payload"),
+    "dense-dim-2^31-payload-missing": (
+        b"PCS1" + struct.pack("<BIQQ", 1, 1, 2 ** 31, 2 ** 62), "truncated"),
+    "direct-sum-nested-5000-deep": (
+        direct_sum_header() * 5000 + record(2, [2], [1.0, 1.0]), "nested"),
+    "direct-sum-name-not-utf8": (direct_sum_header(b"\xff") + record(2, [1], [1.0]), "UTF-8"),
 }
 
 

@@ -236,6 +236,38 @@ class TestRunConfigValidation:
         assert batch_seed_for(0, 1) != batch_seed_for(1, 1)
 
 
+class TestBatchSeeds:
+    """A run derives a batch seed per iteration only for a seeded problem."""
+
+    @staticmethod
+    def count_seed_calls(monkeypatch, problem):
+        calls = []
+
+        def counting(seed, t):
+            calls.append(t)
+            return batch_seed_for(seed, t)
+
+        monkeypatch.setattr("psgdkit.optimizer.batch_seed_for", counting)
+        res = run(problem, RunConfig(method="sgd", mu=1e-4, iters=20, seed=0))
+        assert not res.diverged
+        return calls
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_xor_mlp(3),
+        make_rosenbrock,
+        lambda: make_quadratic(np.diag([1.0, 2.0])),
+    ], ids=["xor", "rosenbrock", "quadratic"])
+    def test_seed_free_problem_derives_no_seed(self, monkeypatch, maker):
+        assert self.count_seed_calls(monkeypatch, maker()) == []
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_quadratic(np.diag([1.0, 2.0]), noise_scale=0.1),
+        lambda: make_addition_rnn(5, 3),
+    ], ids=["noisy-quadratic", "rnn"])
+    def test_seeded_problem_derives_one_seed_per_iteration(self, monkeypatch, maker):
+        assert self.count_seed_calls(monkeypatch, maker()) == list(range(1, 21))
+
+
 class TestRosenbrockRun:
     def test_documented_config_finds_minimum(self):
         prob = make_rosenbrock()
@@ -249,7 +281,23 @@ class TestRosenbrockRun:
 def _golden_cases():
     rnn = make_addition_rnn(10, 6, batch_size=16)
     xor = make_xor_mlp(4)
+    # the quad-cli benchmark's noisy quadratic with the CLI's quad settings; at
+    # mu 0.5 the loss climbs past 1e30 before the preconditioner catches up
+    quad = make_quadratic(np.diag(np.logspace(-1.0, 1.0, 16)), noise_scale=0.01)
+    quad_cases = {
+        f"quad-psgd-{variant}": (quad, RunConfig(
+            method="psgd", precond_variant=variant, splu_order=4, mu=0.5, precond_mu=0.01,
+            probe=ProbeConfig(mode="exact"), iters=300, seed=0))
+        for variant in ("dense", "diag", "splu")
+    }
     return {
+        **quad_cases,
+        "rosenbrock-psgd-dense": (make_rosenbrock(), RunConfig(
+            method="psgd", precond_variant="dense", mu=0.5, precond_mu=0.1, clip_omega=1.0,
+            probe=ProbeConfig(mode="exact"), iters=300, seed=0)),
+        "xor-sgd": (xor, RunConfig(method="sgd", mu=0.5, iters=200, seed=0)),
+        "xor-rmsprop": (xor, RunConfig(method="rmsprop", mu=0.01, iters=200, seed=0)),
+        "xor-esgd": (xor, RunConfig(method="esgd", mu=0.05, iters=200, seed=0)),
         "rnn-psgd-scan": (rnn, RunConfig(
             method="psgd", precond_variant="scan", mu=0.1, precond_mu=0.01,
             clip_omega=10.0 * math.sqrt(rnn.dim), probe=ProbeConfig(mode="approximate"),
@@ -263,6 +311,13 @@ def _golden_cases():
 
 
 GOLDEN_TRAJECTORIES = {
+    "quad-psgd-dense": "6fd3ba452a02f6b582790652e7dfe9552e969bccdb404db8471f07355b85e1bc",
+    "quad-psgd-diag": "d2643282af47adf3cdef7f93b37249ce0638ff14ddd615639ec2591618e1cece",
+    "quad-psgd-splu": "f7a9d189cdfc969dd9ae3ddd2470136ea8bbbe1bb746ef68af2ac127e10bf7ec",
+    "rosenbrock-psgd-dense": "2d67c6194074da9797df2f66889f110c07d1eb9e0e95033934d855d712e7b833",
+    "xor-sgd": "e455b3059d45025dcb4669d658d6b24e50b4c9743ada915fad4b693674daa7fd",
+    "xor-rmsprop": "33f03222af0c94e00bbe550c8f9499d13462783929a7b913834911f94dcb1604",
+    "xor-esgd": "60a8b39f57a5861dc0e2bb15e580781fcd23ceef0ee73522a77f8619c395d0b1",
     "rnn-psgd-scan": "e7e1e1791e8f57c707ceb0255714654f0cac1c161862fb31a2ecdfa1dcc60951",
     "rnn-esgd": "12236b5071ef69fa9bb72e05a3b6897a11517292aca929286b9e6366d25a3ec5",
     "xor-psgd-kron": "7a15f53e8ea62ecd2bcedfba44a7379ee487c7ab4574013ee0a6c1fd00634b6e",

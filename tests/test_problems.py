@@ -6,6 +6,7 @@ from psgdkit.errors import ContractViolationError
 from psgdkit.problems import (
     ParamBlock,
     ParamLayout,
+    Problem,
     make_addition_rnn,
     make_quadratic,
     make_rosenbrock,
@@ -239,6 +240,11 @@ class TestBoundEvaluatorMemo:
                 ev.grad(bad)
             with pytest.raises(ContractViolationError):
                 ev.loss(bad)
+            if ev.hvp is not None:
+                with pytest.raises(ContractViolationError):
+                    ev.hvp(bad, th1)
+                with pytest.raises(ContractViolationError):
+                    ev.hvp(th1, bad)
         np.testing.assert_array_equal(ev.grad(th1), g)
 
     @pytest.mark.parametrize("name", sorted(MEMO_MAKERS))
@@ -260,3 +266,37 @@ class TestBoundEvaluatorMemo:
         ev.grad(th1)  # the step's gradient, as the optimizer evaluates it first
         want = self.fresh(name).grad(th1 + dt) - self.fresh(name).grad(th1)
         assert approx_delta_g(ev.grad, th1, dt).tobytes() == want.tobytes()
+
+
+SEED_FREE_MAKERS = {
+    "xor": lambda: make_xor_mlp(4),
+    "rosenbrock": make_rosenbrock,
+    "quadratic": lambda: make_quadratic(np.diag([2.0, -5.0, 1.0]), np.array([1.0, 0.0, -1.0])),
+}
+
+
+class TestSeededDeclaration:
+    """Each shipped problem says truly whether its batch depends on the seed."""
+
+    @pytest.mark.parametrize("name", sorted(SEED_FREE_MAKERS))
+    def test_seed_free_batches_ignore_the_seed(self, name):
+        prob = SEED_FREE_MAKERS[name]()
+        assert prob.seeded is False
+        rng = np.random.default_rng(5)
+        theta, v = rng.standard_normal(prob.dim), rng.standard_normal(prob.dim)
+        a, b = prob.bind_batch(1), prob.bind_batch(2)
+        assert a.loss(theta.copy()) == b.loss(theta.copy())
+        assert a.grad(theta.copy()).tobytes() == b.grad(theta.copy()).tobytes()
+        assert a.hvp(theta.copy(), v).tobytes() == b.hvp(theta.copy(), v).tobytes()
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_quadratic(np.diag([1.0, 2.0]), noise_scale=0.1),
+        lambda: make_addition_rnn(5, 3),
+    ], ids=["noisy-quadratic", "rnn"])
+    def test_seeded_problems_say_so(self, maker):
+        assert maker().seeded is True
+
+    def test_user_built_problem_is_seeded_by_default(self):
+        base = make_rosenbrock()
+        prob = Problem("custom", base.layout, base.bind_batch, base.initial_theta)
+        assert prob.seeded is True
