@@ -50,7 +50,6 @@ from .preconditioners import (
     closed_form_diagonal,
     estimation_criterion,
     make_preconditioner,
-    scan_q2_matvec,
 )
 from .problems import (
     BoundEvaluator,

@@ -42,7 +42,6 @@ __all__ = [
     "closed_form_diagonal",
     "estimation_criterion",
     "make_preconditioner",
-    "scan_q2_matvec",
 ]
 
 # Diagonal entries below this make triangular solves meaningless.
@@ -170,7 +169,11 @@ class Preconditioner:
         return low
 
     def param_count(self) -> int:
-        raise NotImplementedError
+        """Factor entries the group lets vary: a triangular factor counts its
+        triangle, any other factor all its entries."""
+        shapes = self.factor_shapes(*(getattr(self, f) for f in self.shape_fields))
+        return sum(s[0] * (s[0] + 1) // 2 if structure in ("upper", "lower") else math.prod(s)
+                   for (_, structure), s in zip(self.factors, shapes))
 
     def materialize_q(self) -> np.ndarray:
         """Dense Q in flat coordinates; test and diagnostic helper."""
@@ -229,9 +232,6 @@ class DensePrecond(Preconditioner):
         if _admissible(cand.diagonal()):
             self.q = cand
 
-    def param_count(self):
-        return (self.dim * self.dim + self.dim) // 2
-
     def materialize_q(self):
         return self.q.copy()
 
@@ -276,9 +276,6 @@ class DiagPrecond(Preconditioner):
         cand = self.q - (step / nrm) * grad * self.q
         if _admissible(cand):
             self.q = cand
-
-    def param_count(self):
-        return self.dim
 
     def materialize_q(self):
         return np.diag(self.q)
@@ -368,9 +365,6 @@ class KronPrecond(Preconditioner):
             cand = self.q2 - (step / n2) * g2.dot(self.q2)
             if _admissible(cand.diagonal()):
                 self.q2 = cand
-
-    def param_count(self):
-        return (self.m * self.m + self.n * self.n + self.m + self.n) // 2
 
     def materialize_q(self):
         return np.kron(self.q2, self.q1)
@@ -477,10 +471,8 @@ class ScanPrecond(Preconditioner):
                 self.d2 = cand_d
                 self.c2 = cand_c
 
-    def param_count(self):
-        return self.m + 2 * self.n - 1
-
     def materialize_q2(self) -> np.ndarray:
+        """Dense normalization factor Q2: d2 on the diagonal, c2 above it in the last column."""
         q2 = np.diag(self.d2)
         if self.n > 1:
             q2[:-1, -1] = self.c2
@@ -488,21 +480,6 @@ class ScanPrecond(Preconditioner):
 
     def materialize_q(self):
         return np.kron(self.materialize_q2(), np.diag(self.q1))
-
-
-def scan_q2_matvec(p: ScanPrecond, x: np.ndarray) -> np.ndarray:
-    """Apply the normalization factor Q2 to a feature vector.
-
-    (Q2 x)_i = d2_i x_i + c2_i x_N for i < N and (Q2 x)_N = d2_N x_N; with the
-    last entry fixed to 1 this removes means and rescales variances.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise ContractViolationError(f"feature vector of length {p.n} expected")
-    out = p.d2 * x
-    if p.n > 1:
-        out[:-1] += p.c2 * x[-1]
-    return out
 
 
 class SpluPrecond(Preconditioner):
@@ -555,27 +532,25 @@ class SpluPrecond(Preconditioner):
         return v
 
     def _matvec(self, v, which):
-        v1, v2 = self._split(v)
+        return np.concatenate(self._blocks(*self._split(v), which))
+
+    def _blocks(self, v1, v2, which, solve=tri_solve):
+        """The two blocks of Q v, Q^T v, Q^{-1} v or Q^{-T} v for v = (v1, v2); the
+        update kernel passes the unchecked solver for a state it has validated."""
         if which == "q":
-            w1 = self.u1 @ v1 + self.u2 @ v2
-            w2 = self.u3 * v2
-            return np.concatenate([self.l1 @ w1, self.l2 @ w1 + self.l3 * w2])
+            w1 = self.u1.dot(v1) + self.u2.dot(v2)
+            return self.l1.dot(w1), self.l2.dot(w1) + self.l3 * (self.u3 * v2)
         if which == "qt":
-            w1 = self.l1.T @ v1 + self.l2.T @ v2
-            w2 = self.l3 * v2
-            return np.concatenate([self.u1.T @ w1, self.u2.T @ w1 + self.u3 * w2])
+            w1 = self.l1.T.dot(v1) + self.l2.T.dot(v2)
+            return self.u1.T.dot(w1), self.u2.T.dot(w1) + self.u3 * (self.l3 * v2)
         if which == "qinv":
-            y1 = tri_solve(self.l1, v1, lower=True)
-            y2 = (v2 - self.l2 @ y1) / self.l3
-            x2 = y2 / self.u3
-            x1 = tri_solve(self.u1, y1 - self.u2 @ x2)
-            return np.concatenate([x1, x2])
+            y1 = solve(self.l1, v1, lower=True)
+            x2 = (v2 - self.l2.dot(y1)) / self.l3 / self.u3
+            return solve(self.u1, y1 - self.u2.dot(x2)), x2
         if which == "qinvt":
-            w1 = tri_solve(self.u1, v1, transpose=True)
-            w2 = (v2 - self.u2.T @ w1) / self.u3
-            x2 = w2 / self.l3
-            x1 = tri_solve(self.l1, w1 - self.l2.T @ x2, lower=True, transpose=True)
-            return np.concatenate([x1, x2])
+            w1 = solve(self.u1, v1, transpose=True)
+            x2 = (v2 - self.u2.T.dot(w1)) / self.u3 / self.l3
+            return solve(self.l1, w1 - self.l2.T.dot(x2), lower=True, transpose=True), x2
         raise ContractViolationError(f"unknown matvec selector {which!r}")
 
     def apply(self, g):
@@ -604,26 +579,12 @@ class SpluPrecond(Preconditioner):
         g1, g2 = self._split(dg)
         x1, x2 = self._split(dt)
 
-        # a = Q dg and b = Q^{-T} dt, kept in partitioned form
-        ug1 = self.u1.dot(g1) + self.u2.dot(g2)
-        ug2 = self.u3 * g2
-        qg1 = self.l1.dot(ug1)
-        qg2 = self.l2.dot(ug1) + self.l3 * ug2
-        iutx1 = _tri_solve_unchecked(self.u1, x1, transpose=True)
-        iutx2 = (x2 - self.u2.T.dot(iutx1)) / self.u3
-        iqtx2 = iutx2 / self.l3
-        iqtx1 = _tri_solve_unchecked(self.l1, iutx1 - self.l2.T.dot(iqtx2), lower=True,
-                                     transpose=True)
-
-        # P dg = Q^T a and P^{-1} dt = Q^{-1} b
-        ltqg1 = self.l1.T.dot(qg1) + self.l2.T.dot(qg2)
-        ltqg2 = self.l3 * qg2
-        pg1 = self.u1.T.dot(ltqg1)
-        pg2 = self.u2.T.dot(ltqg1) + self.u3 * ltqg2
-        iliqtx1 = _tri_solve_unchecked(self.l1, iqtx1, lower=True)
-        iliqtx2 = (iqtx2 - self.l2.dot(iliqtx1)) / self.l3
-        ipx2 = iliqtx2 / self.u3
-        ipx1 = _tri_solve_unchecked(self.u1, iliqtx1 - self.u2.dot(ipx2))
+        # a = Q dg and b = Q^{-T} dt, then P dg = Q^T a and P^{-1} dt = Q^{-1} b,
+        # all kept in partitioned form
+        qg1, qg2 = self._blocks(g1, g2, "q")
+        iqtx1, iqtx2 = self._blocks(x1, x2, "qinvt", _tri_solve_unchecked)
+        pg1, pg2 = self._blocks(qg1, qg2, "qt")
+        ipx1, ipx2 = self._blocks(iqtx1, iqtx2, "qinv", _tri_solve_unchecked)
 
         # L side: projection of (a a^T - b b^T) onto {first r columns, diagonal};
         # U side: same projection of (P dg dg^T - dt (P^{-1} dt)^T) onto
@@ -658,9 +619,6 @@ class SpluPrecond(Preconditioner):
             if (_admissible(cand_u1.diagonal(), cand_u3)
                     and all(map(_all_finite, (cand_u1, cand_u2, cand_u3)))):
                 self.u1, self.u2, self.u3 = cand_u1, cand_u2, cand_u3
-
-    def param_count(self):
-        return 2 * (self.r + 1) * self.dim - self.r * self.r - 2 * self.r
 
 
 class DirectSumPrecond(Preconditioner):

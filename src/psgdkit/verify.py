@@ -2,9 +2,14 @@
 
 Each suite returns a list of CheckResult rows (name, measured value,
 tolerance, pass flag). The CLI renders them and sets the exit status; the
-test suite asserts on them directly. Checks that evaluate the estimation
-criterion do so through an independent dense route (materialized Q, numpy
-solves) so the factored implementations are compared against plain algebra.
+test suite asserts on them directly. The experiments behind the rows
+(fixed points, the closed-form diagonal, positivity over adversarial
+updates, pattern closure, splu inverses) are functions that take their
+seeds and sizes as parameters. The acceptance tests call these same
+functions with their own seeds, tolerances and budgets, so each experiment
+has one copy. Checks that evaluate the estimation criterion do so through
+an independent dense route (materialized Q, numpy solves) so the factored
+implementations are compared against plain algebra.
 """
 
 from dataclasses import dataclass
@@ -17,14 +22,16 @@ from .preconditioners import (
     DiagPrecond,
     DirectSumPrecond,
     KronPrecond,
-    Preconditioner,
     ScanPrecond,
     SpluPrecond,
     closed_form_diagonal,
 )
 from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "fd_gradient", "gradient_selfcheck"]
+__all__ = ["CheckResult", "SUITES", "run_suite", "fd_gradient", "gradient_selfcheck",
+           "dense_fixed_point", "diag_closed_form_error", "whitening_residual",
+           "positivity_violations", "pattern_closure_worst", "scan_pattern", "splu_pattern",
+           "splu_inverse_errors"]
 
 
 @dataclass(frozen=True)
@@ -239,145 +246,143 @@ def suite_gradcheck():
 # fixed points
 # ---------------------------------------------------------------------------
 
-def suite_fixedpoint():
-    results = []
+def dense_fixed_point(seed, dim, updates, step):
+    """|eig(Q H Q^T)| after training a dense P on the noiseless quadratic
+    H = diag(1, -2, 3, ...); at the fixed point all of them are 1."""
+    h = np.diag([float(k if k % 2 else -k) for k in range(1, dim + 1)])
+    rng = np.random.default_rng(seed)
+    p = DensePrecond(dim)
+    for _ in range(updates):
+        dt = rng.standard_normal(dim)
+        p.update(TangentPair(dt, h @ dt), step)
+    return np.abs(np.linalg.eigvalsh(p.q @ h @ p.q.T))
 
-    # dense: trained on a noiseless indefinite quadratic, P H gets unit
-    # absolute eigenvalues
-    hdiag = np.array([k * (1 if k % 2 else -1) for k in range(1, 11)], dtype=float)
-    h = np.diag(hdiag)
-    rng = np.random.default_rng(0)
-    p = DensePrecond(10)
-    for _ in range(20000):
-        dt = rng.standard_normal(10)
-        p.update(TangentPair(dt, h @ dt), 0.01)
-    eig = np.linalg.eigvalsh(p.q @ h @ p.q.T)
-    results.append(_result("fixedpoint/dense-eig-max", np.max(np.abs(eig)), 1.1))
-    results.append(_result("fixedpoint/dense-eig-min", np.min(np.abs(eig)), 0.9, larger_ok=True))
 
-    # diagonal: adaptive state matches the closed form
-    h2 = np.diag([2.0, -5.0])
-    rng = np.random.default_rng(1)
-    d = DiagPrecond(2)
-    for _ in range(50000):
+def diag_closed_form_error(seed, updates, step, noise=0.0):
+    """Worst relative deviation of a trained diagonal P from the equilibration
+    closed form on H = diag(2, -5), whose response may carry symmetric noise
+    of scale ``noise`` (then E[dg_i^2] = H_ii^2 + 2 noise^2)."""
+    h = np.diag([2.0, -5.0])
+    rng = np.random.default_rng(seed)
+    p = DiagPrecond(2)
+    for _ in range(updates):
         dt = rng.standard_normal(2)
-        d.update(TangentPair(dt, h2 @ dt), 0.01)
-    target = closed_form_diagonal(np.ones(2), np.array([4.0, 25.0]))
-    rel = np.max(np.abs(d.q * d.q - target) / target)
-    results.append(_result("fixedpoint/diag-closed-form", rel, 0.05))
+        if noise:
+            raw = rng.standard_normal((2, 2))
+            raw[1, 0] = raw[0, 1]
+            dg = (h + noise * raw) @ dt
+        else:
+            dg = h @ dt
+        p.update(TangentPair(dt, dg), step)
+    target = closed_form_diagonal(np.ones(2), np.array([4.0, 25.0]) + 2.0 * noise ** 2)
+    return np.max(np.abs(p.q * p.q - target) / target)
 
-    # whitening identity on sample moments at the (tail-averaged) fixed point
-    h6 = np.diag([1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
-    rng = np.random.default_rng(2)
+
+def whitening_residual(seed):
+    """Relative residual of P E[dg dg^T] P = E[dt dt^T] on sample moments, for
+    a dense P refined with a small step and averaged over the tail: an
+    estimate of the state where the expected update vanishes."""
+    h = np.diag([1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
+    rng = np.random.default_rng(seed)
     p = DensePrecond(6)
     for _ in range(5000):
         dt = rng.standard_normal(6)
-        p.update(TangentPair(dt, h6 @ dt), 0.01)
+        p.update(TangentPair(dt, h @ dt), 0.01)
     pbar = np.zeros((6, 6))
     navg = 0
-    for k in range(60000):
+    for k in range(60_000):
         dt = rng.standard_normal(6)
-        p.update(TangentPair(dt, h6 @ dt), 0.001)
-        if k >= 40000:
+        p.update(TangentPair(dt, h @ dt), 0.001)
+        if k >= 40_000:
             pbar += p.q.T @ p.q
             navg += 1
     pbar /= navg
-    mg = np.zeros((6, 6))
-    mt = np.zeros((6, 6))
-    n = 20000
-    for _ in range(n):
-        dt = rng.standard_normal(6)
-        dg = h6 @ dt
-        mg += np.outer(dg, dg)
-        mt += np.outer(dt, dt)
-    mg /= n
-    mt /= n
-    resid = np.linalg.norm(pbar @ mg @ pbar - mt) / np.linalg.norm(mt)
-    results.append(_result("fixedpoint/whitening-residual", resid, 0.10))
-    return results
+    n = 20_000
+    dts = rng.standard_normal((n, 6))
+    dgs = dts @ h.T
+    mg = dgs.T @ dgs / n
+    mt = dts.T @ dts / n
+    return np.linalg.norm(pbar @ mg @ pbar - mt) / np.linalg.norm(mt)
+
+
+def suite_fixedpoint():
+    eig = dense_fixed_point(0, 10, 20_000, 0.01)
+    return [
+        _result("fixedpoint/dense-eig-max", np.max(eig), 1.1),
+        _result("fixedpoint/dense-eig-min", np.min(eig), 0.9, larger_ok=True),
+        _result("fixedpoint/diag-closed-form", diag_closed_form_error(1, 50_000, 0.01), 0.05),
+        _result("fixedpoint/whitening-residual", whitening_residual(2), 0.10),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # group closure and invariants
 # ---------------------------------------------------------------------------
 
-def _fresh_variants():
-    return [
-        ("dense", DensePrecond(8), 8),
-        ("diag", DiagPrecond(16), 16),
-        ("kron", KronPrecond(4, 3), 12),
-        ("scan", ScanPrecond(4, 3), 12),
-        ("splu", SpluPrecond(12, 3), 12),
-        ("direct-sum", DirectSumPrecond([("a", KronPrecond(2, 3)), ("b", DiagPrecond(4))]), 10),
+def positivity_violations(rng, updates, step):
+    """Updates after which a family's smallest factor diagonal is not positive,
+    per family, over adversarially scaled random pairs."""
+    variants = [
+        ("dense", DensePrecond(8)),
+        ("diag", DiagPrecond(16)),
+        ("kron", KronPrecond(4, 3)),
+        ("scan", ScanPrecond(4, 3)),
+        ("splu", SpluPrecond(12, 3)),
+        ("direct-sum", DirectSumPrecond([("a", KronPrecond(2, 3)), ("b", DiagPrecond(4))])),
     ]
+    counts = {}
+    for name, p in variants:
+        counts[name] = 0
+        for _ in range(updates):
+            dt = rng.standard_normal(p.dim)
+            dg = rng.standard_normal(p.dim) * rng.uniform(0.1, 3.0)
+            p.update(TangentPair(dt, dg), step)
+            if p.min_diag() <= 0.0:
+                counts[name] += 1
+    return counts
 
 
-def min_group_diagonal(p):
-    """Smallest diagonal entry over all triangular factors of a state."""
-    if not isinstance(p, Preconditioner):
-        raise TypeError(f"unknown preconditioner {type(p).__name__}")
-    return float(p.min_diag())
+def scan_pattern(n):
+    """Nonzero pattern of the scan normalization factor: diagonal and last column."""
+    allowed = np.eye(n, dtype=bool)
+    allowed[:-1, -1] = True
+    return allowed
+
+
+def splu_pattern(n, r, lower):
+    """Nonzero pattern of a sparse-LU factor: the diagonal plus the first r
+    columns of the lower triangle, or the first r rows of the upper one."""
+    idx = np.arange(n)
+    if lower:
+        return np.eye(n, dtype=bool) | ((idx[:, None] >= idx) & (idx[None, :] < r))
+    return np.eye(n, dtype=bool) | ((idx[:, None] <= idx) & (idx[:, None] < r))
+
+
+def pattern_closure_worst(allowed, rng):
+    """Largest entry outside ``allowed`` in products of two random matrices with
+    that pattern and a positive diagonal; 0 when the pattern is a group."""
+    n = allowed.shape[0]
+    worst = 0.0
+    for _ in range(50):
+        mats = []
+        for _ in range(2):
+            m = np.zeros((n, n))
+            m[allowed] = rng.standard_normal(np.count_nonzero(allowed))
+            np.fill_diagonal(m, 0.5 + rng.random(n))
+            mats.append(m)
+        worst = max(worst, np.max(np.abs((mats[0] @ mats[1])[~allowed])))
+    return worst
 
 
 def suite_groups(updates=10000, step=0.5):
-    results = []
-    rng = np.random.default_rng(7)
-    for name, p, dim in _fresh_variants():
-        violations = 0
-        for _ in range(updates):
-            dt = rng.standard_normal(dim)
-            dg = rng.standard_normal(dim) * rng.uniform(0.1, 3.0)
-            p.update(TangentPair(dt, dg), step)
-            if min_group_diagonal(p) <= 0.0:
-                violations += 1
-        results.append(_result(f"groups/positivity-{name}", violations, 0))
-
-    # sparsity patterns closed under multiplication
+    counts = positivity_violations(np.random.default_rng(7), updates, step)
+    results = [_result(f"groups/positivity-{name}", c, 0) for name, c in counts.items()]
     rng = np.random.default_rng(8)
-    n = 6
-    worst = 0.0
-    for _ in range(50):
-        def scan_mat():
-            m = np.diag(rng.random(n) + 0.5)
-            m[:-1, -1] = rng.standard_normal(n - 1)
-            return m
-        prod = scan_mat() @ scan_mat()
-        mask = np.eye(n, dtype=bool)
-        mask[:-1, -1] = True
-        worst = max(worst, np.max(np.abs(prod[~mask])))
-    results.append(_result("groups/scan-pattern-closure", worst, 0.0))
-
-    r = 2
-    worst_l = 0.0
-    worst_u = 0.0
-    for _ in range(50):
-        def splu_l():
-            m = np.zeros((n, n))
-            m[:r, :r] = np.tril(rng.standard_normal((r, r))) + np.eye(r)
-            m[r:, :r] = rng.standard_normal((n - r, r))
-            m[r:, r:] = np.diag(rng.random(n - r) + 0.5)
-            return m
-        def splu_u():
-            m = np.zeros((n, n))
-            m[:r, :r] = np.triu(rng.standard_normal((r, r))) + np.eye(r)
-            m[:r, r:] = rng.standard_normal((r, n - r))
-            m[r:, r:] = np.diag(rng.random(n - r) + 0.5)
-            return m
-        # zeros outside {first r columns, diagonal} of the lower triangle
-        prod = splu_l() @ splu_l()
-        allowed = np.zeros((n, n), dtype=bool)
-        allowed[:, :r] = True
-        allowed |= np.eye(n, dtype=bool)
-        allowed &= np.tril(np.ones((n, n), dtype=bool))
-        worst_l = max(worst_l, np.max(np.abs(prod[~allowed])))
-        produ = splu_u() @ splu_u()
-        allowed_u = np.zeros((n, n), dtype=bool)
-        allowed_u[:r, :] = True
-        allowed_u |= np.eye(n, dtype=bool)
-        allowed_u &= np.triu(np.ones((n, n), dtype=bool))
-        worst_u = max(worst_u, np.max(np.abs(produ[~allowed_u])))
-    results.append(_result("groups/splu-L-pattern-closure", worst_l, 0.0))
-    results.append(_result("groups/splu-U-pattern-closure", worst_u, 0.0))
+    for name, allowed in (("scan", scan_pattern(6)),
+                          ("splu-L", splu_pattern(6, 2, lower=True)),
+                          ("splu-U", splu_pattern(6, 2, lower=False))):
+        results.append(_result(f"groups/{name}-pattern-closure",
+                               pattern_closure_worst(allowed, rng), 0.0))
     return results
 
 
@@ -385,62 +390,63 @@ def suite_groups(updates=10000, step=0.5):
 # inverses
 # ---------------------------------------------------------------------------
 
-def suite_inverses():
-    results = []
-    rng = np.random.default_rng(11)
+def splu_inverse_errors(rng, dim, order, updates, scale=1.0):
+    """(round trip, dense agreement) of a trained splu state's block products.
 
-    p = SpluPrecond(12, 3)
-    for _ in range(200):
-        p.update(TangentPair(rng.standard_normal(12), rng.standard_normal(12)), 0.3)
-    worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(12)
-        worst = max(worst, np.max(np.abs(p.matvec(p.matvec(v, "q"), "qinv") - v)))
-        worst = max(worst, np.max(np.abs(p.matvec(p.matvec(v, "qt"), "qinvt") - v)))
-    results.append(_result("inverses/splu-round-trip", worst, 1e-10))
-
-    p = SpluPrecond(8, 2)
-    for _ in range(200):
-        p.update(TangentPair(rng.standard_normal(8), rng.standard_normal(8)), 0.3)
+    The round trip is the worst deviation of Q^{-1} Q v and Q^{-T} Q^T v from
+    v; the agreement is the worst deviation of the four products from the
+    materialized Q and numpy solves.
+    """
+    p = SpluPrecond(dim, order)
+    for _ in range(updates):
+        dt = rng.standard_normal(dim)
+        p.update(TangentPair(dt, scale * rng.standard_normal(dim)), 0.3)
     q = p.materialize_q()
-    worst = 0.0
+    round_trip = agreement = 0.0
     for _ in range(20):
-        v = rng.standard_normal(8)
+        v = rng.standard_normal(dim)
+        round_trip = max(round_trip, np.max(np.abs(p.matvec(p.matvec(v, "q"), "qinv") - v)))
+        round_trip = max(round_trip, np.max(np.abs(p.matvec(p.matvec(v, "qt"), "qinvt") - v)))
         for which, ref in (("q", q @ v), ("qt", q.T @ v),
                            ("qinv", np.linalg.solve(q, v)),
                            ("qinvt", np.linalg.solve(q.T, v))):
-            worst = max(worst, np.max(np.abs(p.matvec(v, which) - ref)))
-    results.append(_result("inverses/splu-dense-agreement", worst, 1e-12))
+            agreement = max(agreement, np.max(np.abs(p.matvec(v, which) - ref)))
+    return round_trip, agreement
 
-    k = KronPrecond(3, 4)
-    for _ in range(200):
-        k.update(TangentPair(rng.standard_normal(12), rng.standard_normal(12)), 0.2)
-    qk = k.materialize_q()
-    pk = qk.T @ qk
-    worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(12)
-        worst = max(worst, np.max(np.abs(k.apply(v) - pk @ v)))
-        worst = max(worst, np.max(np.abs(k.apply_inv(v) - np.linalg.solve(pk, v))))
-    results.append(_result("inverses/kron-dense-agreement", worst, 1e-10))
 
-    s = ScanPrecond(3, 4)
-    for _ in range(200):
-        s.update(TangentPair(rng.standard_normal(12), rng.standard_normal(12)), 0.2)
-    worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(12)
-        worst = max(worst, np.max(np.abs(s.apply_inv(s.apply(v)) - v)))
-    results.append(_result("inverses/scan-round-trip", worst, 1e-10))
+def _apply_errors(p, rng):
+    """(round trip, dense agreement) of apply and apply_inv on a trained state.
 
-    d = DensePrecond(6)
+    The round trip is the worst deviation of P^{-1} P v from v; the agreement
+    is the worst deviation of P v and P^{-1} v from the materialized P.
+    """
     for _ in range(200):
-        d.update(TangentPair(rng.standard_normal(6), rng.standard_normal(6)), 0.2)
-    worst = 0.0
+        p.update(TangentPair(rng.standard_normal(p.dim), rng.standard_normal(p.dim)), 0.2)
+    q = p.materialize_q()
+    pd = q.T @ q
+    round_trip = agreement = 0.0
     for _ in range(20):
-        v = rng.standard_normal(6)
-        worst = max(worst, np.max(np.abs(d.apply_inv(d.apply(v)) - v)))
-    results.append(_result("inverses/dense-round-trip", worst, 1e-10))
+        v = rng.standard_normal(p.dim)
+        round_trip = max(round_trip, np.max(np.abs(p.apply_inv(p.apply(v)) - v)))
+        agreement = max(agreement, np.max(np.abs(p.apply(v) - pd @ v)))
+        agreement = max(agreement, np.max(np.abs(p.apply_inv(v) - np.linalg.solve(pd, v))))
+    return round_trip, agreement
+
+
+def suite_inverses():
+    results = []
+    rng = np.random.default_rng(11)
+    round_trip, _ = splu_inverse_errors(rng, 12, 3, 200)
+    results.append(_result("inverses/splu-round-trip", round_trip, 1e-10))
+    _, agreement = splu_inverse_errors(rng, 8, 2, 200)
+    results.append(_result("inverses/splu-dense-agreement", agreement, 1e-12))
+
+    _, agreement = _apply_errors(KronPrecond(3, 4), rng)
+    results.append(_result("inverses/kron-dense-agreement", agreement, 1e-10))
+    round_trip, _ = _apply_errors(ScanPrecond(3, 4), rng)
+    results.append(_result("inverses/scan-round-trip", round_trip, 1e-10))
+    round_trip, _ = _apply_errors(DensePrecond(6), rng)
+    results.append(_result("inverses/dense-round-trip", round_trip, 1e-10))
     return results
 
 

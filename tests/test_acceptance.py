@@ -11,18 +11,15 @@ import numpy as np
 from psgdkit.cli import main as cli_main
 from psgdkit.curvature import ProbeConfig, TangentPair
 from psgdkit.optimizer import RunConfig, run
-from psgdkit.preconditioners import (
-    DensePrecond,
-    DiagPrecond,
-    DirectSumPrecond,
-    KronPrecond,
-    ScanPrecond,
-    SpluPrecond,
-    closed_form_diagonal,
-    scan_q2_matvec,
-)
+from psgdkit.preconditioners import KronPrecond, ScanPrecond
 from psgdkit.problems import make_xor_mlp
-from psgdkit.verify import _anchor_worst, min_group_diagonal
+from psgdkit.verify import (
+    _anchor_worst,
+    dense_fixed_point,
+    diag_closed_form_error,
+    positivity_violations,
+    splu_inverse_errors,
+)
 
 
 def report(criterion, ok, detail):
@@ -46,14 +43,7 @@ def test_c01_rosenbrock_default_config(tmp_path):
 
 def test_c02_dense_fixed_point():
     started = time.perf_counter()
-    hdiag = np.array([k * (1 if k % 2 else -1) for k in range(1, 11)], dtype=float)
-    h = np.diag(hdiag)
-    rng = np.random.default_rng(0)
-    p = DensePrecond(10)
-    for _ in range(20_000):
-        dt = rng.standard_normal(10)
-        p.update(TangentPair(dt, h @ dt), 0.01)
-    eig = np.abs(np.linalg.eigvalsh(p.q @ h @ p.q.T))
+    eig = dense_fixed_point(seed=0, dim=10, updates=20_000, step=0.01)
     elapsed = time.perf_counter() - started
     ok = eig.min() >= 0.9 and eig.max() <= 1.1 and elapsed < 10.0
     report(2, ok, f"|eig(PH)| in [{eig.min():.4f}, {eig.max():.4f}], {elapsed:.1f}s")
@@ -61,30 +51,10 @@ def test_c02_dense_fixed_point():
 
 def test_c03_diagonal_esgd_equivalence():
     started = time.perf_counter()
-    h = np.diag([2.0, -5.0])
-    noiseless_m2 = np.array([4.0, 25.0])
-
-    rng = np.random.default_rng(1)
-    p = DiagPrecond(2)
-    for _ in range(50_000):
-        dt = rng.standard_normal(2)
-        p.update(TangentPair(dt, h @ dt), 0.01)
-    rel_clean = np.max(np.abs(p.q * p.q - closed_form_diagonal(np.ones(2), noiseless_m2))
-                       / closed_form_diagonal(np.ones(2), noiseless_m2))
-
+    rel_clean = diag_closed_form_error(seed=1, updates=50_000, step=0.01)
     # gradient noise scale 0.2; preconditioner step 0.003 keeps the
     # stationary fluctuation inside the tolerance
-    noise = 0.2
-    rng = np.random.default_rng(100)
-    p = DiagPrecond(2)
-    for _ in range(50_000):
-        dt = rng.standard_normal(2)
-        raw = rng.standard_normal((2, 2))
-        s = np.triu(raw) + np.triu(raw, 1).T
-        p.update(TangentPair(dt, (h + noise * s) @ dt), 0.003)
-    noisy_m2 = noiseless_m2 + 2.0 * noise ** 2  # sum_j E[(H + nu S)_{ij}^2]
-    rel_noisy = np.max(np.abs(p.q * p.q - closed_form_diagonal(np.ones(2), noisy_m2))
-                       / closed_form_diagonal(np.ones(2), noisy_m2))
+    rel_noisy = diag_closed_form_error(seed=100, updates=50_000, step=0.003, noise=0.2)
     elapsed = time.perf_counter() - started
     ok = rel_clean <= 0.05 and rel_noisy <= 0.05 and elapsed < 5.0
     report(3, ok, f"relative error {rel_clean:.3%} noiseless / {rel_noisy:.3%} noisy, "
@@ -126,21 +96,8 @@ def test_c05_criterion_gradient_checks():
 
 def test_c06_splu_block_inverses():
     started = time.perf_counter()
-    rng = np.random.default_rng(4)
-    p = SpluPrecond(12, 3)
-    for _ in range(300):
-        dt = rng.standard_normal(12)
-        p.update(TangentPair(dt, 1.5 * rng.standard_normal(12)), 0.3)
-    q = p.materialize_q()
-    worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(12)
-        worst = max(worst, np.max(np.abs(p.matvec(p.matvec(v, "q"), "qinv") - v)))
-        worst = max(worst, np.max(np.abs(p.matvec(p.matvec(v, "qt"), "qinvt") - v)))
-        for which, ref in (("q", q @ v), ("qt", q.T @ v),
-                           ("qinv", np.linalg.solve(q, v)),
-                           ("qinvt", np.linalg.solve(q.T, v))):
-            worst = max(worst, np.max(np.abs(p.matvec(v, which) - ref)))
+    worst = max(splu_inverse_errors(np.random.default_rng(4), dim=12, order=3, updates=300,
+                                    scale=1.5))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 1.0
     report(6, ok, f"worst round-trip/materialization deviation {worst:.3e}, {elapsed:.2f}s")
@@ -148,25 +105,8 @@ def test_c06_splu_block_inverses():
 
 def test_c07_group_invariants_adversarial():
     started = time.perf_counter()
-    makers = [
-        ("dense", lambda: DensePrecond(8)),
-        ("diag", lambda: DiagPrecond(16)),
-        ("kron", lambda: KronPrecond(4, 3)),
-        ("scan", lambda: ScanPrecond(4, 3)),
-        ("splu", lambda: SpluPrecond(12, 3)),
-        ("direct-sum", lambda: DirectSumPrecond(
-            [("a", KronPrecond(2, 3)), ("b", DiagPrecond(4))])),
-    ]
-    violations = 0
-    rng = np.random.default_rng(8)
-    for _, maker in makers:
-        p = maker()
-        for _ in range(10_000):
-            dt = rng.standard_normal(p.dim)
-            dg = rng.standard_normal(p.dim) * rng.uniform(0.1, 3.0)
-            p.update(TangentPair(dt, dg), 0.5)
-            if min_group_diagonal(p) <= 0.0:
-                violations += 1
+    counts = positivity_violations(np.random.default_rng(8), updates=10_000, step=0.5)
+    violations = sum(counts.values())
     elapsed = time.perf_counter() - started
     ok = violations == 0 and elapsed < 10.0
     report(7, ok, f"{violations} positivity violations over 6x10^4 adversarial updates, "
@@ -182,7 +122,7 @@ def test_c08_scan_normalization():
     p.d2 = np.array([1.0 / sigma[0], 1.0 / sigma[1], 1.0])
     p.c2 = np.array([-nu[0] / sigma[0], -nu[1] / sigma[1]])
     feats = nu + sigma * rng.standard_normal((10_000, 2))
-    out = np.array([scan_q2_matvec(p, np.array([f[0], f[1], 1.0])) for f in feats])
+    out = np.column_stack([feats, np.ones(len(feats))]) @ p.materialize_q2().T
     mean = out[:, :2].mean(axis=0)
     var = out[:, :2].var(axis=0)
     elapsed = time.perf_counter() - started

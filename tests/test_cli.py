@@ -6,6 +6,7 @@ import pytest
 from psgdkit.checkpoint import load_state
 from psgdkit.cli import main
 from psgdkit.preconditioners import DensePrecond
+from psgdkit.verify import SUITES, suite_groups
 
 CSV_HEADER = "iter,train_loss,grad_norm,precond_grad_norm,clipped,wall_ns"
 
@@ -168,3 +169,14 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "FAIL" not in printed
         assert "checks passed" in printed
+
+    def test_groups_suite_short(self):
+        results = suite_groups(updates=200)
+        assert [r.name for r in results] == [
+            "groups/positivity-dense", "groups/positivity-diag", "groups/positivity-kron",
+            "groups/positivity-scan", "groups/positivity-splu", "groups/positivity-direct-sum",
+            "groups/scan-pattern-closure", "groups/splu-L-pattern-closure",
+            "groups/splu-U-pattern-closure",
+        ]
+        assert all(r.ok for r in results)
+        assert list(SUITES) == ["gradcheck", "fixedpoint", "groups", "inverses"]
