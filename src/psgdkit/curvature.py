@@ -39,9 +39,9 @@ def _check_probe(dt: np.ndarray, dg: np.ndarray) -> None:
     """Raise unless the equal-length float vectors dt, dg are finite and dt is not all zero."""
     # A finite, positive dt.dt means dt is finite and not all zero, and a
     # finite dg.dg means dg is finite: a sum of squares cannot cancel an inf
-    # or a nan. np.vdot reports no overflow, and only a sum that over- or
-    # underflows sends the check on to scan the entries.
-    if 0.0 < np.vdot(dt, dt) < math.inf and math.isfinite(np.vdot(dg, dg)):
+    # or a nan. A vector's own dot reports no overflow, and only a sum that
+    # over- or underflows sends the check on to scan the entries.
+    if 0.0 < dt.dot(dt) < math.inf and math.isfinite(dg.dot(dg)):
         return
     if not (np.isfinite(dt).all() and np.isfinite(dg).all()):
         raise NumericInputError("non-finite entries in tangent pair")

@@ -25,10 +25,13 @@ def max_norm(a) -> float:
     It is 0.0 for an empty or all-zero input, and nan or inf exactly when an
     entry is not finite.
     """
+    a = np.asarray(a, dtype=float)
+    if a.size < 2:  # no entry, or the 1x1 gradient of a 1 x n Kronecker factor
+        return abs(a.item()) if a.size else 0.0
     # argmax picks the first nan, if any; on the tiny arrays of the update
     # kernels it costs a third of np.maximum.reduce, for the same value
-    x = np.abs(np.asarray(a, dtype=float)).ravel()
-    return float(x[x.argmax()]) if x.size else 0.0
+    x = np.abs(a).ravel()
+    return float(x[x.argmax()])
 
 
 @lru_cache(maxsize=64)
@@ -47,9 +50,15 @@ def triu_project(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
-    out = m.copy()
-    out[_strict_lower_mask(m.shape[0])] = 0.0
-    return out
+    return _zero_strict_lower(m.copy())
+
+
+def _zero_strict_lower(m: np.ndarray) -> np.ndarray:
+    """``triu_project`` in place on a square float64 array the caller owns; no check."""
+    n = m.shape[0]
+    if n > 1:
+        np.putmask(m, _strict_lower_mask(n), 0.0)
+    return m
 
 
 def tri_solve(t: np.ndarray, b: np.ndarray, lower: bool = False,

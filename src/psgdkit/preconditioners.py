@@ -29,7 +29,7 @@ from .errors import (
     DegenerateStateError,
     NumericInputError,
 )
-from .linalg import _tri_solve_unchecked, max_norm, tri_solve, triu_project
+from .linalg import _tri_solve_unchecked, _zero_strict_lower, max_norm, tri_solve
 
 __all__ = [
     "DensePrecond",
@@ -63,26 +63,33 @@ def _admissible(*diagonals: np.ndarray) -> bool:
     return True
 
 
-def _check_step(step: float) -> None:
-    if not 0.0 < step < 1.0:
-        raise ContractViolationError("normalized step size must lie in (0, 1)")
+def _triangular_step(q: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
+    """The candidate q - mu g q for a triangular factor q if it is admissible, else q.
+    A 1x1 q takes the same steps on scalars (numpy dots two 1x1 arrays as one product)."""
+    if q.shape[0] == 1:
+        c = q[0, 0] - mu * (g[0, 0] * q[0, 0])
+        return np.array([[c]]) if c >= _REJECT_FLOOR else q
+    cand = q - mu * g.dot(q)
+    return cand if _admissible(cand.diagonal()) else q
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    # A finite a.a proves every entry finite, since a sum of squares cannot
-    # cancel an inf or a nan; neither product reports an overflow, and only a
-    # sum that overflows needs the entries scanned. A vector's own dot is the
-    # cheaper call.
+    # A finite a.a proves every entry finite (a sum of squares cannot cancel an
+    # inf or a nan); only a sum that overflows needs the entries scanned.
     return (math.isfinite(a.dot(a) if a.ndim == 1 else np.vdot(a, a))
             or bool(np.isfinite(a).all()))
 
 
-def _finite_max_norm(*parts) -> float:
-    """Largest max-norm over the parts of a gradient whose solves ran unchecked.
+def _scan_factors(p: "Preconditioner") -> None:
+    """Raise NumericInputError unless every declared factor of p is finite."""
+    for name, _ in p.factors:
+        if not _all_finite(getattr(p, name)):
+            raise NumericInputError(f"non-finite entries in factor {name}")
 
-    A non-finite part raises NumericInputError, the error the checked solves
-    raised on the non-finite values that now reach the gradient instead.
-    """
+
+def _finite_max_norm(*parts) -> float:
+    """Largest max-norm over the parts of a gradient; a non-finite part, from a
+    non-finite factor or an unchecked solve, raises NumericInputError."""
     norms = [max_norm(part) for part in parts]
     if not all(map(math.isfinite, norms)):
         raise NumericInputError("non-finite preconditioner gradient")
@@ -112,12 +119,11 @@ class Preconditioner:
       allocating. It rejects the shape fields the constructor rejects, and
       the constructor calls it to do so.
 
-    ``min_diag``, the finiteness check in ``update`` and the checkpoint
-    record are all derived from this declaration. ``update`` is the checked
-    entry point. It validates the step, the pair's dims and the state once
-    (diagonal floor, then finiteness of every factor) and then runs the
-    family's ``_update`` kernel, which works on raw arrays and checks
-    nothing more.
+    ``min_diag`` and the checkpoint record derive from this declaration.
+    ``update`` validates the step, the pair's dims and the diagonal floor,
+    then runs the family's ``_update`` kernel on raw arrays. Before it
+    assigns anything a kernel shows its factors finite, by a norm test on a
+    gradient every factor entry reaches or else by ``_scan_factors``.
     """
 
     dim: int
@@ -138,14 +144,12 @@ class Preconditioner:
 
     def update(self, pair: TangentPair, step: float) -> None:
         """One normalized relative-gradient step on the pair (dt, dg)."""
-        _check_step(step)
+        if not 0.0 < step < 1.0:
+            raise ContractViolationError("normalized step size must lie in (0, 1)")
         dt = self._check_dim(pair.delta_theta)
         dg = self._check_dim(pair.delta_g)
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(self._collapsed)
-        for name, _ in self.factors:
-            if not _all_finite(getattr(self, name)):
-                raise NumericInputError(f"non-finite entries in factor {name}")
         self._update(dt, dg, step)
 
     def _update(self, dt: np.ndarray, dg: np.ndarray, step: float) -> None:
@@ -211,7 +215,7 @@ class DensePrecond(Preconditioner):
 
     def apply(self, g):
         g = self._check_dim(g)
-        return self.q.T @ (self.q @ g)
+        return self.q.T.dot(self.q.dot(g))
 
     def apply_inv(self, v):
         v = self._check_dim(v)
@@ -221,16 +225,15 @@ class DensePrecond(Preconditioner):
     def _pair_gradient(self, dt, dg):
         a = self.q.dot(dg)
         b = _tri_solve_unchecked(self.q, dt, transpose=True)
-        return triu_project(a[:, None] * a - b[:, None] * b)
+        return _zero_strict_lower(a[:, None] * a - b[:, None] * b)
 
     def _update(self, dt, dg, step):
+        # q needs no scan: q[i, j] reaches a[i] = (Q dg)[i] even times a zero
+        # (inf * 0 is nan), so grad[i, i] and the norm test see it.
         grad = self._pair_gradient(dt, dg)
         nrm = _finite_max_norm(grad)
-        if nrm == 0.0:
-            return
-        cand = self.q - (step / nrm) * grad.dot(self.q)
-        if _admissible(cand.diagonal()):
-            self.q = cand
+        if nrm > 0.0:
+            self.q = _triangular_step(self.q, grad, step / nrm)
 
     def materialize_q(self):
         return self.q.copy()
@@ -269,6 +272,7 @@ class DiagPrecond(Preconditioner):
         return a * a - b * b
 
     def _update(self, dt, dg, step):
+        _scan_factors(self)  # no norm test here raises: an overflow is rejected
         grad = self._pair_gradient(dt, dg)
         nrm = max_norm(grad)
         if nrm == 0.0:
@@ -324,47 +328,49 @@ class KronPrecond(Preconditioner):
         self.q1 = np.eye(m)
         self.q2 = np.eye(n)
 
-    def _mat(self, v: np.ndarray) -> np.ndarray:
-        return v.reshape((self.m, self.n), order="F")
-
-    def _vec(self, g: np.ndarray) -> np.ndarray:
-        return g.ravel(order="F")
+    # v.reshape(n, m).T is v.reshape((m, n), order="F") without the keyword
+    # (column-major matricization); g.T.ravel() flattens back.
 
     def apply(self, g):
         g = self._check_dim(g)
-        gm = self._mat(g)
-        out = self.q1.T @ (self.q1 @ gm @ self.q2.T) @ self.q2
-        return self._vec(out)
+        q1, q2 = self.q1, self.q2
+        return q1.T.dot(q1.dot(g.reshape(self.n, self.m).T).dot(q2.T)).dot(q2).T.ravel()
 
     def apply_inv(self, v):
         v = self._check_dim(v)
-        x = self._mat(v)
+        x = v.reshape(self.n, self.m).T
         x = tri_solve(self.q1, x, transpose=True)
         x = tri_solve(self.q1, x)
         x = tri_solve(self.q2, x.T, transpose=True)
         x = tri_solve(self.q2, x)
-        return self._vec(x.T)
+        return x.ravel()
 
     def _pair_gradient(self, dt, dg):
-        dt, dg = self._mat(dt), self._mat(dg)
-        a = self.q1.dot(dg).dot(self.q2.T)
-        bt = _tri_solve_unchecked(self.q1, dt, transpose=True)      # Q1^{-T} dT
-        bt = _tri_solve_unchecked(self.q2, bt.T, transpose=True).T  # ... Q2^{-1}
-        g1 = triu_project(a.dot(a.T) - bt.dot(bt.T))
-        g2 = triu_project(a.T.dot(a) - bt.T.dot(bt))
+        m, n, q1, q2 = self.m, self.n, self.q1, self.q2
+        dt, dg = dt.reshape(n, m).T, dg.reshape(n, m).T
+        a = q1.dot(dg).dot(q2.T)
+        # bt = Q1^{-T} dT Q2^{-1}. OpenBLAS solves a 1x1 system with several
+        # right-hand sides (not one) by multiplying with the pivot's reciprocal,
+        # so a 1 x n or m x 1 block does that itself, for the same bits.
+        bt = dt * (1.0 / q1[0, 0]) if m == 1 < n else _tri_solve_unchecked(q1, dt, transpose=True)
+        bt = (bt * (1.0 / q2[0, 0]) if n == 1 < m
+              else _tri_solve_unchecked(q2, bt.T, transpose=True).T)
+        g1 = _zero_strict_lower(a.dot(a.T) - bt.dot(bt.T))
+        g2 = _zero_strict_lower(a.T.dot(a) - bt.T.dot(bt))
         return g1, g2
 
     def _update(self, dt, dg, step):
+        # q1 and q2 need no scan: q1[i, j] reaches row i of a = Q1 dG Q2^T and
+        # q2[k, l] column k, even times a zero (inf * 0 is nan), so g1[i, i]
+        # or g2[k, k] and the norm test see it before any assignment.
         g1, g2 = self._pair_gradient(dt, dg)
-        n1, n2 = _finite_max_norm(g1), _finite_max_norm(g2)
+        n1, n2 = max_norm(g1), max_norm(g2)
+        if not math.isfinite(n1 - n2):  # both are >= 0, so finite iff both are
+            raise NumericInputError("non-finite preconditioner gradient")
         if n1 > 0.0:
-            cand = self.q1 - (step / n1) * g1.dot(self.q1)
-            if _admissible(cand.diagonal()):
-                self.q1 = cand
+            self.q1 = _triangular_step(self.q1, g1, step / n1)
         if n2 > 0.0:
-            cand = self.q2 - (step / n2) * g2.dot(self.q2)
-            if _admissible(cand.diagonal()):
-                self.q2 = cand
+            self.q2 = _triangular_step(self.q2, g2, step / n2)
 
     def materialize_q(self):
         return np.kron(self.q2, self.q1)
@@ -399,12 +405,6 @@ class ScanPrecond(Preconditioner):
         self.d2 = np.ones(n)
         self.c2 = np.zeros(n - 1)
 
-    def _mat(self, v):
-        return v.reshape((self.m, self.n), order="F")
-
-    def _vec(self, g):
-        return g.ravel(order="F")
-
     # right-multiplications by the structured Q2
     def _right_q2t(self, g):
         out = g * self.d2
@@ -435,17 +435,16 @@ class ScanPrecond(Preconditioner):
 
     def apply(self, g):
         g = self._check_dim(g)
-        gm = self._mat(g)
-        out = (self.q1 * self.q1)[:, None] * self._right_q2(self._right_q2t(gm))
-        return self._vec(out)
+        gm = g.reshape(self.n, self.m).T
+        return ((self.q1 * self.q1)[:, None] * self._right_q2(self._right_q2t(gm))).T.ravel()
 
     def apply_inv(self, v):
         v = self._check_dim(v)
-        x = self._mat(v) / (self.q1 * self.q1)[:, None]
-        return self._vec(self._right_q2t_inv(self._right_q2_inv(x)))
+        x = v.reshape(self.n, self.m).T / (self.q1 * self.q1)[:, None]
+        return self._right_q2t_inv(self._right_q2_inv(x)).T.ravel()
 
     def _pair_gradient(self, dt, dg):
-        dt, dg = self._mat(dt), self._mat(dg)
+        dt, dg = dt.reshape(self.n, self.m).T, dg.reshape(self.n, self.m).T
         a = self.q1[:, None] * self._right_q2t(dg)
         bt = self._right_q2_inv(dt / self.q1[:, None])
         aa, bb = a * a, bt * bt
@@ -455,6 +454,7 @@ class ScanPrecond(Preconditioner):
         return g1, gd, gc
 
     def _update(self, dt, dg, step):
+        _scan_factors(self)  # no norm test here raises: an overflow is rejected
         g1, gd, gc = self._pair_gradient(dt, dg)
         n1 = max_norm(g1)
         if n1 > 0.0:
@@ -522,13 +522,17 @@ class SpluPrecond(Preconditioner):
 
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
         """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
-        return self._matvec(self._checked(v), which)
+        return self._matvec(self._checked(v, which in ("qinv", "qinvt")), which)
 
-    def _checked(self, v):
-        """v as a float vector of this dim, once the diagonals are above the floor."""
+    def _checked(self, v, inverse=False):
+        """v as a float vector of this dim, once the diagonals are above the floor
+        and, for an inverse product, l3 and u3 are finite (an inf there divides
+        its entry to zero before any solve could see it)."""
         v = self._check_dim(v)
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(self._collapsed)
+        if inverse and not (_all_finite(self.l3) and _all_finite(self.u3)):
+            raise NumericInputError("non-finite entries in factor l3 or u3")
         return v
 
     def _matvec(self, v, which):
@@ -557,7 +561,7 @@ class SpluPrecond(Preconditioner):
         return self._matvec(self._matvec(self._checked(g), "q"), "qt")
 
     def apply_inv(self, v):
-        return self._matvec(self._matvec(self._checked(v), "qinvt"), "qinv")
+        return self._matvec(self._matvec(self._checked(v, True), "qinvt"), "qinv")
 
     def materialize_lu(self):
         """Dense (L, U); test and diagnostic helper, O(L^2) storage."""
@@ -589,15 +593,19 @@ class SpluPrecond(Preconditioner):
         # L side: projection of (a a^T - b b^T) onto {first r columns, diagonal};
         # U side: same projection of (P dg dg^T - dt (P^{-1} dt)^T) onto
         # {first r rows, diagonal}
-        gl1 = triu_project((qg1[:, None] * qg1 - iqtx1[:, None] * iqtx1).T).T  # lower part
+        gl1 = _zero_strict_lower((qg1[:, None] * qg1 - iqtx1[:, None] * iqtx1).T).T  # lower part
         gl2 = qg2[:, None] * qg1 - iqtx2[:, None] * iqtx1
         gl3 = qg2 * qg2 - iqtx2 * iqtx2
-        gu1 = triu_project(pg1[:, None] * g1 - x1[:, None] * ipx1)
+        gu1 = _zero_strict_lower(pg1[:, None] * g1 - x1[:, None] * ipx1)
         gu2 = pg1[:, None] * g2 - x1[:, None] * ipx2
         gu3 = pg2 * g2 - x2 * ipx2
         return gl1, gl2, gl3, gu1, gu2, gu3
 
     def _update(self, dt, dg, step):
+        # No factor needs a scan: even times a zero (inf * 0 is nan), u1 and u2
+        # reach w1 = u1 g1 + u2 g2 and through it all of l1 w1, as l1 does;
+        # l2, l3 and u3 reach l2 w1 + l3 (u3 g2). So diag(gl1) or gl3, and
+        # the norm tests, see every entry before any assignment.
         gl1, gl2, gl3, gu1, gu2, gu3 = self._pair_gradient(dt, dg)
         nl = _finite_max_norm(gl1, gl2, gl3)
         nu = _finite_max_norm(gu1, gu2, gu3)
@@ -651,9 +659,8 @@ class DirectSumPrecond(Preconditioner):
         return np.concatenate([p.apply_inv(v[s]) for (_, p), s in zip(self.blocks, self.slices)])
 
     def update(self, pair, step):
-        # Each block slice gets the probe checks a TangentPair would give it,
-        # without the copy; each block's own update then checks the step and
-        # its state and runs its kernel on the views.
+        # Each block slice gets a TangentPair's probe checks without the copy;
+        # each block's own update checks the step and its diagonals on the views.
         dt = self._check_dim(pair.delta_theta)
         dg = self._check_dim(pair.delta_g)
         subs = [_BlockPair(dt[s], dg[s]) for s in self.slices]

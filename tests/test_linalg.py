@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from psgdkit.errors import ContractViolationError, NumericInputError
-from psgdkit.linalg import max_norm, tri_solve, triu_project
+from psgdkit.linalg import _tri_solve_unchecked, max_norm, tri_solve, triu_project
 
 
 class TestTriSolve:
@@ -56,6 +56,20 @@ class TestTriSolve:
                 x = tri_solve(factor, b, lower=is_lower, transpose=transpose)
                 assert x.shape == ref.shape
                 assert x.tobytes() == ref.tobytes()
+
+    def test_one_by_one_solve_multiplies_by_the_reciprocal(self):
+        # KronPrecond's 1 x n and m x 1 blocks skip LAPACK for their 1x1
+        # factor and multiply by the pivot's reciprocal instead. That is what
+        # the solve returns, bit for bit, with two or more right-hand sides;
+        # with one it divides, so a 1 x 1 block keeps the LAPACK call.
+        rng = np.random.default_rng(10)
+        for draw in range(2000):
+            t = np.array([[10.0 ** rng.uniform(-8.0, 8.0)]])
+            b = 10.0 ** rng.uniform(-8.0, 8.0) * rng.standard_normal((1, int(rng.integers(1, 9))))
+            b[0, 0] = (0.0, -0.0, b[0, 0])[draw % 3]
+            x = _tri_solve_unchecked(t, b, bool(rng.integers(2)), bool(rng.integers(2)))
+            expected = b * (1.0 / t[0, 0]) if b.shape[1] > 1 else b / t[0, 0]
+            assert x.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolationError):

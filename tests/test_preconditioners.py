@@ -20,7 +20,7 @@ from psgdkit.preconditioners import (
     estimation_criterion,
     make_preconditioner,
 )
-from psgdkit.problems import ParamBlock, ParamLayout
+from psgdkit.problems import ParamBlock, ParamLayout, make_xor_mlp
 from psgdkit.verify import pattern_closure_worst, scan_pattern, splu_pattern, whitening_residual
 
 
@@ -142,6 +142,38 @@ class TestUpdate:
         for k, v in before.items():
             np.testing.assert_array_equal(getattr(p, k), v)
 
+    @pytest.mark.parametrize("maker", [lambda: DensePrecond(3), lambda: KronPrecond(2, 3),
+                                       lambda: KronPrecond(1, 5), lambda: SpluPrecond(5, 2)])
+    def test_non_finite_factor_raises_with_zero_probe_entries(self, maker):
+        # Dense, kron and splu updates scan no factor: a non-finite entry must
+        # reach a gradient norm through the kernel's own products, also where
+        # the probe entries it meets are zero (inf * 0 is nan). Every entry of
+        # every factor, the unused triangle included, on the BLAS in use.
+        rng = np.random.default_rng(8)
+        trained = maker()
+        for _ in range(10):
+            trained.update(random_pair(rng, trained.dim), 0.2)
+        for name, structure in trained.factors:
+            for index in np.ndindex(getattr(trained, name).shape):
+                meets = _probe_entries_meeting(trained, name, index)
+                on_diagonal = structure != "free" and len(set(index)) == 1
+                for bad in (np.nan, np.inf, -np.inf):
+                    expected = (DegenerateStateError if bad == -np.inf and on_diagonal
+                                else NumericInputError)
+                    for zeros in ("dg", "dt and dg", "all of dg"):
+                        p = trained.clone()
+                        getattr(p, name)[index] = bad
+                        before = {k: v.copy() for k, v in vars(p).items()
+                                  if isinstance(v, np.ndarray)}
+                        dt, dg = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
+                        dg[slice(None) if zeros == "all of dg" else meets] = 0.0
+                        if zeros == "dt and dg" and dt[meets].size < dt.size:
+                            dt[meets] = 0.0
+                        with np.errstate(all="ignore"), pytest.raises(expected):
+                            p.update(TangentPair(dt, dg), 0.1)
+                        for k, v in before.items():
+                            np.testing.assert_array_equal(getattr(p, k), v)
+
     def test_diag_rejects_nan_candidate(self):
         # the gradient [inf, 0] normalizes to a zero step, and 0 * inf turns
         # the first candidate entry into nan, which must not be admitted
@@ -184,6 +216,17 @@ class TestUpdate:
         with np.errstate(over="ignore"), pytest.raises(NumericInputError):
             p.update(TangentPair(np.ones(2), np.array([1e200, 1.0])), 0.1)
         np.testing.assert_array_equal(p.q, np.eye(2))
+
+
+def _probe_entries_meeting(p, name, index):
+    """Flat probe entries that the factor entry at index multiplies in Q dg."""
+    if isinstance(p, KronPrecond):
+        grid = np.arange(p.dim).reshape(p.n, p.m).T  # column-major, as the kernel reads it
+        return (grid[list(index), :] if name == "q1" else grid[:, list(index)]).ravel()
+    if isinstance(p, SpluPrecond):  # l2, u2, l3 and u3 act on the trailing block
+        offsets = {"l2": (p.r, 0), "u2": (0, p.r), "l3": (p.r,), "u3": (p.r,)}
+        return [i + o for i, o in zip(index, offsets.get(name, (0, 0)))]
+    return list(index)
 
 
 class TestClosedFormDiagonal:
@@ -250,12 +293,13 @@ class TestSpluMatvec:
         (where, index, bad)
         for where, index in [("l1", (1, 0)), ("l2", (2, 1)), ("l3", (0,)), ("u1", (0, 1)),
                              ("u2", (1, 2)), ("u3", (2,)), ("v", (4,))]
-        # an inf in l3 or u3 divides to zero, so nothing non-finite reaches a solve
         for bad in ([np.nan] if where in ("l3", "u3") else [np.nan, np.inf])
-    ])
+    ] + [("l3", (0,), np.inf), ("u3", (2,), np.inf)])
     def test_inverse_products_reject_non_finite(self, where, index, bad):
         # the public inverse paths solve with the checked solver, which the
-        # update kernel skips for a state it has already validated
+        # update kernel skips for a state it has already validated; an inf in
+        # l3 or u3 divides its entry to zero before any solve, so those two
+        # factors are checked on their own
         rng = np.random.default_rng(7)
         p = SpluPrecond(5, 2)
         for _ in range(20):
@@ -321,6 +365,27 @@ class TestDirectSum:
         pair = TangentPair(np.array([0.0, 0.0, 1.0, 2.0, 3.0]), np.ones(5))
         with pytest.raises(ContractViolationError):
             p.update(pair, 0.1)
+
+    def test_update_calls_each_block_update_once(self, monkeypatch):
+        # The sum checks the pair once and hands each block its slice through
+        # the block's public update, the entry the benchmark tracer counts.
+        calls = []
+        block_update = KronPrecond.update
+
+        def counting(block, pair, step):
+            calls.append(block)
+            block_update(block, pair, step)
+
+        monkeypatch.setattr(KronPrecond, "update", counting)
+        p = make_preconditioner("kron", make_xor_mlp(4).layout)
+        rng = np.random.default_rng(9)
+        p.update(random_pair(rng, p.dim), 0.1)
+        assert [id(b) for b in calls] == [id(b) for _, b in p.blocks]
+        dt = rng.standard_normal(p.dim)
+        dt[p.slices[1]] = 0.0
+        with pytest.raises(ContractViolationError):
+            p.update(TangentPair(dt, rng.standard_normal(p.dim)), 0.1)
+        assert len(calls) == 2
 
     def test_blocks_update_independently(self):
         rng = np.random.default_rng(7)
