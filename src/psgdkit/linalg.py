@@ -25,13 +25,10 @@ def max_norm(a) -> float:
     It is 0.0 for an empty or all-zero input, and nan or inf exactly when an
     entry is not finite.
     """
-    a = np.asarray(a, dtype=float)
-    if a.size < 2:  # no entry, or the 1x1 gradient of a 1 x n Kronecker factor
-        return abs(a.item()) if a.size else 0.0
     # argmax picks the first nan, if any; on the tiny arrays of the update
     # kernels it costs a third of np.maximum.reduce, for the same value
-    x = np.abs(a).ravel()
-    return float(x[x.argmax()])
+    x = np.abs(np.asarray(a, dtype=float)).ravel()
+    return float(x[x.argmax()]) if x.size else 0.0
 
 
 @lru_cache(maxsize=64)
@@ -87,8 +84,9 @@ def tri_solve(t: np.ndarray, b: np.ndarray, lower: bool = False,
 
 def _tri_solve_unchecked(t: np.ndarray, b: np.ndarray, lower: bool = False,
                          transpose: bool = False) -> np.ndarray:
-    """``tri_solve`` for a float64 factor with a positive, finite diagonal and a
-    finite, non-empty float64 right-hand side; no argument is checked.
+    """``tri_solve`` for a float64 factor with a positive diagonal and a non-empty
+    float64 right-hand side; no argument is checked. Non-finite entries are
+    allowed and give non-finite output, which the caller's norm test must catch.
 
     Arguments reach LAPACK as scipy.linalg.solve_triangular passes them: a
     factor that is not Fortran-ordered is solved as the transposed system of

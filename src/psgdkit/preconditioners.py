@@ -48,6 +48,8 @@ __all__ = [
 _SOLVE_FLOOR = 1e-300
 # Candidate states whose diagonals fall below this are rejected outright.
 _REJECT_FLOOR = 1e-150
+# Error state of the gradients that fold the factor checks (see Preconditioner).
+_quiet = np.errstate(all="ignore")
 
 # The kernels call ndarray.dot rather than @, ufunc reductions rather than
 # ndarray.sum, and take a vector's minimum as v[v.argmin()] (nan when an entry
@@ -87,13 +89,12 @@ def _scan_factors(p: "Preconditioner") -> None:
             raise NumericInputError(f"non-finite entries in factor {name}")
 
 
-def _finite_max_norm(*parts) -> float:
-    """Largest max-norm over the parts of a gradient; a non-finite part, from a
-    non-finite factor or an unchecked solve, raises NumericInputError."""
+def _finite_max_norms(*parts) -> list:
+    """Max-norm of each part of a gradient; NumericInputError if one is not finite."""
     norms = [max_norm(part) for part in parts]
     if not all(map(math.isfinite, norms)):
         raise NumericInputError("non-finite preconditioner gradient")
-    return max(norms)
+    return norms
 
 
 class _BlockPair(NamedTuple):
@@ -122,8 +123,11 @@ class Preconditioner:
     ``min_diag`` and the checkpoint record derive from this declaration.
     ``update`` validates the step, the pair's dims and the diagonal floor,
     then runs the family's ``_update`` kernel on raw arrays. Before it
-    assigns anything a kernel shows its factors finite, by a norm test on a
-    gradient every factor entry reaches or else by ``_scan_factors``.
+    assigns anything a kernel shows its factors finite, by ``_scan_factors``
+    or by the norm test on a gradient every factor entry reaches, even times a
+    zero (inf * 0 is nan on a BLAS that skips no zero operand). That gradient
+    is computed under ``_quiet``, so numpy's error state adds no warning or
+    FloatingPointError to the NumericInputError the norm test raises.
     """
 
     dim: int
@@ -222,16 +226,16 @@ class DensePrecond(Preconditioner):
         w = tri_solve(self.q, v, transpose=True)
         return tri_solve(self.q, w)
 
+    @_quiet
     def _pair_gradient(self, dt, dg):
         a = self.q.dot(dg)
         b = _tri_solve_unchecked(self.q, dt, transpose=True)
         return _zero_strict_lower(a[:, None] * a - b[:, None] * b)
 
     def _update(self, dt, dg, step):
-        # q needs no scan: q[i, j] reaches a[i] = (Q dg)[i] even times a zero
-        # (inf * 0 is nan), so grad[i, i] and the norm test see it.
+        # q needs no scan: q[i, j] reaches a[i] = (Q dg)[i] and so grad[i, i].
         grad = self._pair_gradient(dt, dg)
-        nrm = _finite_max_norm(grad)
+        (nrm,) = _finite_max_norms(grad)
         if nrm > 0.0:
             self.q = _triangular_step(self.q, grad, step / nrm)
 
@@ -345,6 +349,7 @@ class KronPrecond(Preconditioner):
         x = tri_solve(self.q2, x)
         return x.ravel()
 
+    @_quiet
     def _pair_gradient(self, dt, dg):
         m, n, q1, q2 = self.m, self.n, self.q1, self.q2
         dt, dg = dt.reshape(n, m).T, dg.reshape(n, m).T
@@ -360,13 +365,10 @@ class KronPrecond(Preconditioner):
         return g1, g2
 
     def _update(self, dt, dg, step):
-        # q1 and q2 need no scan: q1[i, j] reaches row i of a = Q1 dG Q2^T and
-        # q2[k, l] column k, even times a zero (inf * 0 is nan), so g1[i, i]
-        # or g2[k, k] and the norm test see it before any assignment.
+        # q1 and q2 need no scan: q1[i, j] reaches row i of a = Q1 dG Q2^T and so
+        # g1[i, i]; q2[k, l] reaches column k and so g2[k, k].
         g1, g2 = self._pair_gradient(dt, dg)
-        n1, n2 = max_norm(g1), max_norm(g2)
-        if not math.isfinite(n1 - n2):  # both are >= 0, so finite iff both are
-            raise NumericInputError("non-finite preconditioner gradient")
+        n1, n2 = _finite_max_norms(g1, g2)
         if n1 > 0.0:
             self.q1 = _triangular_step(self.q1, g1, step / n1)
         if n2 > 0.0:
@@ -579,6 +581,7 @@ class SpluPrecond(Preconditioner):
         low, up = self.materialize_lu()
         return low @ up
 
+    @_quiet
     def _pair_gradient(self, dt, dg):
         g1, g2 = self._split(dg)
         x1, x2 = self._split(dt)
@@ -602,13 +605,12 @@ class SpluPrecond(Preconditioner):
         return gl1, gl2, gl3, gu1, gu2, gu3
 
     def _update(self, dt, dg, step):
-        # No factor needs a scan: even times a zero (inf * 0 is nan), u1 and u2
-        # reach w1 = u1 g1 + u2 g2 and through it all of l1 w1, as l1 does;
-        # l2, l3 and u3 reach l2 w1 + l3 (u3 g2). So diag(gl1) or gl3, and
-        # the norm tests, see every entry before any assignment.
+        # No factor needs a scan: u1 and u2 reach w1 = u1 g1 + u2 g2 and through
+        # it all of l1 w1, as l1 does; l2, l3 and u3 reach l2 w1 + l3 (u3 g2).
+        # So diag(gl1) or gl3 sees every entry.
         gl1, gl2, gl3, gu1, gu2, gu3 = self._pair_gradient(dt, dg)
-        nl = _finite_max_norm(gl1, gl2, gl3)
-        nu = _finite_max_norm(gu1, gu2, gu3)
+        nl = max(_finite_max_norms(gl1, gl2, gl3))
+        nu = max(_finite_max_norms(gu1, gu2, gu3))
         if nl > 0.0:
             mu = step / nl
             cand_l1 = self.l1 - mu * gl1.dot(self.l1)

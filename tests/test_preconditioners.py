@@ -148,7 +148,9 @@ class TestUpdate:
         # Dense, kron and splu updates scan no factor: a non-finite entry must
         # reach a gradient norm through the kernel's own products, also where
         # the probe entries it meets are zero (inf * 0 is nan). Every entry of
-        # every factor, the unused triangle included, on the BLAS in use.
+        # every factor, the unused triangle included, on the BLAS in use. Under
+        # np.errstate(all="raise") any warning the fold let through would
+        # surface as FloatingPointError instead of the expected class.
         rng = np.random.default_rng(8)
         trained = maker()
         for _ in range(10):
@@ -169,7 +171,7 @@ class TestUpdate:
                         dg[slice(None) if zeros == "all of dg" else meets] = 0.0
                         if zeros == "dt and dg" and dt[meets].size < dt.size:
                             dt[meets] = 0.0
-                        with np.errstate(all="ignore"), pytest.raises(expected):
+                        with np.errstate(all="raise"), pytest.raises(expected):
                             p.update(TangentPair(dt, dg), 0.1)
                         for k, v in before.items():
                             np.testing.assert_array_equal(getattr(p, k), v)

@@ -8,13 +8,14 @@ It extracts the parent revision and the change with `git archive` into
 temporary directories. The change is a snapshot of this checkout's tracked
 files (`git stash create`, or HEAD when nothing changed; stage new files
 first), so edits made while it runs are not measured. It then runs
-`benchmarks/run.py --trace 0` on each workload for the parent and the change
-in alternating pairs: pair i uses seed `--first-seed + i` for both sides, and
-the side that runs first alternates from pair to pair. It reads each
-command's last output line (one JSON object) and writes, for both revisions,
-the commit, the hash of its `src/` tree and the environment, and per
-workload and end-to-end metric the per-pair values with their median and
-quartiles. The change/parent ratio of each pair is recorded as well.
+`benchmarks/run.py --trace 0` for `run_seconds` of `BENCHMARK.json` on each of
+its workloads, for the parent and the change in ten alternating pairs: pair i
+uses seed `--first-seed + i` for both sides, and the side that runs first
+alternates from pair to pair. It reads each command's last output line (one
+JSON object) and writes, for both revisions, the commit, the hash of its
+`src/` tree and the environment, and per workload and end-to-end metric the
+per-pair values with their median and quartiles. The change/parent ratio of
+each pair is recorded as well.
 
 The script uses the standard library only; it neither imports psgdkit nor
 writes anything under benchmarks/.
@@ -29,8 +30,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("xor-kron", "rnn-scan", "quad-cli")
-METRICS = ("calibrated_iters_per_s", "setup_s", "peak_rss_mb")
+PAIRS = 10
 ENVIRONMENT = ("python", "numpy", "scipy", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS")
 
@@ -67,19 +67,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
 
     parent_rev = git("rev-parse", args.parent)
     change_rev = git("rev-parse", git("stash", "create") or "HEAD")
     record = {side: {"revision": rev, "src_tree": git("rev-parse", f"{rev}:src")}
               for side, rev in (("parent", parent_rev), ("change", change_rev))}
     record["protocol"] = {"command": "python3 benchmarks/run.py --trace 0",
-                          "pairs": args.pairs, "seconds": args.seconds,
-                          "seeds": [args.first_seed + i for i in range(args.pairs)],
+                          "pairs": PAIRS, "seconds": seconds,
+                          "seeds": [args.first_seed + i for i in range(PAIRS)],
                           "order": "alternating; parent first in even pairs"}
     record["workloads"] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,13 +89,13 @@ def main(argv=None):
         for side, rev in (("parent", parent_rev), ("change", change_rev)):
             os.mkdir(trees[side])
             extract(rev, trees[side])
-        for workload in args.workloads:
+        for workload in workloads:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    env, result = bench(trees[side], workload, seed, args.seconds)
+                    env, result = bench(trees[side], workload, seed, seconds)
                     record[side].setdefault("environment", env)
                     runs[side].append(result)
                     value = result["metrics"].get("calibrated_iters_per_s", {}).get("value")
@@ -103,7 +105,7 @@ def main(argv=None):
                             "failed": sum(r["failed"] for r in rs),
                             "attempted": sum(r["attempted"] for r in rs)}
                      for side, rs in runs.items()}
-            for metric in METRICS:
+            for metric in metrics:
                 per_side = {side: [r["metrics"][metric]["value"] for r in rs]
                             for side, rs in runs.items()}
                 ratios = [c / p for p, c in zip(per_side["parent"], per_side["change"])]
