@@ -53,7 +53,6 @@ from .preconditioners import (
 )
 from .problems import (
     BoundEvaluator,
-    GroundTruth,
     ParamBlock,
     ParamLayout,
     Problem,

@@ -14,10 +14,10 @@ the summary, never to the trace. wall_ns is 0 unless --timing is given, so
 identical invocations produce byte-identical files.
 
 Step sizes, clipping and probe mode default per problem (see
-PROBLEM_DEFAULTS); explicit flags always win, and a key=value config file can
-supply any flag default (flags override the file). The output directory is
-./runs, overridable by the PSGDKIT_OUT environment variable and the --out
-flag.
+PROBLEM_DEFAULTS); explicit flags always win. A key=value config file names
+flags by key: each line is parsed as that flag, ahead of the command line's
+own flags, which therefore override it. The output directory is ./runs,
+overridable by the PSGDKIT_OUT environment variable and the --out flag.
 """
 
 import argparse
@@ -31,7 +31,7 @@ import numpy as np
 from .checkpoint import save_state
 from .curvature import ProbeConfig
 from .errors import PsgdkitError
-from .optimizer import RunConfig, run
+from .optimizer import RMSPROP_BETA, RMSPROP_EPS, RunConfig, run
 from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
 from .verify import SUITES, run_suite
 
@@ -100,7 +100,6 @@ def _make_config(args, problem, seed):
         probe=ProbeConfig(mode=mode, damping=kind, damping_lambda=lam),
         skip_schedule=args.skip,
         iters=args.iters,
-        batch_size=args.batch_size,
         seed=seed,
     )
 
@@ -132,10 +131,10 @@ def _config_header(args, cfg):
         "splu_order": cfg.splu_order,
         "per_block": int(cfg.per_block),
         "iters": cfg.iters,
-        "batch_size": cfg.batch_size,
+        "batch_size": args.batch_size,
         "seed": cfg.seed,
-        "rmsprop_beta": cfg.rmsprop_beta,
-        "rmsprop_eps": cfg.rmsprop_eps,
+        "rmsprop_beta": RMSPROP_BETA,
+        "rmsprop_eps": RMSPROP_EPS,
         "smoothing": SMOOTHING,
     }
     if args.problem == "quad":
@@ -225,6 +224,13 @@ def _out_dir(args):
     return out
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_run_flags(p):
     p.add_argument("--problem", required=True,
                    choices=["quad", "rosenbrock", "xor-mlp", "addition-rnn"])
@@ -257,79 +263,77 @@ def _add_run_flags(p):
     p.add_argument("--damping", default="none",
                    help="probe damping: none, trad:LAMBDA or noncvx:LAMBDA")
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--batch-size", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output directory (env PSGDKIT_OUT)")
-    p.add_argument("--name", default=None, help="override the run name")
     p.add_argument("--timing", action="store_true",
                    help="record real wall_ns (breaks byte-identical traces)")
     p.add_argument("--save-precond", default=None, metavar="PATH",
                    help="write the final preconditioner state to PATH")
 
 
-def _apply_config_file(argv, parser):
-    """key=value file provides flag defaults; explicit flags override."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
-    defaults = {}
-    with open(known.config) as fh:
+def _config_flags(path, parser):
+    """The flags a key=value config file names, as command-line arguments of parser.
+
+    A key is a flag name written with '_' or '-'. A switch is given when its
+    value is 1, true or yes; any other flag gets the value as written.
+    """
+    flags = []
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            defaults[key.strip().replace("-", "_")] = value.strip()
-    valid = {a.dest for a in parser._actions}
-    unknown = set(defaults) - valid
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    typed = {}
-    for action in parser._actions:
-        if action.dest in defaults:
-            raw = defaults[action.dest]
-            if action.type is not None:
-                typed[action.dest] = action.type(raw)
-            elif isinstance(action.default, bool) or action.const is True:
-                typed[action.dest] = raw.lower() in ("1", "true", "yes")
-            else:
-                typed[action.dest] = raw
-    parser.set_defaults(**typed)
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            action = parser._option_string_actions.get(flag)
+            if action is None or action.dest in ("config", "help"):
+                raise ValueError(f"unknown config key {key!r}")
+            if action.nargs != 0:
+                flags.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                flags.append(flag)
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, metavar="FILE",
+                        help="key=value lines, each read as the flag its key names")
     parser = argparse.ArgumentParser(
         prog="psgdkit",
         description="Preconditioned SGD benchmark runner (deterministic, CSV traces).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one training run")
+    p_run = sub.add_parser("run", parents=[config], help="execute one training run")
     _add_run_flags(p_run)
-    p_run.add_argument("--config", default=None, help="key=value flag defaults file")
+    p_run.add_argument("--name", default=None, help="override the run name")
+    p_run.set_defaults(specs=None, reps=1)
 
-    p_sweep = sub.add_parser("sweep", help="execute several runs with seed offsets")
+    p_sweep = sub.add_parser("sweep", parents=[config],
+                             help="execute several runs with seed offsets")
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--config", default=None, help="key=value flag defaults file")
     p_sweep.add_argument("--run", action="append", default=None, metavar="SPEC",
                          dest="specs",
                          help="method[:variant[:mu]] (repeatable); defaults to the "
                               "flag-level method/variant/mu")
-    p_sweep.add_argument("--reps", type=int, default=1,
+    p_sweep.add_argument("--reps", type=_positive_int, default=1,
                          help="repetitions per spec with seed offsets")
+    p_sweep.set_defaults(name=None)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
 
     if argv and argv[0] in ("run", "sweep"):
-        try:
-            _apply_config_file(argv[1:], p_run if argv[0] == "run" else p_sweep)
-        except (OSError, ValueError) as exc:
-            parser.exit(2, f"psgdkit: config error: {exc}\n")
+        path = config.parse_known_args(argv[1:])[0].config
+        if path:
+            try:
+                argv[1:1] = _config_flags(path, sub.choices[argv[0]])
+            except (OSError, ValueError) as exc:
+                parser.exit(2, f"psgdkit: config error: {exc}\n")
 
     args = parser.parse_args(argv)
     return _dispatch(parser, args)
@@ -347,27 +351,22 @@ def _dispatch(parser, args) -> int:
         print(f"{len(results) - failed}/{len(results)} checks passed")
         return 1 if failed else 0
 
+    # run is one spec (the flags' own) and one rep; sweep may give several of each
     out_dir = _out_dir(args)
     entries = []
     try:
-        if args.command == "run":
-            name, cfg, result = _execute_run(args, args.seed, out_dir)
-            entries.append(_summarize(name, args, cfg, result))
-        else:
-            specs = args.specs or [None]
-            for spec in specs:
-                spec_args = argparse.Namespace(**vars(args))
-                spec_args.name = None  # repetitions need distinct names
-                if spec:
-                    parts = spec.split(":")
-                    spec_args.method = parts[0]
-                    if len(parts) > 1 and parts[1]:
-                        spec_args.precond = parts[1]
-                    if len(parts) > 2 and parts[2]:
-                        spec_args.mu = float(parts[2])
-                for rep in range(args.reps):
-                    name, cfg, result = _execute_run(spec_args, args.seed + rep, out_dir)
-                    entries.append(_summarize(name, spec_args, cfg, result))
+        for spec in args.specs or [None]:
+            spec_args = argparse.Namespace(**vars(args))
+            if spec:
+                parts = spec.split(":")
+                spec_args.method = parts[0]
+                if len(parts) > 1 and parts[1]:
+                    spec_args.precond = parts[1]
+                if len(parts) > 2 and parts[2]:
+                    spec_args.mu = float(parts[2])
+            for rep in range(args.reps):
+                name, cfg, result = _execute_run(spec_args, args.seed + rep, out_dir)
+                entries.append(_summarize(name, spec_args, cfg, result))
     except PsgdkitError as exc:
         parser.exit(2, f"psgdkit: {exc}\n")
     except ValueError as exc:

@@ -8,7 +8,7 @@ statistic the preconditioners learn from.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,30 +76,26 @@ class ProbeConfig:
     """How probes are drawn and regularized.
 
     mode         -- "approximate" (gradient differencing) or "exact" (Hvp)
-    sample_std   -- per-entry std of delta_theta; defaults to APPROX_PROBE_STD
-                    in approximate mode and 1.0 in exact mode
     damping      -- "none", "traditional" (adds lam*delta_theta to delta_g) or
                     "nonconvex" (adds lam times a fresh independent probe)
     """
 
     mode: str = "exact"
-    sample_std: float = field(default=None)  # type: ignore[assignment]
     damping: str = "none"
     damping_lambda: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("approximate", "exact"):
             raise ContractViolationError(f"unknown probe mode {self.mode!r}")
         if self.damping not in ("none", "traditional", "nonconvex"):
             raise ContractViolationError(f"unknown damping kind {self.damping!r}")
-        if self.sample_std is None:
-            std = APPROX_PROBE_STD if self.mode == "approximate" else 1.0
-            object.__setattr__(self, "sample_std", std)
-        if not self.sample_std > 0.0:
-            raise ContractViolationError("sample_std must be positive")
         if self.damping_lambda < 0.0:
             raise ContractViolationError("damping strength must be nonnegative")
+
+    @property
+    def sample_std(self) -> float:
+        """Per-entry std of delta_theta: APPROX_PROBE_STD when differencing, 1 for Hvps."""
+        return APPROX_PROBE_STD if self.mode == "approximate" else 1.0
 
 
 def sample_delta_theta(dim: int, cfg: ProbeConfig, rng: np.random.Generator) -> np.ndarray:

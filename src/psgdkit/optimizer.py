@@ -48,6 +48,11 @@ __all__ = [
 METHODS = ("psgd", "sgd", "rmsprop", "esgd")
 VARIANTS = ("dense", "diag", "splu", "kron", "scan")
 
+# The RMSProp baseline's decay of the squared-gradient average, and the
+# constant added to its root before dividing.
+RMSPROP_BETA = 0.9
+RMSPROP_EPS = 1e-8
+
 
 @dataclass
 class RunConfig:
@@ -63,10 +68,7 @@ class RunConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     skip_schedule: str = "never"  # "never" skips nothing; "log10" uses skip_admits
     iters: int = 500
-    batch_size: int = 1
     seed: int = 0
-    rmsprop_beta: float = 0.9
-    rmsprop_eps: float = 1e-8
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -81,8 +83,8 @@ class RunConfig:
             raise ContractViolationError("preconditioner step size must lie in (0, 1)")
         if self.clip_omega is not None and not self.clip_omega > 0.0:
             raise ContractViolationError("clip threshold must be positive")
-        if self.iters < 1 or self.batch_size < 1:
-            raise ContractViolationError("iters and batch_size must be at least 1")
+        if self.iters < 1:
+            raise ContractViolationError("iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def batch_seed_for(seed: int, t: int) -> int:
 
 
 def _probe_stream(cfg: RunConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, cfg.probe.rng_seed, 0x9B0BE]))
+    return np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 0x9B0BE]))
 
 
 def _admits(cfg: RunConfig, t: int) -> bool:
@@ -199,8 +201,8 @@ def rmsprop_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
                  timing: bool = False):
     started, _, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
     v = np.zeros_like(g) if state is None else state
-    v = cfg.rmsprop_beta * v + (1.0 - cfg.rmsprop_beta) * g * g
-    step = g / (np.sqrt(v) + cfg.rmsprop_eps)
+    v = RMSPROP_BETA * v + (1.0 - RMSPROP_BETA) * g * g
+    step = g / (np.sqrt(v) + RMSPROP_EPS)
     theta = theta - cfg.mu * step
     return theta, v, _finish_row(t, loss, g_norm, _norm(step), False, started)
 
@@ -246,10 +248,10 @@ def run(problem: Problem, cfg: RunConfig, timing: bool = False) -> RunResult:
     else:
         state = None
         step = _STEPS[cfg.method]
+    step = np.errstate(all="ignore")(step)  # one context, entered afresh by each call
     for t in range(1, cfg.iters + 1):
         try:
-            with np.errstate(all="ignore"):
-                theta, state, row = step(theta, problem, state, cfg, t, rng, timing)
+            theta, state, row = step(theta, problem, state, cfg, t, rng, timing)
         except RunDiverged as stop:
             rows.append(stop.row)
             return RunResult(rows, theta, state, True)

@@ -672,7 +672,12 @@ class DirectSumPrecond(Preconditioner):
             p.update(sub, step)
 
     def min_diag(self):
-        return min(p.min_diag() for _, p in self.blocks)
+        low = np.inf
+        for _, p in self.blocks:
+            x = p.min_diag()
+            if x < low or x != x:  # Python's min would pass over a nan after the first
+                low = x
+        return low
 
     def param_count(self):
         return sum(p.param_count() for _, p in self.blocks)

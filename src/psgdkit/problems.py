@@ -23,7 +23,6 @@ from .errors import ContractViolationError
 
 __all__ = [
     "BoundEvaluator",
-    "GroundTruth",
     "ParamBlock",
     "ParamLayout",
     "Problem",
@@ -36,15 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParamBlock:
-    """One named tensor: a vector (n,) or matrix (m, n) slice of theta.
-
-    ``augmented`` marks affine blocks whose input carries a trailing
-    constant-1 feature.
-    """
+    """One named tensor: a vector (n,) or matrix (m, n) slice of theta."""
 
     name: str
     shape: tuple
-    augmented: bool = False
 
     @property
     def size(self) -> int:
@@ -128,12 +122,6 @@ class BoundEvaluator:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    hessian: np.ndarray
-    linear: np.ndarray
-
-
-@dataclass(frozen=True)
 class Problem:
     """A benchmark problem: layout, batch binding, and a default start point.
 
@@ -148,7 +136,6 @@ class Problem:
     layout: ParamLayout
     bind_batch: Callable[[int], BoundEvaluator]
     initial_theta: Callable[[int], np.ndarray]
-    ground_truth: Optional[GroundTruth] = None
     seeded: bool = True
 
     @property
@@ -163,11 +150,14 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     A batch draws ``batch_size`` independent symmetric perturbations of H and
     of b (i.i.d. standard normal entries scaled by ``noise_scale``) and
     averages them; noise_scale 0 gives the deterministic quadratic. The exact
-    Hvp is v -> H_hat v.
+    Hvp is v -> H_hat v. H must be a non-empty symmetric matrix and
+    ``batch_size`` at least 1.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractViolationError("Hessian must be square")
+    if h.size == 0:
+        raise ContractViolationError("Hessian must not be empty")
     if np.max(np.abs(h - h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
         raise ContractViolationError("Hessian must be symmetric")
     dim = h.shape[0]
@@ -176,6 +166,8 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
         raise ContractViolationError("linear term has the wrong length")
     if noise_scale < 0.0:
         raise ContractViolationError("noise scale must be nonnegative")
+    if batch_size < 1:
+        raise ContractViolationError("batch size must be at least 1")
     layout = ParamLayout([ParamBlock("theta", (dim,))])
     upper = np.triu(np.ones((dim, dim), bool))
 
@@ -203,7 +195,6 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
         layout=layout,
         bind_batch=bind,
         initial_theta=lambda seed: np.random.default_rng(seed).standard_normal(dim),
-        ground_truth=GroundTruth(hessian=h, linear=b),
         seeded=noise_scale != 0.0,
     )
 
@@ -275,8 +266,8 @@ def make_xor_mlp(hidden: int) -> Problem:
     if hidden < 2:
         raise ContractViolationError("need at least two hidden units")
     layout = ParamLayout([
-        ParamBlock("w1", (hidden, 3), augmented=True),
-        ParamBlock("w2", (1, hidden + 1), augmented=True),
+        ParamBlock("w1", (hidden, 3)),
+        ParamBlock("w2", (1, hidden + 1)),
     ])
     n1 = 3 * hidden  # w1's share of theta, column-major as in the layout
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -354,8 +345,8 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
     if hidden < 1 or batch_size < 1:
         raise ContractViolationError("hidden size and batch size must be positive")
     layout = ParamLayout([
-        ParamBlock("w_rec", (hidden, hidden + 3), augmented=True),
-        ParamBlock("w_out", (1, hidden + 1), augmented=True),
+        ParamBlock("w_rec", (hidden, hidden + 3)),
+        ParamBlock("w_out", (1, hidden + 1)),
     ])
 
     def make_batch(seed):

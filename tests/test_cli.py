@@ -102,12 +102,44 @@ class TestRun:
         trace = read(out / "rosenbrock-sgd-mu0.001-seed5.csv").splitlines()
         assert len(trace) == 2 + 9
 
+    def test_config_file_values_pass_the_flags_checks(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("probe=approximate\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(cfg), "--problem", "quad",
+                     "--out", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        assert "'approximate'" in capsys.readouterr().err
+
+    def test_config_file_switch_and_dashed_key(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("quad-diag=1,-3\nper_block=yes\nsplu_order=1\n")
+        out = tmp_path / "runs"
+        assert run_cli(["run", "--config", str(cfg), "--problem", "quad", "--precond",
+                        "splu", "--iters", "3", "--name", "c", "--out", str(out)]) == 0
+        header = read(out / "c.csv").splitlines()[0]
+        for token in ("quad_diag=1,-3", "per_block=1", "splu_order=1"):
+            assert token in header
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("nonsense=1\n")
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--config", str(cfg), "--problem", "rosenbrock"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("problem", ["quad", "rosenbrock", "xor-mlp", "addition-rnn"])
+    def test_batch_size_below_one_is_usage_error(self, problem, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", problem, "--batch-size", "0"])
+        assert exc.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    def test_empty_quadratic_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "quad", "--dim", "0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "Hessian must not be empty" in capsys.readouterr().err
 
     def test_invalid_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -160,6 +192,33 @@ class TestSweep:
         ]
         summary = read(out / "summary.csv").splitlines()
         assert len(summary) == 5
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_is_usage_error(self, reps, tmp_path, capsys):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--problem", "rosenbrock", "--reps", reps, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--reps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_run_line_and_reps(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("run=psgd:kron:0.5\nreps=2\n")
+        out = tmp_path / "runs"
+        assert run_cli(["sweep", "--config", str(cfg), "--problem", "xor-mlp",
+                        "--iters", "5", "--out", str(out)]) == 0
+        assert len(read(out / "summary.csv").splitlines()) == 1 + 2
+
+    def test_config_file_run_lines_come_first(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem=xor-mlp\niters=5\nrun=psgd:kron:0.5\nreps=2\n")
+        out = tmp_path / "runs"
+        assert run_cli(["sweep", "--config", str(cfg), "--run", "sgd::1.0",
+                        "--out", str(out)]) == 0
+        names = [line.split(",")[0] for line in read(out / "summary.csv").splitlines()[1:]]
+        assert names == ["xor-mlp-psgd-kron-mu0.5-seed0", "xor-mlp-psgd-kron-mu0.5-seed1",
+                         "xor-mlp-sgd-mu1-seed0", "xor-mlp-sgd-mu1-seed1"]
 
 
 class TestVerify:

@@ -459,28 +459,17 @@ class TestMinDiag:
         (lambda: SpluPrecond(4, 2), "l1", (0, 0)),
         (lambda: SpluPrecond(4, 2), "u3", (1,)),
         (lambda: ScanPrecond(2, 3), "d2", (2,)),
+        # Python's min passes over a nan that is not first
+        (lambda: DirectSumPrecond([("a", DiagPrecond(2)), ("b", DiagPrecond(2))]), "b.q", (0,)),
     ])
     def test_nan_diagonal_gives_nan(self, maker, factor, index):
-        p = maker()
-        getattr(p, factor)[index] = np.nan
+        p = owner = maker()
+        *blocks, factor = factor.split(".")
+        for name in blocks:
+            owner = dict(owner.blocks)[name]
+        getattr(owner, factor)[index] = np.nan
+        assert np.isnan(owner.min_diag())
         assert np.isnan(p.min_diag())
-
-
-class TestGroupInvariants:
-    @pytest.mark.parametrize("maker", [
-        lambda: DensePrecond(8),
-        lambda: DiagPrecond(16),
-        lambda: KronPrecond(4, 3),
-        lambda: ScanPrecond(4, 3),
-        lambda: SpluPrecond(12, 3),
-        lambda: DirectSumPrecond([("a", KronPrecond(2, 3)), ("b", DiagPrecond(4))]),
-    ])
-    def test_positivity_survives_adversarial_steps(self, maker):
-        p = maker()
-        rng = np.random.default_rng(8)
-        for _ in range(10_000):
-            p.update(random_pair(rng, p.dim, scale=rng.uniform(0.1, 3.0)), 0.5)
-            assert p.min_diag() > 0.0
 
 
 class TestCriterionDescent:
@@ -510,50 +499,9 @@ class TestCriterionDescent:
         assert values[-1] < 0.75 * values[0]
 
 
-class TestEsgdEquivalence:
-    def test_adaptive_diag_matches_closed_form(self):
-        h = np.diag([2.0, -5.0])
-        rng = np.random.default_rng(10)
-        p = DiagPrecond(2)
-        m2 = np.zeros(2)
-        n = 50_000
-        for _ in range(n):
-            dt = rng.standard_normal(2)
-            dg = h @ dt
-            m2 += dg * dg
-            p.update(TangentPair(dt, dg), 0.01)
-        closed = closed_form_diagonal(np.ones(2), m2 / n)
-        np.testing.assert_allclose(p.q * p.q, closed, rtol=0.05)
-
-
 class TestFixedPointMoments:
     def test_whitening_residual_small_at_fixed_point(self):
         assert whitening_residual(seed=11) <= 0.10
-
-
-class TestNoiseAmplification:
-    def test_inverse_hessian_overamplifies(self):
-        # H^{-1} E[dg dg^T] H^{-1} - E[dt dt^T] stays nonnegative definite
-        dim = 5
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((dim, dim))
-        h = 0.5 * (a + a.T) + np.diag([3.0, -3.0, 2.0, -2.0, 4.0])
-        hinv = np.linalg.inv(h)
-        noise = 0.5
-        n = 100_000
-        acc_g = np.zeros((dim, dim))
-        acc_t = np.zeros((dim, dim))
-        upper = np.triu(np.ones((dim, dim), dtype=bool))
-        for _ in range(n):
-            raw = rng.standard_normal((dim, dim))
-            s = np.where(upper, raw, raw.T)
-            dt = rng.standard_normal(dim)
-            hg = hinv @ ((h + noise * s) @ dt)
-            acc_g += np.outer(hg, hg)
-            acc_t += np.outer(dt, dt)
-        diff = (acc_g - acc_t) / n
-        w = np.linalg.eigvalsh(0.5 * (diff + diff.T))
-        assert w.min() >= -1e-6
 
 
 class TestPatternClosure:

@@ -18,9 +18,9 @@ from psgdkit.verify import gradient_selfcheck
 class TestParamLayout:
     def test_flatten_unflatten_round_trip(self):
         layout = ParamLayout([
-            ParamBlock("w1", (3, 2), augmented=True),
+            ParamBlock("w1", (3, 2)),
             ParamBlock("v", (4,)),
-            ParamBlock("w2", (1, 4), augmented=True),
+            ParamBlock("w2", (1, 4)),
         ])
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(layout.size)
@@ -78,6 +78,14 @@ class TestQuadratic:
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractViolationError):
             make_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_empty_hessian_rejected(self):
+        with pytest.raises(ContractViolationError, match="empty"):
+            make_quadratic(np.zeros((0, 0)))
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ContractViolationError, match="batch size"):
+            make_quadratic(np.eye(2), noise_scale=0.1, batch_size=0)
 
 
 class TestRosenbrock:
