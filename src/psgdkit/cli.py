@@ -49,7 +49,7 @@ PROBLEM_DEFAULTS = {
 def _build_problem(args):
     if args.problem == "quad":
         if args.quad_diag:
-            diag = np.array([float(v) for v in args.quad_diag.split(",")])
+            diag = np.array(_numbers(args.quad_diag))
         else:
             diag = np.array([k * (1 if k % 2 else -1) for k in range(1, args.dim + 1)],
                             dtype=float)
@@ -64,13 +64,36 @@ def _build_problem(args):
     raise ValueError(f"unknown problem {args.problem!r}")
 
 
+def _flag_type(parse, expected, keep_text=False):
+    """An argparse type: parse(text), or text once parse accepts it with keep_text.
+    A ValueError becomes argparse's usage error, naming the flag and `expected`."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        return text if keep_text else value
+    return convert
+
+
+def _numbers(text):
+    return [float(v) for v in text.split(",")] if text else []
+
+
 def _parse_damping(text):
     if text == "none":
         return "none", 0.0
     for prefix, kind in (("trad:", "traditional"), ("noncvx:", "nonconvex")):
         if text.startswith(prefix):
             return kind, float(text[len(prefix):])
-    raise ValueError(f"damping must be none, trad:LAMBDA or noncvx:LAMBDA, got {text!r}")
+    raise ValueError(text)
+
+
+def _run_spec(text):
+    # the flag values a sweep --run value overrides; an empty part overrides none
+    method, precond, mu = (text.split(":") + ["", ""])[:3]
+    spec = {"method": method, "precond": precond, "mu": float(mu) if mu else ""}
+    return {key: value for key, value in spec.items() if value != ""}
 
 
 def _resolve_clip(clip_text, problem):
@@ -87,7 +110,7 @@ def _make_config(args, problem, seed):
     precond_mu = args.precond_mu if args.precond_mu is not None else defaults["precond_mu"]
     clip_text = args.clip if args.clip is not None else defaults["clip"]
     probe_mode = args.probe if args.probe is not None else defaults["probe"]
-    kind, lam = _parse_damping(args.damping)
+    kind, lam = args.damping
     mode = "approximate" if probe_mode == "approx" else "exact"
     return RunConfig(
         method=args.method,
@@ -236,6 +259,7 @@ def _add_run_flags(p):
                    choices=["quad", "rosenbrock", "xor-mlp", "addition-rnn"])
     p.add_argument("--dim", type=int, default=10, help="quadratic dimension")
     p.add_argument("--quad-diag", default=None, metavar="D1,D2,...",
+                   type=_flag_type(_numbers, "comma-separated numbers", keep_text=True),
                    help="explicit quadratic Hessian diagonal (default: alternating "
                         "+1,-2,...,+-dim)")
     p.add_argument("--noise", type=float, default=0.0, help="quadratic gradient noise scale")
@@ -256,11 +280,14 @@ def _add_run_flags(p):
     p.add_argument("--probe", default=None, choices=["approx", "exact"],
                    help="Hessian-vector probe mode (default per problem)")
     p.add_argument("--clip", default=None,
+                   type=_flag_type(lambda t: t in ("none", "auto") or float(t),
+                                   "none, auto or a number", keep_text=True),
                    help="preconditioned gradient clip threshold: none, auto "
                         "(10*sqrt(dim)) or a number (default per problem)")
     p.add_argument("--skip", default="never", choices=["never", "log10"],
                    help="preconditioner update-skipping schedule")
     p.add_argument("--damping", default="none",
+                   type=_flag_type(_parse_damping, "none, trad:LAMBDA or noncvx:LAMBDA"),
                    help="probe damping: none, trad:LAMBDA or noncvx:LAMBDA")
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--batch-size", type=_positive_int, default=1)
@@ -317,7 +344,7 @@ def main(argv=None) -> int:
                              help="execute several runs with seed offsets")
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--run", action="append", default=None, metavar="SPEC",
-                         dest="specs",
+                         dest="specs", type=_flag_type(_run_spec, "method[:variant[:mu]]"),
                          help="method[:variant[:mu]] (repeatable); defaults to the "
                               "flag-level method/variant/mu")
     p_sweep.add_argument("--reps", type=_positive_int, default=1,
@@ -355,21 +382,12 @@ def _dispatch(parser, args) -> int:
     out_dir = _out_dir(args)
     entries = []
     try:
-        for spec in args.specs or [None]:
-            spec_args = argparse.Namespace(**vars(args))
-            if spec:
-                parts = spec.split(":")
-                spec_args.method = parts[0]
-                if len(parts) > 1 and parts[1]:
-                    spec_args.precond = parts[1]
-                if len(parts) > 2 and parts[2]:
-                    spec_args.mu = float(parts[2])
+        for spec in args.specs or [{}]:
+            spec_args = argparse.Namespace(**{**vars(args), **spec})
             for rep in range(args.reps):
                 name, cfg, result = _execute_run(spec_args, args.seed + rep, out_dir)
                 entries.append(_summarize(name, spec_args, cfg, result))
-    except PsgdkitError as exc:
-        parser.exit(2, f"psgdkit: {exc}\n")
-    except ValueError as exc:
+    except (PsgdkitError, ValueError) as exc:
         parser.exit(2, f"psgdkit: {exc}\n")
 
     _write_summary(os.path.join(out_dir, "summary.csv"), entries)

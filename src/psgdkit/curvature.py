@@ -18,6 +18,7 @@ from .errors import (
     NumericEvaluationError,
     NumericInputError,
 )
+from .linalg import _all_finite
 
 __all__ = [
     "APPROX_PROBE_STD",
@@ -118,7 +119,7 @@ def approx_delta_g(grad_at, theta: np.ndarray, delta_theta: np.ndarray) -> np.nd
     delta_theta = np.asarray(delta_theta, dtype=float)
     g0 = np.asarray(grad_at(theta), dtype=float)
     g1 = np.asarray(grad_at(theta + delta_theta), dtype=float)
-    if not (np.isfinite(g0).all() and np.isfinite(g1).all()):
+    if not (_all_finite(g0) and _all_finite(g1)):
         raise NumericEvaluationError("non-finite gradient during probe differencing")
     return g1 - g0
 
@@ -129,7 +130,7 @@ def exact_delta_g(hvp, theta: np.ndarray, delta_theta: np.ndarray) -> np.ndarray
         raise CapabilityError("problem does not provide an exact Hessian-vector product")
     out = np.asarray(hvp(np.asarray(theta, dtype=float),
                          np.asarray(delta_theta, dtype=float)), dtype=float)
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NumericEvaluationError("non-finite Hessian-vector product")
     return out
 

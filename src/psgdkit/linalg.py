@@ -5,6 +5,7 @@ full square arrays; only the relevant triangle is meaningful and the diagonal
 must stay strictly positive (that is what keeps the factors on their group).
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,13 @@ def max_norm(a) -> float:
     # kernels it costs a third of np.maximum.reduce, for the same value
     x = np.abs(np.asarray(a, dtype=float)).ravel()
     return float(x[x.argmax()]) if x.size else 0.0
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # A finite a.a proves every entry finite (a sum of squares cannot cancel an
+    # inf or a nan); only a sum that overflows needs the entries scanned.
+    # np.vdot, unlike ndarray.dot, reports no overflow in numpy's error state.
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 @lru_cache(maxsize=64)

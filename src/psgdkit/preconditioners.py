@@ -29,7 +29,7 @@ from .errors import (
     DegenerateStateError,
     NumericInputError,
 )
-from .linalg import _tri_solve_unchecked, _zero_strict_lower, max_norm, tri_solve
+from .linalg import _all_finite, _tri_solve_unchecked, _zero_strict_lower, max_norm, tri_solve
 
 __all__ = [
     "DensePrecond",
@@ -50,6 +50,9 @@ _SOLVE_FLOOR = 1e-300
 _REJECT_FLOOR = 1e-150
 # Error state of the gradients that fold the factor checks (see Preconditioner).
 _quiet = np.errstate(all="ignore")
+# The identity state of a factor of each structure, given its shape.
+_IDENTITY = {"upper": lambda s: np.eye(s[0]), "lower": lambda s: np.eye(s[0]),
+             "positive": np.ones, "free": np.zeros}
 
 # The kernels call ndarray.dot rather than @, ufunc reductions rather than
 # ndarray.sum, and take a vector's minimum as v[v.argmin()] (nan when an entry
@@ -73,13 +76,6 @@ def _triangular_step(q: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
         return np.array([[c]]) if c >= _REJECT_FLOOR else q
     cand = q - mu * g.dot(q)
     return cand if _admissible(cand.diagonal()) else q
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    # A finite a.a proves every entry finite (a sum of squares cannot cancel an
-    # inf or a nan); only a sum that overflows needs the entries scanned.
-    return (math.isfinite(a.dot(a) if a.ndim == 1 else np.vdot(a, a))
-            or bool(np.isfinite(a).all()))
 
 
 def _scan_factors(p: "Preconditioner") -> None:
@@ -116,11 +112,12 @@ class Preconditioner:
       with its structure: ``"upper"`` or ``"lower"`` (a square triangular
       factor with a positive diagonal), ``"positive"`` (a vector of positive
       diagonal entries) or ``"free"``;
-    - ``factor_shapes(*shape_fields)``: the factors' shapes, computed without
-      allocating. It rejects the shape fields the constructor rejects, and
-      the constructor calls it to do so.
+    - ``_factor_shapes(*shape_fields)``: the factors' shapes.
 
-    ``min_diag`` and the checkpoint record derive from this declaration.
+    The constructor (the identity state), ``factor_shapes`` (each shape field
+    checked to be at least 1, nothing allocated), ``min_diag``, ``param_count``
+    and the checkpoint record derive from this declaration. A family without
+    a ``dim`` field is an (m, n) matrix block with ``dim = m * n``.
     ``update`` validates the step, the pair's dims and the diagonal floor,
     then runs the family's ``_update`` kernel on raw arrays. Before it
     assigns anything a kernel shows its factors finite, by ``_scan_factors``
@@ -134,7 +131,14 @@ class Preconditioner:
     tag: int
     shape_fields = ()
     factors = ()
-    _collapsed = "factor diagonal collapsed"  # DegenerateStateError message
+
+    def __init__(self, *shape):
+        shapes = self.factor_shapes(*shape)
+        vars(self).update(zip(self.shape_fields, shape))
+        if "dim" not in self.shape_fields:
+            self.dim = self.m * self.n
+        for (name, structure), s in zip(self.factors, shapes):
+            setattr(self, name, _IDENTITY[structure](s))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -143,8 +147,13 @@ class Preconditioner:
         raise NotImplementedError
 
     @classmethod
-    def factor_shapes(cls, *shape_fields) -> list:
-        raise NotImplementedError
+    def factor_shapes(cls, *shape) -> list:
+        """The factors' shapes; ContractViolationError for rejected shape fields."""
+        for field, value in zip(cls.shape_fields, shape):
+            if value < 1:
+                raise ContractViolationError(
+                    f"{cls.__name__} dimension {field} must be at least 1, got {value}")
+        return cls._factor_shapes(*shape)
 
     def update(self, pair: TangentPair, step: float) -> None:
         """One normalized relative-gradient step on the pair (dt, dg)."""
@@ -153,7 +162,7 @@ class Preconditioner:
         dt = self._check_dim(pair.delta_theta)
         dg = self._check_dim(pair.delta_g)
         if self.min_diag() < _SOLVE_FLOOR:
-            raise DegenerateStateError(self._collapsed)
+            raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
         self._update(dt, dg, step)
 
     def _update(self, dt: np.ndarray, dg: np.ndarray, step: float) -> None:
@@ -204,18 +213,10 @@ class DensePrecond(Preconditioner):
     tag = 1
     shape_fields = ("dim",)
     factors = (("q", "upper"),)
-    _collapsed = "dense factor diagonal collapsed"
 
     @classmethod
-    def factor_shapes(cls, dim):
-        if dim < 1:
-            raise ContractViolationError("dimension must be at least 1")
+    def _factor_shapes(cls, dim):
         return [(dim, dim)]
-
-    def __init__(self, dim: int):
-        self.factor_shapes(dim)
-        self.dim = dim
-        self.q = np.eye(dim)
 
     def apply(self, g):
         g = self._check_dim(g)
@@ -249,18 +250,10 @@ class DiagPrecond(Preconditioner):
     tag = 2
     shape_fields = ("dim",)
     factors = (("q", "positive"),)
-    _collapsed = "diagonal factor collapsed"
 
     @classmethod
-    def factor_shapes(cls, dim):
-        if dim < 1:
-            raise ContractViolationError("dimension must be at least 1")
+    def _factor_shapes(cls, dim):
         return [(dim,)]
-
-    def __init__(self, dim: int):
-        self.factor_shapes(dim)
-        self.dim = dim
-        self.q = np.ones(dim)
 
     def apply(self, g):
         g = self._check_dim(g)
@@ -316,21 +309,10 @@ class KronPrecond(Preconditioner):
     tag = 4
     shape_fields = ("m", "n")
     factors = (("q1", "upper"), ("q2", "upper"))
-    _collapsed = "Kronecker factor diagonal collapsed"
 
     @classmethod
-    def factor_shapes(cls, m, n):
-        if m < 1 or n < 1:
-            raise ContractViolationError("factor sizes must be at least 1")
+    def _factor_shapes(cls, m, n):
         return [(m, m), (n, n)]
-
-    def __init__(self, m: int, n: int):
-        self.factor_shapes(m, n)
-        self.m = m
-        self.n = n
-        self.dim = m * n
-        self.q1 = np.eye(m)
-        self.q2 = np.eye(n)
 
     # v.reshape(n, m).T is v.reshape((m, n), order="F") without the keyword
     # (column-major matricization); g.T.ravel() flattens back.
@@ -390,22 +372,10 @@ class ScanPrecond(Preconditioner):
     tag = 5
     shape_fields = ("m", "n")
     factors = (("q1", "positive"), ("d2", "positive"), ("c2", "free"))
-    _collapsed = "scaling/normalization factor collapsed"
 
     @classmethod
-    def factor_shapes(cls, m, n):
-        if m < 1 or n < 1:
-            raise ContractViolationError("factor sizes must be at least 1")
+    def _factor_shapes(cls, m, n):
         return [(m,), (n,), (n - 1,)]
-
-    def __init__(self, m: int, n: int):
-        self.factor_shapes(m, n)
-        self.m = m
-        self.n = n
-        self.dim = m * n
-        self.q1 = np.ones(m)
-        self.d2 = np.ones(n)
-        self.c2 = np.zeros(n - 1)
 
     # right-multiplications by the structured Q2
     def _right_q2t(self, g):
@@ -496,28 +466,13 @@ class SpluPrecond(Preconditioner):
     shape_fields = ("dim", "r")
     factors = (("l1", "lower"), ("l2", "free"), ("l3", "positive"),
                ("u1", "upper"), ("u2", "free"), ("u3", "positive"))
-    _collapsed = "sparse-LU factor diagonal collapsed"
 
     @classmethod
-    def factor_shapes(cls, dim, order):
-        if dim < 1:
-            raise ContractViolationError("dimension must be at least 1")
-        if not 1 <= order <= dim:
-            raise ContractViolationError("order must satisfy 1 <= r <= dim")
+    def _factor_shapes(cls, dim, order):
+        if order > dim:
+            raise ContractViolationError(f"order r must be at most dim={dim}, got {order}")
         k = dim - order
         return [(order, order), (k, order), (k,), (order, order), (order, k), (k,)]
-
-    def __init__(self, dim: int, order: int):
-        self.factor_shapes(dim, order)
-        self.dim = dim
-        self.r = order
-        k = dim - order
-        self.l1 = np.eye(order)          # lower triangular
-        self.l2 = np.zeros((k, order))
-        self.l3 = np.ones(k)
-        self.u1 = np.eye(order)          # upper triangular
-        self.u2 = np.zeros((order, k))
-        self.u3 = np.ones(k)
 
     def _split(self, v):
         return v[: self.r], v[self.r:]
@@ -532,7 +487,7 @@ class SpluPrecond(Preconditioner):
         its entry to zero before any solve could see it)."""
         v = self._check_dim(v)
         if self.min_diag() < _SOLVE_FLOOR:
-            raise DegenerateStateError(self._collapsed)
+            raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
         if inverse and not (_all_finite(self.l3) and _all_finite(self.u3)):
             raise NumericInputError("non-finite entries in factor l3 or u3")
         return v

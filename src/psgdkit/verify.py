@@ -87,16 +87,9 @@ def _criterion_dense(q, pairs):
 
 
 def _mean_pair_gradients(p, pairs):
-    acc = None
-    for pr in pairs:
-        parts = p._pair_gradient(pr.delta_theta, pr.delta_g)
-        parts = parts if isinstance(parts, tuple) else (parts,)
-        if acc is None:
-            acc = [np.array(g, dtype=float, copy=True) for g in parts]
-        else:
-            for a, g in zip(acc, parts):
-                a += g
-    return [a / len(pairs) for a in acc]
+    grads = [p._pair_gradient(pr.delta_theta, pr.delta_g) for pr in pairs]
+    grads = [g if isinstance(g, tuple) else (g,) for g in grads]
+    return [sum(parts) / len(pairs) for parts in zip(*grads)]
 
 
 def _random_pairs(rng, dim, count=16):
@@ -109,6 +102,80 @@ def _random_pairs(rng, dim, count=16):
     return pairs
 
 
+def _random_state(p, rng, scale):
+    """Fill p's declared factors: a triangle of scale * normals over a diagonal in
+    1 + scale * [0, 1), a positive vector in 0.5 + [0, 1), free scale * normals."""
+    for name, structure in p.factors:
+        shape = getattr(p, name).shape
+        if structure in ("upper", "lower"):
+            tri = np.triu if structure == "upper" else np.tril
+            value = (tri(scale * rng.standard_normal(shape))
+                     + np.diag(1.0 + scale * rng.random(shape[0])))
+        elif structure == "positive":
+            value = 0.5 + rng.random(shape)
+        else:
+            value = scale * rng.standard_normal(shape)
+        setattr(p, name, value)
+
+
+def _dense_direction(p, grads, k, rng):
+    e = np.triu(rng.standard_normal((p.dim, p.dim)))
+    return (lambda s: p.q + s * e @ p.q), 2.0 * np.sum(e * grads[0])
+
+
+def _diag_direction(p, grads, k, rng):
+    e = rng.standard_normal(p.dim)
+    return (lambda s: np.diag(p.q + s * e * p.q)), 2.0 * np.sum(e * grads[0])
+
+
+def _kron_direction(p, grads, k, rng):
+    e = np.triu(rng.standard_normal((p.m, p.m) if k % 2 == 0 else (p.n, p.n)))
+    if k % 2 == 0:
+        return (lambda s: np.kron(p.q2, p.q1 + s * e @ p.q1)), 2.0 * np.sum(e * grads[0])
+    return (lambda s: np.kron(p.q2 + s * e @ p.q2, p.q1)), 2.0 * np.sum(e * grads[1])
+
+
+def _scan_direction(p, grads, k, rng):
+    g1, gd, gc = grads
+    q2 = p.materialize_q2()
+    if k % 2 == 0:
+        e = rng.standard_normal(p.m)
+        return (lambda s: np.kron(q2, np.diag(p.q1 + s * e * p.q1))), 2.0 * np.sum(e * g1)
+    ed = rng.standard_normal(p.n)
+    ec = rng.standard_normal(p.n - 1)
+    e = np.diag(ed)
+    e[:-1, -1] = ec
+    return ((lambda s: np.kron(q2 + s * e @ q2, np.diag(p.q1))),
+            2.0 * (np.sum(ed * gd) + np.sum(ec * gc)))
+
+
+def _splu_direction(p, grads, k, rng):
+    # E L on even k (E lower, first r columns), U E on odd k (E upper, first r rows)
+    dim, r, lower = p.dim, p.r, k % 2 == 0
+    low, up = p.materialize_lu()
+    off = np.s_[r:, :r] if lower else np.s_[:r, r:]
+    e = np.zeros((dim, dim))
+    e[:r, :r] = (np.tril if lower else np.triu)(rng.standard_normal((r, r)))
+    e[off] = rng.standard_normal(e[off].shape)
+    e[r:, r:] = np.diag(rng.standard_normal(dim - r))
+    g1, g2, g3 = grads[:3] if lower else grads[3:]
+    an = 2.0 * (np.sum(e[:r, :r] * g1) + np.sum(e[off] * g2) + np.sum(np.diag(e)[r:] * g3))
+    return ((lambda s: (low + s * e @ low) @ up) if lower
+            else (lambda s: low @ (up + s * up @ e))), an
+
+
+# variant: (family, shape, scale of its random state, direction sampler). A
+# sampler(p, grads, k, rng) returns Q along a group direction E as a function
+# of the step s, and the analytic derivative 2 <E, grad> there.
+_ANCHORS = {
+    "dense": (DensePrecond, (5,), 0.3, _dense_direction),
+    "diag": (DiagPrecond, (6,), 0.3, _diag_direction),
+    "kron": (KronPrecond, (3, 4), 0.2, _kron_direction),
+    "scan": (ScanPrecond, (3, 4), 0.3, _scan_direction),
+    "splu": (SpluPrecond, (8, 2), 0.2, _splu_direction),
+}
+
+
 def _anchor_worst(variant, rng, n_dirs=20, h=1e-6):
     """Worst relative mismatch of analytic vs. finite-difference derivative.
 
@@ -116,112 +183,16 @@ def _anchor_worst(variant, rng, n_dirs=20, h=1e-6):
     directional derivative along a group direction E (dQ = E Q, or dU = U E
     for the LU upper factor) must equal twice the inner product <E, grad>.
     """
-    def rel(fd, an):
-        return abs(fd - an) / max(abs(fd), abs(an), 1e-300)
-
+    cls, shape, scale, direction = _ANCHORS[variant]
+    p = cls(*shape)
+    _random_state(p, rng, scale)
+    pairs = _random_pairs(rng, p.dim)
+    grads = _mean_pair_gradients(p, pairs)
     worst = 0.0
-    if variant == "dense":
-        dim = 5
-        p = DensePrecond(dim)
-        p.q = np.triu(0.3 * rng.standard_normal((dim, dim))) + np.diag(1.0 + 0.3 * rng.random(dim))
-        pairs = _random_pairs(rng, dim)
-        (g,) = _mean_pair_gradients(p, pairs)
-        for _ in range(n_dirs):
-            e = np.triu(rng.standard_normal((dim, dim)))
-            fd = (_criterion_dense(p.q + h * e @ p.q, pairs)
-                  - _criterion_dense(p.q - h * e @ p.q, pairs)) / (2 * h)
-            worst = max(worst, rel(fd, 2.0 * np.sum(e * g)))
-    elif variant == "diag":
-        dim = 6
-        p = DiagPrecond(dim)
-        p.q = 0.5 + rng.random(dim)
-        pairs = _random_pairs(rng, dim)
-        (g,) = _mean_pair_gradients(p, pairs)
-        for _ in range(n_dirs):
-            e = rng.standard_normal(dim)
-            fd = (_criterion_dense(np.diag(p.q + h * e * p.q), pairs)
-                  - _criterion_dense(np.diag(p.q - h * e * p.q), pairs)) / (2 * h)
-            worst = max(worst, rel(fd, 2.0 * np.sum(e * g)))
-    elif variant == "kron":
-        m, n = 3, 4
-        p = KronPrecond(m, n)
-        p.q1 = np.triu(0.2 * rng.standard_normal((m, m))) + np.diag(1.0 + 0.2 * rng.random(m))
-        p.q2 = np.triu(0.2 * rng.standard_normal((n, n))) + np.diag(1.0 + 0.2 * rng.random(n))
-        pairs = _random_pairs(rng, m * n)
-        g1, g2 = _mean_pair_gradients(p, pairs)
-        for k in range(n_dirs):
-            if k % 2 == 0:
-                e = np.triu(rng.standard_normal((m, m)))
-                qp = np.kron(p.q2, p.q1 + h * e @ p.q1)
-                qm = np.kron(p.q2, p.q1 - h * e @ p.q1)
-                an = 2.0 * np.sum(e * g1)
-            else:
-                e = np.triu(rng.standard_normal((n, n)))
-                qp = np.kron(p.q2 + h * e @ p.q2, p.q1)
-                qm = np.kron(p.q2 - h * e @ p.q2, p.q1)
-                an = 2.0 * np.sum(e * g2)
-            fd = (_criterion_dense(qp, pairs) - _criterion_dense(qm, pairs)) / (2 * h)
-            worst = max(worst, rel(fd, an))
-    elif variant == "scan":
-        m, n = 3, 4
-        p = ScanPrecond(m, n)
-        p.q1 = 0.5 + rng.random(m)
-        p.d2 = 0.5 + rng.random(n)
-        p.c2 = 0.3 * rng.standard_normal(n - 1)
-        pairs = _random_pairs(rng, m * n)
-        g1, gd, gc = _mean_pair_gradients(p, pairs)
-        q2 = p.materialize_q2()
-        for k in range(n_dirs):
-            if k % 2 == 0:
-                e = rng.standard_normal(m)
-                qp = np.kron(q2, np.diag(p.q1 + h * e * p.q1))
-                qm = np.kron(q2, np.diag(p.q1 - h * e * p.q1))
-                an = 2.0 * np.sum(e * g1)
-            else:
-                ed = rng.standard_normal(n)
-                ec = rng.standard_normal(n - 1)
-                e = np.diag(ed)
-                e[:-1, -1] = ec
-                qp = np.kron(q2 + h * e @ q2, np.diag(p.q1))
-                qm = np.kron(q2 - h * e @ q2, np.diag(p.q1))
-                an = 2.0 * (np.sum(ed * gd) + np.sum(ec * gc))
-            fd = (_criterion_dense(qp, pairs) - _criterion_dense(qm, pairs)) / (2 * h)
-            worst = max(worst, rel(fd, an))
-    elif variant == "splu":
-        dim, r = 8, 2
-        p = SpluPrecond(dim, r)
-        p.l1 = np.tril(0.2 * rng.standard_normal((r, r))) + np.diag(1.0 + 0.2 * rng.random(r))
-        p.l2 = 0.2 * rng.standard_normal((dim - r, r))
-        p.l3 = 0.5 + rng.random(dim - r)
-        p.u1 = np.triu(0.2 * rng.standard_normal((r, r))) + np.diag(1.0 + 0.2 * rng.random(r))
-        p.u2 = 0.2 * rng.standard_normal((r, dim - r))
-        p.u3 = 0.5 + rng.random(dim - r)
-        pairs = _random_pairs(rng, dim)
-        gl1, gl2, gl3, gu1, gu2, gu3 = _mean_pair_gradients(p, pairs)
-        low, up = p.materialize_lu()
-        for k in range(n_dirs):
-            if k % 2 == 0:
-                e = np.zeros((dim, dim))
-                e[:r, :r] = np.tril(rng.standard_normal((r, r)))
-                e[r:, :r] = rng.standard_normal((dim - r, r))
-                e[r:, r:] = np.diag(rng.standard_normal(dim - r))
-                qp = (low + h * e @ low) @ up
-                qm = (low - h * e @ low) @ up
-                an = 2.0 * (np.sum(e[:r, :r] * gl1) + np.sum(e[r:, :r] * gl2)
-                            + np.sum(np.diag(e)[r:] * gl3))
-            else:
-                e = np.zeros((dim, dim))
-                e[:r, :r] = np.triu(rng.standard_normal((r, r)))
-                e[:r, r:] = rng.standard_normal((r, dim - r))
-                e[r:, r:] = np.diag(rng.standard_normal(dim - r))
-                qp = low @ (up + h * up @ e)
-                qm = low @ (up - h * up @ e)
-                an = 2.0 * (np.sum(e[:r, :r] * gu1) + np.sum(e[:r, r:] * gu2)
-                            + np.sum(np.diag(e)[r:] * gu3))
-            fd = (_criterion_dense(qp, pairs) - _criterion_dense(qm, pairs)) / (2 * h)
-            worst = max(worst, rel(fd, an))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    for k in range(n_dirs):
+        q_at, an = direction(p, grads, k, rng)
+        fd = (_criterion_dense(q_at(h), pairs) - _criterion_dense(q_at(-h), pairs)) / (2 * h)
+        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-300))
     return worst
 
 

@@ -174,6 +174,24 @@ class TestRun:
             run_cli(["run", "--problem", "quad", "--damping", "ridge=0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["run", "--quad-diag", "1,,2"], "", "--quad-diag"),
+        (["run", "--damping", "trad:x"], "", "--damping"),
+        (["run", "--clip", "abc"], "", "--clip"),
+        (["sweep", "--run", "psgd:kron:abc"], "", "--run"),
+        (["run"], "quad_diag=1,x\n", "--quad-diag"),
+        (["sweep"], "run=sgd::fast\n", "--run"),
+    ], ids=["quad-diag", "damping", "clip", "run", "quad-diag-config", "run-config"])
+    def test_malformed_value_names_its_flag(self, argv, config, flag, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--config", str(cfg), "--problem", "quad", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_specs_and_seed_offsets(self, tmp_path):

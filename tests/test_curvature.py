@@ -10,7 +10,7 @@ from psgdkit.curvature import (
     exact_delta_g,
     sample_delta_theta,
 )
-from psgdkit.errors import CapabilityError, ContractViolationError
+from psgdkit.errors import CapabilityError, ContractViolationError, NumericEvaluationError
 from psgdkit.problems import make_quadratic, make_rosenbrock, make_xor_mlp
 
 
@@ -81,6 +81,21 @@ class TestApproxDeltaG:
         exact = exact_delta_g(ev.hvp, theta, dt)
         np.testing.assert_allclose(approx, exact, rtol=1e-3, atol=1e-9)
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_raises(self, bad, shifted):
+        # the bad entry is in grad(theta) or in grad(theta + dt)
+        grad = lambda th: np.array([1.0, bad if (th[0] > 0.0) == shifted else 2.0])
+        with pytest.raises(NumericEvaluationError, match="differencing"):
+            approx_delta_g(grad, np.zeros(2), np.array([1.0, 0.0]))
+
+    def test_large_finite_gradient_passes(self):
+        # the gradients' self-dots overflow, so their entries are scanned instead
+        grad = lambda th: np.array([1e200, 1e200 * (1.0 + th[0])])
+        with np.errstate(all="raise"):
+            out = approx_delta_g(grad, np.zeros(2), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(out, [0.0, 1e200])
+
 
 class TestExactDeltaG:
     def test_diagonal_hessian(self):
@@ -99,6 +114,18 @@ class TestExactDeltaG:
     def test_missing_capability(self):
         with pytest.raises(CapabilityError):
             exact_delta_g(None, np.zeros(2), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hvp_raises(self, bad):
+        hvp = lambda th, v: np.array([1.0, bad, 2.0])
+        with pytest.raises(NumericEvaluationError, match="Hessian-vector product"):
+            exact_delta_g(hvp, np.zeros(3), np.ones(3))
+
+    def test_large_finite_hvp_passes(self):
+        hvp = lambda th, v: np.array([1e200, -1e200])
+        with np.errstate(all="raise"):
+            out = exact_delta_g(hvp, np.zeros(2), np.ones(2))
+        np.testing.assert_array_equal(out, [1e200, -1e200])
 
     def test_zero_probe_documented_degenerate(self):
         # a zero probe yields a zero response but is rejected as a pair

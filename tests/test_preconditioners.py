@@ -400,6 +400,45 @@ class TestDirectSum:
         np.testing.assert_allclose(p.blocks[0][1].q, solo.q)
 
 
+FAMILY_SHAPES = [(DensePrecond, (4,)), (DiagPrecond, (4,)), (KronPrecond, (3, 2)),
+                 (ScanPrecond, (3, 2)), (SpluPrecond, (5, 2))]
+
+
+class TestDeclaration:
+    @pytest.mark.parametrize("cls, shape", FAMILY_SHAPES)
+    def test_fresh_state_is_declared_identity(self, cls, shape):
+        p = cls(*shape)
+        assert tuple(getattr(p, f) for f in cls.shape_fields) == shape
+        assert p.dim == (shape[0] if "dim" in cls.shape_fields else shape[0] * shape[1])
+        for (name, structure), s in zip(cls.factors, cls.factor_shapes(*shape)):
+            a = getattr(p, name)
+            assert a.shape == s and a.dtype == float, name
+            expected = {"upper": np.eye(s[0]), "lower": np.eye(s[0]),
+                        "positive": np.ones(s), "free": np.zeros(s)}[structure]
+            np.testing.assert_array_equal(a, expected)
+        assert p.min_diag() == 1.0
+
+    @pytest.mark.parametrize("cls, shape", FAMILY_SHAPES)
+    def test_zero_shape_field_rejected(self, cls, shape):
+        for i, field in enumerate(cls.shape_fields):
+            bad = shape[:i] + (0,) + shape[i + 1:]
+            for make in (cls, cls.factor_shapes):
+                with pytest.raises(ContractViolationError,
+                                   match=f"{cls.__name__} dimension {field} must be at least 1"):
+                    make(*bad)
+
+    def test_splu_order_above_dim_rejected(self):
+        for make in (SpluPrecond, SpluPrecond.factor_shapes):
+            with pytest.raises(ContractViolationError, match="order"):
+                make(4, 5)
+
+    def test_collapse_message_names_the_family(self):
+        p = KronPrecond(2, 2)
+        p.q2 = np.diag([1.0, 1e-301])
+        with pytest.raises(DegenerateStateError, match="KronPrecond factor diagonal collapsed"):
+            p.update(TangentPair(np.ones(4), np.ones(4)), 0.1)
+
+
 class TestParamCount:
     def test_table_values(self):
         assert ScanPrecond(4, 3).param_count() == 9

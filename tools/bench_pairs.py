@@ -13,7 +13,8 @@ its workloads, for the parent and the change in ten alternating pairs: pair i
 uses seed `--first-seed + i` for both sides, and the side that runs first
 alternates from pair to pair. It reads each command's last output line (one
 JSON object) and writes, for both revisions, the commit, the hash of its
-`src/` tree and the environment, and per workload and end-to-end metric the
+`src/` tree, its code size (`src_lines`, the `wc -l` total of
+`src/psgdkit/*.py`) and the environment, and per workload and end-to-end metric the
 per-pair values with their median and quartiles. The change/parent ratio of
 each pair is recorded as well.
 
@@ -44,6 +45,17 @@ def extract(rev, dest):
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def src_lines(tree):
+    """Newlines in tree's src/psgdkit/*.py together, as `wc -l` counts them."""
+    pkg = os.path.join(tree, "src", "psgdkit")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def bench(tree, workload, seed, seconds):
@@ -89,6 +101,7 @@ def main(argv=None):
         for side, rev in (("parent", parent_rev), ("change", change_rev)):
             os.mkdir(trees[side])
             extract(rev, trees[side])
+            record[side]["src_lines"] = src_lines(trees[side])
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i in range(PAIRS):
