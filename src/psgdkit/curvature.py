@@ -40,9 +40,10 @@ def _check_probe(dt: np.ndarray, dg: np.ndarray) -> None:
     """Raise unless the equal-length float vectors dt, dg are finite and dt is not all zero."""
     # A finite, positive dt.dt means dt is finite and not all zero, and a
     # finite dg.dg means dg is finite: a sum of squares cannot cancel an inf
-    # or a nan. A vector's own dot reports no overflow, and only a sum that
-    # over- or underflows sends the check on to scan the entries.
-    if 0.0 < dt.dot(dt) < math.inf and math.isfinite(dg.dot(dg)):
+    # or a nan. np.vdot, unlike ndarray.dot, reports no overflow in numpy's
+    # error state, and only a sum that over- or underflows sends the check on
+    # to scan the entries.
+    if 0.0 < np.vdot(dt, dt) < math.inf and math.isfinite(np.vdot(dg, dg)):
         return
     if not (np.isfinite(dt).all() and np.isfinite(dg).all()):
         raise NumericInputError("non-finite entries in tangent pair")
@@ -90,8 +91,9 @@ class ProbeConfig:
             raise ContractViolationError(f"unknown probe mode {self.mode!r}")
         if self.damping not in ("none", "traditional", "nonconvex"):
             raise ContractViolationError(f"unknown damping kind {self.damping!r}")
-        if self.damping_lambda < 0.0:
-            raise ContractViolationError("damping strength must be nonnegative")
+        if not 0.0 <= self.damping_lambda < math.inf:
+            raise ContractViolationError(
+                f"damping strength must be finite and nonnegative, got {self.damping_lambda}")
 
     @property
     def sample_std(self) -> float:

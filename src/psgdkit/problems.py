@@ -150,20 +150,24 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     A batch draws ``batch_size`` independent symmetric perturbations of H and
     of b (i.i.d. standard normal entries scaled by ``noise_scale``) and
     averages them; noise_scale 0 gives the deterministic quadratic. The exact
-    Hvp is v -> H_hat v. H must be a non-empty symmetric matrix and
-    ``batch_size`` at least 1.
+    Hvp is v -> H_hat v. H must be a non-empty, finite, symmetric matrix, b
+    finite and ``batch_size`` at least 1.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractViolationError("Hessian must be square")
     if h.size == 0:
         raise ContractViolationError("Hessian must not be empty")
+    if not np.isfinite(h).all():  # a nan would pass the symmetry test below
+        raise ContractViolationError("Hessian must be finite")
     if np.max(np.abs(h - h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
         raise ContractViolationError("Hessian must be symmetric")
     dim = h.shape[0]
     b = np.zeros(dim) if b is None else np.asarray(b, dtype=float)
     if b.shape != (dim,):
         raise ContractViolationError("linear term has the wrong length")
+    if not np.isfinite(b).all():
+        raise ContractViolationError("linear term must be finite")
     if noise_scale < 0.0:
         raise ContractViolationError("noise scale must be nonnegative")
     if batch_size < 1:
@@ -348,6 +352,7 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
         ParamBlock("w_rec", (hidden, hidden + 3)),
         ParamBlock("w_out", (1, hidden + 1)),
     ])
+    ones = np.ones((seq_len, batch_size, 1))
 
     def make_batch(seed):
         rng = np.random.default_rng(seed)
@@ -366,12 +371,13 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
         @_last_value
         def forward(th):
             w, wo = layout.unflatten(th)
-            wh, wx, bias = w[:, :hidden], w[:, hidden:hidden + 2], w[:, hidden + 2]
-            states = [np.zeros((batch_size, hidden))]
-            for u in inputs:
-                a = states[-1] @ wh.T + u @ wx.T + bias
-                states.append(np.tanh(a))
-            ha = np.hstack([states[-1], np.ones((batch_size, 1))])
+            wht, bias = w[:, :hidden].T, w[:, hidden + 2]
+            xw = inputs @ w[:, hidden:hidden + 2].T  # equals the per-step products bit for bit
+            # a fresh array per pass: a remembered pass must never be written into
+            states = np.zeros((seq_len + 1, batch_size, hidden))
+            for t in range(seq_len):
+                np.tanh(states[t] @ wht + xw[t] + bias, out=states[t + 1])
+            ha = np.hstack([states[-1], ones[0]])
             pred = ha @ wo.ravel()
             return w, wo, states, ha, pred
 
@@ -384,21 +390,17 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
             w, wo, states, ha, pred = forward(th)
             wh = w[:, :hidden]
             dpred = 2.0 * (pred - targets) / batch_size
-            gwo = (dpred @ ha)[None, :]
-            # each block sums its terms from t = seq_len down, starting at 0
-            gwh = np.zeros((hidden, hidden))
-            gwx = np.zeros((hidden, 2))
-            gb = np.zeros(hidden)
+            dtanh = 1.0 - states * states
+            # step t's augmented input [h_{t-1}, x_t, 1], so w_rec's gradient is one
+            # product per step, summed from t = seq_len down, starting at 0
+            xs = np.concatenate([states[:-1], inputs, ones], axis=2)
+            gw = np.zeros((hidden, hidden + 3))
             dh = np.outer(dpred, wo[0, :hidden])
             for t in range(seq_len, 0, -1):
-                ht = states[t]
-                da = dh * (1.0 - ht * ht)
-                gwh += da.T @ states[t - 1]
-                gwx += da.T @ inputs[t - 1]
-                gb += da.sum(axis=0)
+                da = dh * dtanh[t]
+                gw += da.T @ xs[t - 1]
                 dh = da @ wh
-            gw = np.concatenate([gwh, gwx, gb[:, None]], axis=1)
-            return layout.flatten([gw, gwo])
+            return np.concatenate([gw.ravel(order="F"), dpred @ ha])
 
         return BoundEvaluator(loss=loss, grad=grad, hvp=None)
 

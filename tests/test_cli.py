@@ -141,6 +141,19 @@ class TestRun:
         assert exc.value.code == 2
         assert "Hessian must not be empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, fault", [
+        ("--quad-diag", "nan,1", "Hessian must be finite"),
+        ("--quad-diag", "1e400,1", "Hessian must be finite"),
+        ("--damping", "trad:nan", "damping strength must be finite"),
+        ("--damping", "trad:inf", "damping strength must be finite"),
+    ], ids=["nan-diag", "overflowing-diag", "nan-damping", "inf-damping"])
+    def test_non_finite_value_is_usage_error(self, flag, value, fault, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "quad", "--dim", "2", flag, value, "--iters", "3",
+                     "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert fault in capsys.readouterr().err
+
     def test_invalid_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--problem", "hills"])

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,13 @@ class TestTangentPair:
         with pytest.raises(ContractViolationError):
             TangentPair(np.zeros(3), np.ones(3))
 
+    def test_overflowing_self_dot_of_finite_pair_reports_nothing(self):
+        # 1e200 squared overflows, but the pair is finite and must pass silently
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            pair = TangentPair(np.array([1e200, 1.0]), np.ones(2))
+        assert pair.delta_theta[0] == 1e200
+
 
 class TestProbeConfig:
     def test_mode_defaults(self):
@@ -37,6 +47,11 @@ class TestProbeConfig:
             ProbeConfig(damping="sometimes")
         with pytest.raises(ContractViolationError):
             ProbeConfig(damping_lambda=-1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_damping_strength_rejected(self, lam):
+        with pytest.raises(ContractViolationError, match="damping strength must be finite"):
+            ProbeConfig(damping="traditional", damping_lambda=lam)
 
 
 class TestSampleDeltaTheta:

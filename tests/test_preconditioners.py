@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -388,6 +390,16 @@ class TestDirectSum:
         with pytest.raises(ContractViolationError):
             p.update(TangentPair(dt, rng.standard_normal(p.dim)), 0.1)
         assert len(calls) == 2
+
+    def test_block_probe_with_overflowing_self_dot_reports_nothing(self):
+        # block a's slice [1e154, 1e154] is finite and squares finitely, but its
+        # self-dot overflows: the slice's probe check must not report it
+        p = DirectSumPrecond([("a", DiagPrecond(2)), ("b", DiagPrecond(2))])
+        pair = TangentPair(np.array([1e154, 1e154, 1.0, 1.0]), np.ones(4))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            p.update(pair, 0.1)
+        assert np.all(p.blocks[0][1].q > 1.0)
 
     def test_blocks_update_independently(self):
         rng = np.random.default_rng(7)

@@ -79,6 +79,16 @@ class TestQuadratic:
         with pytest.raises(ContractViolationError):
             make_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("h, b, fault", [
+        (np.diag([np.nan, 1.0]), None, "Hessian must be finite"),
+        (np.diag([np.inf, 1.0]), None, "Hessian must be finite"),
+        (np.eye(2), np.array([0.0, np.nan]), "linear term must be finite"),
+        (np.eye(2), np.array([-np.inf, 0.0]), "linear term must be finite"),
+    ], ids=["nan-hessian", "inf-hessian", "nan-linear", "inf-linear"])
+    def test_non_finite_terms_rejected(self, h, b, fault):
+        with pytest.raises(ContractViolationError, match=fault):
+            make_quadratic(h, b)
+
     def test_empty_hessian_rejected(self):
         with pytest.raises(ContractViolationError, match="empty"):
             make_quadratic(np.zeros((0, 0)))
@@ -143,7 +153,80 @@ class TestXorMlp:
             assert np.max(np.abs(fd - hv)) <= 1e-6 * max(np.max(np.abs(hv)), 1.0)
 
 
+def rnn_reference(seq_len, hidden, batch_size, seed, th):
+    """Loss and gradient of make_addition_rnn's batch `seed` at th, step by step.
+
+    The plain BPTT loop: per step, the input projection in the forward pass,
+    and three products and a column sum in the backward pass, each block
+    summed from t = seq_len down, starting at 0.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.random((batch_size, seq_len))
+    marks = np.zeros((batch_size, seq_len))
+    pos = np.argsort(rng.random((batch_size, seq_len)), axis=1)[:, :2]
+    rows = np.arange(batch_size)[:, None]
+    marks[rows, pos] = 1.0
+    targets = 0.5 * (values[rows[:, 0], pos[:, 0]] + values[rows[:, 0], pos[:, 1]])
+    inputs = np.stack([values.T, marks.T], axis=2)
+    n1 = hidden * (hidden + 3)
+    w, wo = th[:n1].reshape((hidden, hidden + 3), order="F"), th[n1:]
+    wh, wx, bias = w[:, :hidden], w[:, hidden:hidden + 2], w[:, hidden + 2]
+    states = [np.zeros((batch_size, hidden))]
+    for u in inputs:
+        states.append(np.tanh(states[-1] @ wh.T + u @ wx.T + bias))
+    ha = np.hstack([states[-1], np.ones((batch_size, 1))])
+    pred = ha @ wo
+    dpred = 2.0 * (pred - targets) / batch_size
+    gwh, gwx, gb = np.zeros((hidden, hidden)), np.zeros((hidden, 2)), np.zeros(hidden)
+    dh = np.outer(dpred, wo[:hidden])
+    for t in range(seq_len, 0, -1):
+        da = dh * (1.0 - states[t] * states[t])
+        gwh += da.T @ states[t - 1]
+        gwx += da.T @ inputs[t - 1]
+        gb += da.sum(axis=0)
+        dh = da @ wh
+    gw = np.concatenate([gwh, gwx, gb[:, None]], axis=1)
+    return float(np.mean((pred - targets) ** 2)), np.concatenate([gw.ravel(order="F"), dpred @ ha])
+
+
+def rnn_cases(hidden):
+    for seq_len in (4, 10, 17):
+        for batch_size in (1, 3, 16):
+            prob = make_addition_rnn(seq_len, hidden, batch_size=batch_size)
+            for seed in (0, 1):
+                for scale in (1.0, 3.0):
+                    th = scale * prob.initial_theta(seed)
+                    ev = prob.bind_batch(seed + 5)
+                    yield (ev.loss(th), ev.grad(th),
+                           rnn_reference(seq_len, hidden, batch_size, seed + 5, th))
+
+
 class TestAdditionRnn:
+    @pytest.mark.parametrize("hidden", [2, 3, 6, 9])
+    def test_matches_step_by_step_reference_bit_for_bit(self, hidden):
+        for loss, grad, (ref_loss, ref_grad) in rnn_cases(hidden):
+            assert loss == ref_loss
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_one_hidden_unit_matches_reference_to_rounding(self):
+        # with one hidden unit the reference's products and column sum take
+        # other numpy paths (dot, pairwise sum) than the fused product
+        for loss, grad, (ref_loss, ref_grad) in rnn_cases(1):
+            assert loss == ref_loss
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+
+    def test_later_calls_leave_an_earlier_gradient_alone(self):
+        prob = make_addition_rnn(10, 6, batch_size=16)
+        ev = prob.bind_batch(4)
+        th1, th2 = prob.initial_theta(1), prob.initial_theta(2)
+        g1 = ev.grad(th1)
+        before = g1.tobytes()
+        g2 = ev.grad(th2)
+        again = ev.grad(th1)
+        assert again.tobytes() == before and g1.tobytes() == before
+        assert g2.tobytes() != before
+        assert not g1.flags.writeable
+
     def test_zero_weights_mse_is_target_second_moment(self):
         # prediction is identically 0, so the loss equals the spread of the
         # targets about 0; oracle: Monte Carlo over targets alone

@@ -16,10 +16,14 @@ JSON object) and writes, for both revisions, the commit, the hash of its
 `src/` tree, its code size (`src_lines`, the `wc -l` total of
 `src/psgdkit/*.py`) and the environment, and per workload and end-to-end metric the
 per-pair values with their median and quartiles. The change/parent ratio of
-each pair is recorded as well.
+each pair is recorded as well. After the pairs, each side runs
+`benchmarks/run.py --trace 1` once per workload on `--first-seed`, and its
+per-layer metrics are stored under that side's `layers`; `correct` covers this
+run too.
 
 The script uses the standard library only; it neither imports psgdkit nor
-writes anything under benchmarks/.
+writes anything under benchmarks/: the traced runs write their span tables
+into the extracted trees, which are deleted at the end.
 """
 
 import argparse
@@ -58,10 +62,10 @@ def src_lines(tree):
     return total
 
 
-def bench(tree, workload, seed, seconds):
+def bench(tree, workload, seed, seconds, trace=0):
     """(environment, JSON result) of one benchmark command run in tree."""
     out = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                          cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if not lines:
@@ -94,7 +98,9 @@ def main(argv=None):
     record["protocol"] = {"command": "python3 benchmarks/run.py --trace 0",
                           "pairs": PAIRS, "seconds": seconds,
                           "seeds": [args.first_seed + i for i in range(PAIRS)],
-                          "order": "alternating; parent first in even pairs"}
+                          "order": "alternating; parent first in even pairs",
+                          "layers": "python3 benchmarks/run.py --trace 1, once per side "
+                                    "on the first seed, after the pairs"}
     record["workloads"] = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
@@ -118,6 +124,11 @@ def main(argv=None):
                             "failed": sum(r["failed"] for r in rs),
                             "attempted": sum(r["attempted"] for r in rs)}
                      for side, rs in runs.items()}
+            for side in ("parent", "change"):
+                _, traced = bench(trees[side], workload, args.first_seed, seconds, trace=1)
+                entry[side]["correct"] = entry[side]["correct"] and traced["correct"]
+                entry[side]["layers"] = traced["metrics"]
+                print(f"{workload} traced {side}: correct={traced['correct']}", flush=True)
             for metric in metrics:
                 per_side = {side: [r["metrics"][metric]["value"] for r in rs]
                             for side, rs in runs.items()}
