@@ -13,11 +13,12 @@ loss smoothing (exponential moving average, factor 0.99) is applied only in
 the summary, never to the trace. wall_ns is 0 unless --timing is given, so
 identical invocations produce byte-identical files.
 
-Step sizes, clipping and probe mode default per problem (see
-PROBLEM_DEFAULTS); explicit flags always win. A key=value config file names
-flags by key: each line is parsed as that flag, ahead of the command line's
-own flags, which therefore override it. The output directory is ./runs,
-overridable by the PSGDKIT_OUT environment variable and the --out flag.
+Each problem is one PROBLEMS entry: the problem flags it reads, its defaults
+and its builder. Explicit flags win; a problem flag the problem does not read
+is a usage error. A key=value config file names flags by key: each line is
+parsed as that flag, ahead of the command line's own flags, which therefore
+override it. The output directory is ./runs, overridable by the PSGDKIT_OUT
+environment variable and the --out flag.
 """
 
 import argparse
@@ -25,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,42 +39,42 @@ from .verify import SUITES, run_suite
 
 SMOOTHING = 0.99
 
-# Per-problem defaults for flags not explicitly given (documented in README).
-PROBLEM_DEFAULTS = {
-    "quad": dict(mu=0.5, precond_mu=0.01, clip="none", probe="exact"),
-    "rosenbrock": dict(mu=0.5, precond_mu=0.1, clip="1.0", probe="exact"),
-    "xor-mlp": dict(mu=0.5, precond_mu=0.05, clip="auto", probe="exact"),
-    "addition-rnn": dict(mu=0.1, precond_mu=0.01, clip="auto", probe="approx"),
+
+def _quadratic(dim, quad_diag, noise, batch_size):
+    if quad_diag == "alternating":
+        diag = [k * (1 if k % 2 else -1) for k in range(1, dim + 1)]
+    else:
+        diag = _numbers(quad_diag)
+    return make_quadratic(np.diag(np.array(diag, dtype=float)), noise_scale=noise,
+                          batch_size=batch_size)
+
+
+# flags: the problem flags it reads, dest -> default, in trace-header order, which
+# build takes as keywords; defaults: its values for flags every problem reads
+ProblemEntry = namedtuple("ProblemEntry", "flags defaults build")
+PROBLEMS = {
+    "quad": ProblemEntry(dict(dim=10, quad_diag="alternating", noise=0.0, batch_size=1),
+                         dict(mu=0.5, precond_mu=0.01, clip="none", probe="exact"), _quadratic),
+    "rosenbrock": ProblemEntry({}, dict(mu=0.5, precond_mu=0.1, clip=1.0, probe="exact"),
+                               make_rosenbrock),
+    "xor-mlp": ProblemEntry(dict(hidden=4),
+                            dict(mu=0.5, precond_mu=0.05, clip="auto", probe="exact"),
+                            make_xor_mlp),
+    "addition-rnn": ProblemEntry(dict(hidden=4, seq_len=8, batch_size=1),
+                                 dict(mu=0.1, precond_mu=0.01, clip="auto", probe="approx"),
+                                 make_addition_rnn),
 }
+PROBLEM_FLAGS = {dest for e in PROBLEMS.values() for dest in e.flags}
 
 
-def _build_problem(args):
-    if args.problem == "quad":
-        if args.quad_diag:
-            diag = np.array(_numbers(args.quad_diag))
-        else:
-            diag = np.array([k * (1 if k % 2 else -1) for k in range(1, args.dim + 1)],
-                            dtype=float)
-        return make_quadratic(np.diag(diag), noise_scale=args.noise,
-                              batch_size=args.batch_size)
-    if args.problem == "rosenbrock":
-        return make_rosenbrock()
-    if args.problem == "xor-mlp":
-        return make_xor_mlp(args.hidden)
-    if args.problem == "addition-rnn":
-        return make_addition_rnn(args.seq_len, args.hidden, batch_size=args.batch_size)
-    raise ValueError(f"unknown problem {args.problem!r}")
-
-
-def _flag_type(parse, expected, keep_text=False):
-    """An argparse type: parse(text), or text once parse accepts it with keep_text.
-    A ValueError becomes argparse's usage error, naming the flag and `expected`."""
+def _flag_type(parse, expected):
+    """An argparse type: parse(text). A ValueError becomes argparse's usage error,
+    naming the flag and `expected`."""
     def convert(text):
         try:
-            value = parse(text)
+            return parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
-        return text if keep_text else value
     return convert
 
 
@@ -96,30 +98,38 @@ def _run_spec(text):
     return {key: value for key, value in spec.items() if value != ""}
 
 
-def _resolve_clip(clip_text, problem):
-    if clip_text == "none":
+def _resolve_problem(parser, args):
+    """Fill in the chosen problem's defaults for the flags not given; exit 2 on a
+    given problem flag that the problem does not read."""
+    entry = PROBLEMS[args.problem]
+    for dest in vars(args):
+        if dest in PROBLEM_FLAGS and dest not in entry.flags:
+            flag = "--" + dest.replace("_", "-")
+            parser.exit(2, f"psgdkit: {flag} is not read by --problem {args.problem}\n")
+    for dest, default in {**entry.flags, **entry.defaults}.items():
+        if getattr(args, dest, None) is None:
+            setattr(args, dest, default)
+
+
+def _resolve_clip(clip, problem):
+    if clip == "none":
         return None
-    if clip_text == "auto":
+    if clip == "auto":
         return 10.0 * math.sqrt(problem.dim)
-    return float(clip_text)
+    return clip
 
 
 def _make_config(args, problem, seed):
-    defaults = PROBLEM_DEFAULTS[args.problem]
-    mu = args.mu if args.mu is not None else defaults["mu"]
-    precond_mu = args.precond_mu if args.precond_mu is not None else defaults["precond_mu"]
-    clip_text = args.clip if args.clip is not None else defaults["clip"]
-    probe_mode = args.probe if args.probe is not None else defaults["probe"]
     kind, lam = args.damping
-    mode = "approximate" if probe_mode == "approx" else "exact"
+    mode = "approximate" if args.probe == "approx" else "exact"
     return RunConfig(
         method=args.method,
         precond_variant=args.precond,
         splu_order=args.splu_order,
         per_block=args.per_block,
-        mu=mu,
-        precond_mu=precond_mu,
-        clip_omega=_resolve_clip(clip_text, problem),
+        mu=args.mu,
+        precond_mu=args.precond_mu,
+        clip_omega=_resolve_clip(args.clip, problem),
         probe=ProbeConfig(mode=mode, damping=kind, damping_lambda=lam),
         skip_schedule=args.skip,
         iters=args.iters,
@@ -127,19 +137,10 @@ def _make_config(args, problem, seed):
     )
 
 
-def _run_name(args, cfg):
-    if args.name:
-        return args.name
-    bits = [args.problem, cfg.method]
-    if cfg.method in ("psgd",):
-        bits.append(cfg.precond_variant)
-    bits.append(f"mu{cfg.mu:g}")
-    bits.append(f"seed{cfg.seed}")
-    return "-".join(bits)
-
-
-def _config_header(args, cfg):
-    fields = {
+def _config_fields(args, cfg):
+    """The trace header's fields; the run name and the summary read theirs from it."""
+    problem_fields = {dest: getattr(args, dest) for dest in PROBLEMS[args.problem].flags}
+    return {
         "problem": args.problem,
         "method": cfg.method,
         "precond": cfg.precond_variant if cfg.method == "psgd" else "-",
@@ -154,21 +155,14 @@ def _config_header(args, cfg):
         "splu_order": cfg.splu_order,
         "per_block": int(cfg.per_block),
         "iters": cfg.iters,
-        "batch_size": args.batch_size,
+        # recorded for every problem, as 1 for one that draws no batch
+        "batch_size": problem_fields.pop("batch_size", 1),
         "seed": cfg.seed,
         "rmsprop_beta": RMSPROP_BETA,
         "rmsprop_eps": RMSPROP_EPS,
         "smoothing": SMOOTHING,
+        **problem_fields,
     }
-    if args.problem == "quad":
-        fields["dim"] = args.dim
-        fields["quad_diag"] = args.quad_diag or "alternating"
-        fields["noise"] = args.noise
-    elif args.problem in ("xor-mlp", "addition-rnn"):
-        fields["hidden"] = args.hidden
-        if args.problem == "addition-rnn":
-            fields["seq_len"] = args.seq_len
-    return "# psgdkit " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
 def _atomic_write(path, text):
@@ -184,8 +178,9 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_trace(path, header, rows):
-    lines = [header, "iter,train_loss,grad_norm,precond_grad_norm,clipped,wall_ns"]
+def _write_trace(path, fields, rows):
+    lines = ["# psgdkit " + " ".join(f"{k}={v}" for k, v in fields.items()),
+             "iter,train_loss,grad_norm,precond_grad_norm,clipped,wall_ns"]
     for r in rows:
         lines.append(f"{r.iter},{float(r.train_loss)!r},{float(r.grad_norm)!r},"
                      f"{float(r.precond_grad_norm)!r},{int(r.clipped)},{int(r.wall_ns)}")
@@ -201,16 +196,16 @@ def _smoothed_final(losses):
     return float("nan") if s is None else s
 
 
-def _summarize(name, args, cfg, result):
+def _summarize(name, fields, result):
     losses = [r.train_loss for r in result.rows]
     finite = [v for v in losses if math.isfinite(v)]
     return {
         "name": name,
-        "problem": args.problem,
-        "method": cfg.method,
-        "precond": cfg.precond_variant if cfg.method == "psgd" else "-",
-        "mu": f"{cfg.mu:g}",
-        "seed": cfg.seed,
+        "problem": fields["problem"],
+        "method": fields["method"],
+        "precond": fields["precond"],
+        "mu": f"{fields['mu']:g}",
+        "seed": fields["seed"],
         "iters_run": len(result.rows),
         "final_loss": repr(float(losses[-1])) if losses else "nan",
         "best_loss": repr(float(min(finite))) if finite else "nan",
@@ -219,26 +214,27 @@ def _summarize(name, args, cfg, result):
     }
 
 
-_SUMMARY_COLUMNS = ["name", "problem", "method", "precond", "mu", "seed", "iters_run",
-                    "final_loss", "best_loss", "final_loss_smoothed", "diverged"]
-
-
 def _write_summary(path, entries):
-    lines = [",".join(_SUMMARY_COLUMNS)]
+    # the columns are _summarize's keys; a run or sweep summarizes at least one run
+    lines = [",".join(entries[0])]
     for e in entries:
-        lines.append(",".join(str(e[c]) for c in _SUMMARY_COLUMNS))
+        lines.append(",".join(str(value) for value in e.values()))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _execute_run(args, seed, out_dir):
-    problem = _build_problem(args)
+    entry = PROBLEMS[args.problem]
+    problem = entry.build(**{dest: getattr(args, dest) for dest in entry.flags})
     cfg = _make_config(args, problem, seed)
     result = run(problem, cfg, timing=args.timing)
-    name = _run_name(args, cfg)
-    _write_trace(os.path.join(out_dir, name + ".csv"), _config_header(args, cfg), result.rows)
+    fields = _config_fields(args, cfg)
+    bits = (fields["problem"], fields["method"], fields["precond"], f"mu{fields['mu']:g}",
+            f"seed{fields['seed']}")
+    name = args.name or "-".join(bit for bit in bits if bit != "-")
+    _write_trace(os.path.join(out_dir, name + ".csv"), fields, result.rows)
     if args.save_precond and cfg.method == "psgd":
         save_state(result.state, args.save_precond)
-    return name, cfg, result
+    return _summarize(name, fields, result)
 
 
 def _out_dir(args):
@@ -255,16 +251,23 @@ def _positive_int(text):
 
 
 def _add_run_flags(p):
-    p.add_argument("--problem", required=True,
-                   choices=["quad", "rosenbrock", "xor-mlp", "addition-rnn"])
-    p.add_argument("--dim", type=int, default=10, help="quadratic dimension")
-    p.add_argument("--quad-diag", default=None, metavar="D1,D2,...",
-                   type=_flag_type(_numbers, "comma-separated numbers", keep_text=True),
-                   help="explicit quadratic Hessian diagonal (default: alternating "
-                        "+1,-2,...,+-dim)")
-    p.add_argument("--noise", type=float, default=0.0, help="quadratic gradient noise scale")
-    p.add_argument("--hidden", type=int, default=4, help="hidden units (xor-mlp, addition-rnn)")
-    p.add_argument("--seq-len", type=int, default=8, help="sequence length (addition-rnn)")
+    def problem_flag(flag, help, **kwargs):
+        # given means present in the namespace; _resolve_problem fills in the rest
+        dest = flag[2:].replace("-", "_")
+        readers = ", ".join(name for name, e in PROBLEMS.items() if dest in e.flags)
+        p.add_argument(flag, default=argparse.SUPPRESS, help=f"{help} ({readers})", **kwargs)
+
+    p.add_argument("--problem", required=True, choices=list(PROBLEMS))
+    problem_flag("--dim", "quadratic dimension", type=int)
+    # an empty diagonal stands for the alternating default, as the header records it
+    problem_flag("--quad-diag", "explicit quadratic Hessian diagonal, by default "
+                                "alternating +1,-2,...,+-dim", metavar="D1,D2,...",
+                 type=_flag_type(lambda t: t if _numbers(t) else "alternating",
+                                 "comma-separated numbers"))
+    problem_flag("--noise", "quadratic gradient noise scale", type=float)
+    problem_flag("--hidden", "hidden units", type=int)
+    problem_flag("--seq-len", "sequence length", type=int)
+    problem_flag("--batch-size", "mini-batch size", type=_positive_int)
     p.add_argument("--method", default="psgd", choices=["psgd", "sgd", "rmsprop", "esgd"])
     p.add_argument("--precond", default="dense",
                    choices=["dense", "diag", "splu", "kron", "scan"])
@@ -275,13 +278,12 @@ def _add_run_flags(p):
     p.add_argument("--mu", type=float, default=None,
                    help="step size (default per problem)")
     p.add_argument("--precond-mu", type=float, default=None,
-                   help="preconditioner step size (default 0.01; 0.1 for rosenbrock, "
-                        "0.05 for xor-mlp)")
+                   help="preconditioner step size (default per problem)")
     p.add_argument("--probe", default=None, choices=["approx", "exact"],
                    help="Hessian-vector probe mode (default per problem)")
     p.add_argument("--clip", default=None,
-                   type=_flag_type(lambda t: t in ("none", "auto") or float(t),
-                                   "none, auto or a number", keep_text=True),
+                   type=_flag_type(lambda t: t if t in ("none", "auto") else float(t),
+                                   "none, auto or a number"),
                    help="preconditioned gradient clip threshold: none, auto "
                         "(10*sqrt(dim)) or a number (default per problem)")
     p.add_argument("--skip", default="never", choices=["never", "log10"],
@@ -290,7 +292,6 @@ def _add_run_flags(p):
                    type=_flag_type(_parse_damping, "none, trad:LAMBDA or noncvx:LAMBDA"),
                    help="probe damping: none, trad:LAMBDA or noncvx:LAMBDA")
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--batch-size", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output directory (env PSGDKIT_OUT)")
     p.add_argument("--timing", action="store_true",
@@ -369,24 +370,22 @@ def main(argv=None) -> int:
 def _dispatch(parser, args) -> int:
     if args.command == "verify":
         results = run_suite(args.suite)
-        failed = 0
+        failed = sum(not r.ok for r in results)
         for r in results:
-            status = "PASS" if r.ok else "FAIL"
-            if not r.ok:
-                failed += 1
-            print(f"{status} {r.name}: measured {r.measured:.6g} vs tolerance {r.tolerance:.6g}")
+            print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: measured {r.measured:.6g} "
+                  f"vs tolerance {r.tolerance:.6g}")
         print(f"{len(results) - failed}/{len(results)} checks passed")
         return 1 if failed else 0
 
     # run is one spec (the flags' own) and one rep; sweep may give several of each
+    _resolve_problem(parser, args)
     out_dir = _out_dir(args)
     entries = []
     try:
         for spec in args.specs or [{}]:
             spec_args = argparse.Namespace(**{**vars(args), **spec})
             for rep in range(args.reps):
-                name, cfg, result = _execute_run(spec_args, args.seed + rep, out_dir)
-                entries.append(_summarize(name, spec_args, cfg, result))
+                entries.append(_execute_run(spec_args, args.seed + rep, out_dir))
     except (PsgdkitError, ValueError) as exc:
         parser.exit(2, f"psgdkit: {exc}\n")
 

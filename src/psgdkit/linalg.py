@@ -13,7 +13,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import ContractViolationError, NumericInputError
 
-__all__ = ["max_norm", "tri_solve", "triu_project"]
+__all__ = ["max_norm", "tri_solve"]
 
 
 # LAPACK triangular solve for float64, the routine scipy's solve_triangular ends in
@@ -46,20 +46,11 @@ def _strict_lower_mask(n: int) -> np.ndarray:
     return mask
 
 
-def triu_project(m: np.ndarray) -> np.ndarray:
-    """Zero the strictly-lower triangle of a square matrix.
-
-    Used to restrict a symmetric relative gradient to the Lie algebra of the
-    upper-triangular group before a multiplicative update.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
-    return _zero_strict_lower(m.copy())
-
-
 def _zero_strict_lower(m: np.ndarray) -> np.ndarray:
-    """``triu_project`` in place on a square float64 array the caller owns; no check."""
+    """Zero the strictly-lower triangle, in place, of a square float64 array the
+    caller owns; no check. Used to restrict a symmetric relative gradient to the
+    Lie algebra of the upper-triangular group before a multiplicative update.
+    """
     n = m.shape[0]
     if n > 1:
         np.putmask(m, _strict_lower_mask(n), 0.0)

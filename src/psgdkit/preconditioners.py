@@ -16,7 +16,6 @@ Conventions: flat slices are matricized column-major, so a Kronecker factor
 pair (Q1, Q2) for an (M, N) block acts on vec(G) as vec(Q1 G Q2^T).
 """
 
-import copy
 import math
 from typing import NamedTuple
 
@@ -195,9 +194,6 @@ class Preconditioner:
     def materialize_q(self) -> np.ndarray:
         """Dense Q in flat coordinates; test and diagnostic helper."""
         raise NotImplementedError
-
-    def clone(self):
-        return copy.deepcopy(self)
 
     def _check_dim(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

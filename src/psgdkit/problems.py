@@ -59,19 +59,6 @@ class ParamLayout:
             start += b.size
         self.size = start
 
-    def flatten(self, tensors) -> np.ndarray:
-        tensors = list(tensors)
-        if len(tensors) != len(self.blocks):
-            raise ContractViolationError("tensor count does not match layout")
-        parts = []
-        for b, t in zip(self.blocks, tensors):
-            t = np.asarray(t, dtype=float)
-            if t.shape != b.shape:
-                raise ContractViolationError(
-                    f"block {b.name!r} expects shape {b.shape}, got {t.shape}")
-            parts.append(np.ravel(t, order="F"))
-        return np.concatenate(parts)
-
     def checked(self, theta) -> np.ndarray:
         """theta as a float array, once it is a flat vector of this layout's size."""
         theta = np.asarray(theta, dtype=float)
@@ -399,7 +386,8 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
             for t in range(seq_len, 0, -1):
                 da = dh * dtanh[t]
                 gw += da.T @ xs[t - 1]
-                dh = da @ wh
+                if t > 1:  # no step before the first reads dh
+                    dh = da @ wh
             return np.concatenate([gw.ravel(order="F"), dpred @ ha])
 
         return BoundEvaluator(loss=loss, grad=grad, hvp=None)

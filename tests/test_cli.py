@@ -154,6 +154,46 @@ class TestRun:
         assert exc.value.code == 2
         assert fault in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, fields", [
+        ("quad", "mu=0.5 precond_mu=0.01 clip=none probe=exact probe_std=1"),
+        ("rosenbrock", "mu=0.5 precond_mu=0.1 clip=1 probe=exact probe_std=1"),
+        ("xor-mlp", "mu=0.5 precond_mu=0.05 clip=41.2311 probe=exact probe_std=1"),
+        ("addition-rnn", "mu=0.1 precond_mu=0.01 clip=57.4456 probe=approximate "
+                         "probe_std=0.000345267"),
+    ], ids=["quad", "rosenbrock", "xor-mlp", "addition-rnn"])
+    def test_default_header_line(self, problem, fields, tmp_path):
+        out = tmp_path / "runs"
+        assert run_cli(["run", "--problem", problem, "--iters", "2", "--name", "h",
+                        "--out", str(out)]) == 0
+        own = {"quad": " dim=10 quad_diag=alternating noise=0.0", "rosenbrock": "",
+               "xor-mlp": " hidden=4", "addition-rnn": " hidden=4 seq_len=8"}[problem]
+        assert read(out / "h.csv").splitlines()[0] == (
+            f"# psgdkit problem={problem} method=psgd precond=dense {fields} damping=none "
+            "damping_lambda=0 skip=never splu_order=10 per_block=0 iters=2 batch_size=1 "
+            f"seed=0 rmsprop_beta=0.9 rmsprop_eps=1e-08 smoothing=0.99{own}")
+
+    @pytest.mark.parametrize("problem, argv, config, flag", [
+        ("quad", ["--hidden", "0", "--seq-len", "2"], "", "--hidden"),
+        ("quad", ["--seq-len", "2"], "", "--seq-len"),
+        ("rosenbrock", ["--dim", "3"], "", "--dim"),
+        ("rosenbrock", ["--batch-size", "2"], "", "--batch-size"),
+        ("xor-mlp", ["--noise", "0.1"], "", "--noise"),
+        ("addition-rnn", ["--quad-diag", "1,2"], "", "--quad-diag"),
+        ("quad", [], "hidden=3\n", "--hidden"),
+    ], ids=["quad-hidden", "quad-seq-len", "rosenbrock-dim", "rosenbrock-batch-size",
+            "xor-mlp-noise", "addition-rnn-quad-diag", "quad-hidden-config"])
+    def test_unread_problem_flag_is_usage_error(self, problem, argv, config, flag, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(cfg), "--problem", problem, *argv,
+                     "--iters", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"psgdkit: {flag} is not read by --problem {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--problem", "hills"])

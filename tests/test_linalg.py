@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from psgdkit.errors import ContractViolationError, NumericInputError
-from psgdkit.linalg import _tri_solve_unchecked, max_norm, tri_solve, triu_project
+from psgdkit.linalg import _tri_solve_unchecked, max_norm, tri_solve
 
 
 class TestTriSolve:
@@ -82,20 +82,6 @@ class TestTriSolve:
     def test_nonpositive_diagonal(self):
         with pytest.raises(ContractViolationError):
             tri_solve(np.array([[1.0, 0.0], [0.0, -2.0]]), np.ones(2))
-
-
-class TestTriuProject:
-    def test_definition(self):
-        np.testing.assert_allclose(
-            triu_project(np.array([[1.0, 2.0], [3.0, 4.0]])), [[1.0, 2.0], [0.0, 4.0]])
-
-    def test_identity_and_zero(self):
-        np.testing.assert_allclose(triu_project(np.eye(3)), np.eye(3))
-        np.testing.assert_allclose(triu_project(np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ContractViolationError):
-            triu_project(np.ones((2, 3)))
 
 
 class TestMaxNorm:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 
@@ -143,7 +144,7 @@ class TestRunLoop:
         for t in range(1, cfg.iters + 1):
             ev = prob.bind_batch(batch_seed_for(cfg.seed, t))
             g = ev.grad(theta)
-            incoming = precond.clone()
+            incoming = copy.deepcopy(precond)
             # reordered: learn first, precondition with the snapshot after
             precond.update(make_tangent_pair(ev, theta, cfg.probe, rng), cfg.precond_mu)
             theta = theta - cfg.mu * incoming.apply(g)

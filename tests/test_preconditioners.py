@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestUpdate:
                     expected = (DegenerateStateError if bad == -np.inf and on_diagonal
                                 else NumericInputError)
                     for zeros in ("dg", "dt and dg", "all of dg"):
-                        p = trained.clone()
+                        p = copy.deepcopy(trained)
                         getattr(p, name)[index] = bad
                         before = {k: v.copy() for k, v in vars(p).items()
                                   if isinstance(v, np.ndarray)}
