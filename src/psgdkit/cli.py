@@ -106,6 +106,13 @@ def _resolve_problem(parser, args):
         if dest in PROBLEM_FLAGS and dest not in entry.flags:
             flag = "--" + dest.replace("_", "-")
             parser.exit(2, f"psgdkit: {flag} is not read by --problem {args.problem}\n")
+    # an explicit diagonal sets the dimension, which the header then records
+    if getattr(args, "quad_diag", "alternating") != "alternating":
+        dim = len(_numbers(args.quad_diag))
+        if getattr(args, "dim", dim) != dim:
+            parser.exit(2, f"psgdkit: --dim {args.dim} differs from the {dim} values "
+                           f"of --quad-diag\n")
+        args.dim = dim
     for dest, default in {**entry.flags, **entry.defaults}.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, default)
@@ -167,6 +174,7 @@ def _config_fields(args, cfg):
 
 def _atomic_write(path, text):
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)  # so a run rejected before its first write leaves none
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -237,17 +245,14 @@ def _execute_run(args, seed, out_dir):
     return _summarize(name, fields, result)
 
 
-def _out_dir(args):
-    out = args.out or os.environ.get("PSGDKIT_OUT") or "runs"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer of at least low."""
+    def convert(text):
+        value = _flag_type(int, "an integer")(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return convert
 
 
 def _add_run_flags(p):
@@ -267,11 +272,11 @@ def _add_run_flags(p):
     problem_flag("--noise", "quadratic gradient noise scale", type=float)
     problem_flag("--hidden", "hidden units", type=int)
     problem_flag("--seq-len", "sequence length", type=int)
-    problem_flag("--batch-size", "mini-batch size", type=_positive_int)
+    problem_flag("--batch-size", "mini-batch size", type=_int_at_least(1))
     p.add_argument("--method", default="psgd", choices=["psgd", "sgd", "rmsprop", "esgd"])
     p.add_argument("--precond", default="dense",
                    choices=["dense", "diag", "splu", "kron", "scan"])
-    p.add_argument("--splu-order", type=int, default=10,
+    p.add_argument("--splu-order", type=_int_at_least(1), default=10,
                    help="sparse-LU order r (clamped to the problem dimension)")
     p.add_argument("--per-block", action="store_true",
                    help="one dense/diag/splu block per tensor instead of whole-theta")
@@ -292,7 +297,7 @@ def _add_run_flags(p):
                    type=_flag_type(_parse_damping, "none, trad:LAMBDA or noncvx:LAMBDA"),
                    help="probe damping: none, trad:LAMBDA or noncvx:LAMBDA")
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="output directory (env PSGDKIT_OUT)")
     p.add_argument("--timing", action="store_true",
                    help="record real wall_ns (breaks byte-identical traces)")
@@ -348,7 +353,7 @@ def main(argv=None) -> int:
                          dest="specs", type=_flag_type(_run_spec, "method[:variant[:mu]]"),
                          help="method[:variant[:mu]] (repeatable); defaults to the "
                               "flag-level method/variant/mu")
-    p_sweep.add_argument("--reps", type=_positive_int, default=1,
+    p_sweep.add_argument("--reps", type=_int_at_least(1), default=1,
                          help="repetitions per spec with seed offsets")
     p_sweep.set_defaults(name=None)
 
@@ -379,7 +384,7 @@ def _dispatch(parser, args) -> int:
 
     # run is one spec (the flags' own) and one rep; sweep may give several of each
     _resolve_problem(parser, args)
-    out_dir = _out_dir(args)
+    out_dir = args.out or os.environ.get("PSGDKIT_OUT") or "runs"
     entries = []
     try:
         for spec in args.specs or [{}]:

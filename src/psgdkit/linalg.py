@@ -9,15 +9,24 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ContractViolationError, NumericInputError
 
 __all__ = ["max_norm", "tri_solve"]
 
 
-# LAPACK triangular solve for float64, the routine scipy's solve_triangular ends in
-_TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
+def _first_trtrs(*args):
+    # The first solve fetches LAPACK's float64 triangular solve, the routine scipy's
+    # solve_triangular ends in, and later solves call it directly: importing
+    # scipy.linalg is most of a fresh process's start-up, and the diag and scan
+    # families and the baselines never solve.
+    global _trtrs
+    from scipy.linalg import get_lapack_funcs
+    _trtrs = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
+    return _trtrs(*args)
+
+
+_trtrs = _first_trtrs
 
 
 def max_norm(a) -> float:
@@ -92,7 +101,7 @@ def _tri_solve_unchecked(t: np.ndarray, b: np.ndarray, lower: bool = False,
     its transpose, which keeps the results bit-identical to that function.
     """
     if t.flags.f_contiguous:
-        x, _ = _TRTRS(t, b, lower, transpose)
+        x, _ = _trtrs(t, b, lower, transpose)
     else:
-        x, _ = _TRTRS(t.T, b, not lower, not transpose)
+        x, _ = _trtrs(t.T, b, not lower, not transpose)
     return x

@@ -162,17 +162,21 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     layout = ParamLayout([ParamBlock("theta", (dim,))])
     upper = np.triu(np.ones((dim, dim), bool))
 
+    def draw(rng):  # one sample: a matrix (raw's upper triangle, mirrored), then a vector
+        raw = rng.standard_normal((dim, dim))
+        return np.where(upper, raw, raw.T), rng.standard_normal(dim)
+
     def bind(seed: int) -> BoundEvaluator:
         if noise_scale == 0.0:
             h_hat, b_hat = h, b
         else:
             rng = np.random.default_rng(seed)
-            s_acc = np.zeros_like(h)
-            n_acc = np.zeros_like(b)
-            for _ in range(batch_size):
-                raw = rng.standard_normal((dim, dim))
-                s_acc += np.where(upper, raw, raw.T)  # raw's upper triangle, mirrored
-                n_acc += rng.standard_normal(dim)
+            # each sum starts from its first draw, so a one-sample batch adds nothing
+            s_acc, n_acc = draw(rng)
+            for _ in range(batch_size - 1):
+                s, n = draw(rng)
+                s_acc += s
+                n_acc += n
             h_hat = h + noise_scale * s_acc / batch_size
             b_hat = b + noise_scale * n_acc / batch_size
         return BoundEvaluator(

@@ -141,6 +141,29 @@ class TestRun:
         assert exc.value.code == 2
         assert "Hessian must not be empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        (["--precond", "splu", "--splu-order", "0"],
+         "argument --splu-order: must be at least 1, got 0"),
+        (["--dim", "3", "--quad-diag", "1,2"], "--dim 3 differs from the 2 values of --quad-diag"),
+        (["--noise", "-1"], "noise scale must be nonnegative"),
+    ], ids=["negative-seed", "zero-splu-order", "dim-against-diag", "negative-noise"])
+    def test_rejected_run_names_its_fault_and_writes_nothing(self, argv, fault, tmp_path,
+                                                             capsys):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "quad", *argv, "--iters", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert fault in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [[], ["--dim", "3"]], ids=["dim-omitted", "dim-agrees"])
+    def test_explicit_diagonal_sets_the_header_dim(self, dim, tmp_path):
+        out = tmp_path / "runs"
+        assert run_cli(["run", "--problem", "quad", *dim, "--quad-diag", "1,2,3", "--iters",
+                        "2", "--name", "h", "--out", str(out)]) == 0
+        assert read(out / "h.csv").splitlines()[0].endswith(" dim=3 quad_diag=1,2,3 noise=0.0")
+
     @pytest.mark.parametrize("flag, value, fault", [
         ("--quad-diag", "nan,1", "Hessian must be finite"),
         ("--quad-diag", "1e400,1", "Hessian must be finite"),

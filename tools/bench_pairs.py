@@ -19,7 +19,10 @@ per-pair values with their median and quartiles. The change/parent ratio of
 each pair is recorded as well. After the pairs, each side runs
 `benchmarks/run.py --trace 1` once per workload on `--first-seed`, and its
 per-layer metrics are stored under that side's `layers`; `correct` covers this
-run too.
+run too. Last, each side runs the tier-1 suite once in its extracted tree
+(`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, with
+`--durations=0`), parent first, and its wall time, last output line, exit code
+and the c03, c07 and c10 call durations are stored under that side's `tier1`.
 
 The script uses the standard library only; it neither imports psgdkit nor
 writes anything under benchmarks/: the traced runs write their span tables
@@ -33,11 +36,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 ENVIRONMENT = ("python", "numpy", "scipy", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS")
+TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are recorded
 
 
 def git(*args):
@@ -74,6 +79,25 @@ def bench(tree, workload, seed, seconds, trace=0):
     return {k: env[k] for k in ENVIRONMENT if k in env}, json.loads(lines[-1])
 
 
+def tier1(tree):
+    """Wall time, last output line, exit code and timed call durations of tier-1 in tree."""
+    pythonpath = os.pathsep.join(p for p in ("src", os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                          "--durations=0"], cwd=tree, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": pythonpath})
+    wall_s = time.perf_counter() - start
+    lines = out.stdout.strip().splitlines()
+    durations = {}
+    for line in lines:  # "31.20s call     tests/test_acceptance.py::test_c10_..."
+        parts = line.split()
+        for test in TIER1_TIMED:
+            if len(parts) == 3 and parts[1] == "call" and f"::test_{test}_" in parts[2]:
+                durations[test] = float(parts[0].rstrip("s"))
+    return {"wall_s": wall_s, "result": lines[-1] if lines else "", "exit": out.returncode,
+            "call_s": durations}
+
+
 def summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
@@ -100,7 +124,10 @@ def main(argv=None):
                           "seeds": [args.first_seed + i for i in range(PAIRS)],
                           "order": "alternating; parent first in even pairs",
                           "layers": "python3 benchmarks/run.py --trace 1, once per side "
-                                    "on the first seed, after the pairs"}
+                                    "on the first seed, after the pairs",
+                          "tier1": "PYTHONPATH=src python -m pytest -q "
+                                   "--continue-on-collection-errors --durations=0, once per "
+                                   "side, parent first, after the layers"}
     record["workloads"] = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
@@ -136,6 +163,9 @@ def main(argv=None):
                 entry[metric] = {side: summary(v) for side, v in per_side.items()}
                 entry[metric]["change_over_parent"] = summary(ratios)
             record["workloads"][workload] = entry
+        for side in ("parent", "change"):
+            record[side]["tier1"] = tier1(trees[side])
+            print(f"tier-1 {side}: {record[side]['tier1']['result']}", flush=True)
     with open(os.path.join(ROOT, args.out), "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
