@@ -50,8 +50,10 @@ def _quadratic(dim, quad_diag, noise, batch_size):
 
 
 # flags: the problem flags it reads, dest -> default, in trace-header order, which
-# build takes as keywords; defaults: its values for flags every problem reads
-ProblemEntry = namedtuple("ProblemEntry", "flags defaults build")
+# build takes as keywords; defaults: its values for flags every problem reads;
+# minimums: the least value build accepts, dest -> minimum, of an integer flag
+# whose bound depends on the problem
+ProblemEntry = namedtuple("ProblemEntry", "flags defaults build minimums", defaults=({},))
 PROBLEMS = {
     "quad": ProblemEntry(dict(dim=10, quad_diag="alternating", noise=0.0, batch_size=1),
                          dict(mu=0.5, precond_mu=0.01, clip="none", probe="exact"), _quadratic),
@@ -59,23 +61,36 @@ PROBLEMS = {
                                make_rosenbrock),
     "xor-mlp": ProblemEntry(dict(hidden=4),
                             dict(mu=0.5, precond_mu=0.05, clip="auto", probe="exact"),
-                            make_xor_mlp),
+                            make_xor_mlp, dict(hidden=2)),
     "addition-rnn": ProblemEntry(dict(hidden=4, seq_len=8, batch_size=1),
                                  dict(mu=0.1, precond_mu=0.01, clip="auto", probe="approx"),
-                                 make_addition_rnn),
+                                 make_addition_rnn, dict(hidden=1, seq_len=4)),
 }
 PROBLEM_FLAGS = {dest for e in PROBLEMS.values() for dest in e.flags}
 
 
-def _flag_type(parse, expected):
+def _flag_type(parse, expected, ok=None, requirement=""):
     """An argparse type: parse(text). A ValueError becomes argparse's usage error,
-    naming the flag and `expected`."""
+    naming the flag and `expected`; so does a value that ok rejects, naming
+    `requirement` and the value."""
     def convert(text):
         try:
-            return parse(text)
+            value = parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
     return convert
+
+
+def _int_at_least(low):
+    """An argparse type: an integer of at least low."""
+    return _flag_type(int, "an integer", lambda v: v >= low, f"must be at least {low}")
+
+
+def _finite_positive(value):  # a step size's bound, given by --mu or a --run spec
+    return 0.0 < value < math.inf
 
 
 def _numbers(text):
@@ -94,7 +109,11 @@ def _parse_damping(text):
 def _run_spec(text):
     # the flag values a sweep --run value overrides; an empty part overrides none
     method, precond, mu = (text.split(":") + ["", ""])[:3]
-    spec = {"method": method, "precond": precond, "mu": float(mu) if mu else ""}
+    if mu:
+        mu = float(mu)  # a malformed number is a malformed spec
+        if not _finite_positive(mu):
+            raise argparse.ArgumentTypeError(f"its mu must be finite and positive, got {mu}")
+    spec = {"method": method, "precond": precond, "mu": mu}
     return {key: value for key, value in spec.items() if value != ""}
 
 
@@ -116,6 +135,11 @@ def _resolve_problem(parser, args):
     for dest, default in {**entry.flags, **entry.defaults}.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, default)
+    for dest, low in entry.minimums.items():
+        if getattr(args, dest) < low:
+            flag = "--" + dest.replace("_", "-")
+            parser.exit(2, f"psgdkit: argument {flag}: must be at least {low} for --problem "
+                           f"{args.problem}, got {getattr(args, dest)}\n")
 
 
 def _resolve_clip(clip, problem):
@@ -245,16 +269,6 @@ def _execute_run(args, seed, out_dir):
     return _summarize(name, fields, result)
 
 
-def _int_at_least(low):
-    """An argparse type: an integer of at least low."""
-    def convert(text):
-        value = _flag_type(int, "an integer")(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    return convert
-
-
 def _add_run_flags(p):
     def problem_flag(flag, help, **kwargs):
         # given means present in the namespace; _resolve_problem fills in the rest
@@ -263,13 +277,17 @@ def _add_run_flags(p):
         p.add_argument(flag, default=argparse.SUPPRESS, help=f"{help} ({readers})", **kwargs)
 
     p.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    problem_flag("--dim", "quadratic dimension", type=int)
+    problem_flag("--dim", "quadratic dimension",
+                 type=_flag_type(int, "an integer", lambda v: v >= 1,
+                                 "must be at least 1 (Hessian must not be empty)"))
     # an empty diagonal stands for the alternating default, as the header records it
     problem_flag("--quad-diag", "explicit quadratic Hessian diagonal, by default "
                                 "alternating +1,-2,...,+-dim", metavar="D1,D2,...",
                  type=_flag_type(lambda t: t if _numbers(t) else "alternating",
                                  "comma-separated numbers"))
-    problem_flag("--noise", "quadratic gradient noise scale", type=float)
+    problem_flag("--noise", "quadratic gradient noise scale",
+                 type=_flag_type(float, "a number", lambda v: 0.0 <= v < math.inf,
+                                 "noise scale must be nonnegative and finite"))
     problem_flag("--hidden", "hidden units", type=int)
     problem_flag("--seq-len", "sequence length", type=int)
     problem_flag("--batch-size", "mini-batch size", type=_int_at_least(1))
@@ -280,15 +298,21 @@ def _add_run_flags(p):
                    help="sparse-LU order r (clamped to the problem dimension)")
     p.add_argument("--per-block", action="store_true",
                    help="one dense/diag/splu block per tensor instead of whole-theta")
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--mu", default=None,
+                   type=_flag_type(float, "a number", _finite_positive,
+                                   "must be finite and positive"),
                    help="step size (default per problem)")
-    p.add_argument("--precond-mu", type=float, default=None,
+    p.add_argument("--precond-mu", default=None,
+                   type=_flag_type(float, "a number", lambda v: 0.0 < v < 1.0,
+                                   "must lie in (0, 1)"),
                    help="preconditioner step size (default per problem)")
     p.add_argument("--probe", default=None, choices=["approx", "exact"],
                    help="Hessian-vector probe mode (default per problem)")
     p.add_argument("--clip", default=None,
                    type=_flag_type(lambda t: t if t in ("none", "auto") else float(t),
-                                   "none, auto or a number"),
+                                   "none, auto or a number",
+                                   lambda v: v in ("none", "auto") or v > 0.0,
+                                   "must be none, auto or a positive number"),
                    help="preconditioned gradient clip threshold: none, auto "
                         "(10*sqrt(dim)) or a number (default per problem)")
     p.add_argument("--skip", default="never", choices=["never", "log10"],
@@ -296,7 +320,7 @@ def _add_run_flags(p):
     p.add_argument("--damping", default="none",
                    type=_flag_type(_parse_damping, "none, trad:LAMBDA or noncvx:LAMBDA"),
                    help="probe damping: none, trad:LAMBDA or noncvx:LAMBDA")
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--iters", type=_int_at_least(1), default=500)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="output directory (env PSGDKIT_OUT)")
     p.add_argument("--timing", action="store_true",

@@ -105,7 +105,9 @@ def sample_delta_theta(dim: int, cfg: ProbeConfig, rng: np.random.Generator) -> 
     """Draw delta_theta with i.i.d. zero-mean normal entries of std cfg.sample_std."""
     if dim < 1:
         raise ContractViolationError("probe dimension must be at least 1")
-    return cfg.sample_std * rng.standard_normal(dim)
+    z = rng.standard_normal(dim)
+    std = cfg.sample_std
+    return z if std == 1.0 else std * z  # 1.0 * z is z, bit for bit
 
 
 def approx_delta_g(grad_at, theta: np.ndarray, delta_theta: np.ndarray) -> np.ndarray:

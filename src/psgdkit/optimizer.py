@@ -183,9 +183,10 @@ def psgd_step(theta, problem: Problem, precond: Preconditioner, cfg: RunConfig,
     pg_norm = _norm(pg)
     clipped = False
     if cfg.clip_omega is not None:
-        scale = max(1.0, pg_norm / cfg.clip_omega)
+        scale = pg_norm / cfg.clip_omega
         clipped = scale > 1.0
-        pg = pg / scale
+        if clipped:
+            pg = pg / scale
     theta = theta - cfg.mu * pg
     return theta, precond, _finish_row(t, loss, g_norm, pg_norm, clipped, started)
 
@@ -248,18 +249,18 @@ def run(problem: Problem, cfg: RunConfig, timing: bool = False) -> RunResult:
     else:
         state = None
         step = _STEPS[cfg.method]
-    step = np.errstate(all="ignore")(step)  # one context, entered afresh by each call
-    for t in range(1, cfg.iters + 1):
-        try:
-            theta, state, row = step(theta, problem, state, cfg, t, rng, timing)
-        except RunDiverged as stop:
-            rows.append(stop.row)
-            return RunResult(rows, theta, state, True)
-        except (NumericEvaluationError, NumericInputError,
-                DegenerateCurvatureError, DegenerateStateError):
-            # numeric failure inside a step (e.g. exploded factors after the
-            # curvature vanished); record a diagnostic row and stop the run
-            rows.append(TraceRow(t, float("nan"), float("nan"), float("nan"), False, 0))
-            return RunResult(rows, theta, state, True)
-        rows.append(row)
+    with np.errstate(all="ignore"):  # entered once; every step runs inside it
+        for t in range(1, cfg.iters + 1):
+            try:
+                theta, state, row = step(theta, problem, state, cfg, t, rng, timing)
+            except RunDiverged as stop:
+                rows.append(stop.row)
+                return RunResult(rows, theta, state, True)
+            except (NumericEvaluationError, NumericInputError,
+                    DegenerateCurvatureError, DegenerateStateError):
+                # numeric failure inside a step (e.g. exploded factors after the
+                # curvature vanished); record a diagnostic row and stop the run
+                rows.append(TraceRow(t, float("nan"), float("nan"), float("nan"), False, 0))
+                return RunResult(rows, theta, state, True)
+            rows.append(row)
     return RunResult(rows, theta, state, False)

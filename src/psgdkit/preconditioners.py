@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import TangentPair, _check_probe
+from .curvature import TangentPair
 from .errors import (
     ContractViolationError,
     DegenerateCurvatureError,
@@ -92,8 +92,12 @@ def _finite_max_norms(*parts) -> list:
     return norms
 
 
+def _wrong_length(dim: int, v: np.ndarray) -> ContractViolationError:
+    return ContractViolationError(f"vector of length {dim} expected, got shape {v.shape}")
+
+
 class _BlockPair(NamedTuple):
-    """Views of one direct-sum block's slice of an already validated pair."""
+    """Views of one direct-sum block's slice of a TangentPair."""
 
     delta_theta: np.ndarray
     delta_g: np.ndarray
@@ -117,8 +121,10 @@ class Preconditioner:
     checked to be at least 1, nothing allocated), ``min_diag``, ``param_count``
     and the checkpoint record derive from this declaration. A family without
     a ``dim`` field is an (m, n) matrix block with ``dim = m * n``.
-    ``update`` validates the step, the pair's dims and the diagonal floor,
-    then runs the family's ``_update`` kernel on raw arrays. Before it
+    ``update`` takes a TangentPair, which has proved its two vectors finite,
+    1-D, float and of equal length. It checks the step, the pair's length
+    and the diagonal floor, then runs the family's ``_update`` kernel on the
+    raw arrays. Before it
     assigns anything a kernel shows its factors finite, by ``_scan_factors``
     or by the norm test on a gradient every factor entry reaches, even times a
     zero (inf * 0 is nan on a BLAS that skips no zero operand). That gradient
@@ -158,11 +164,12 @@ class Preconditioner:
         """One normalized relative-gradient step on the pair (dt, dg)."""
         if not 0.0 < step < 1.0:
             raise ContractViolationError("normalized step size must lie in (0, 1)")
-        dt = self._check_dim(pair.delta_theta)
-        dg = self._check_dim(pair.delta_g)
+        dt = pair.delta_theta
+        if len(dt) != self.dim:  # the pair's two vectors have one length
+            raise _wrong_length(self.dim, dt)
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
-        self._update(dt, dg, step)
+        self._update(dt, pair.delta_g, step)
 
     def _update(self, dt: np.ndarray, dg: np.ndarray, step: float) -> None:
         raise NotImplementedError
@@ -198,8 +205,7 @@ class Preconditioner:
     def _check_dim(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
-            raise ContractViolationError(
-                f"vector of length {self.dim} expected, got shape {v.shape}")
+            raise _wrong_length(self.dim, v)
         return v
 
 
@@ -346,7 +352,10 @@ class KronPrecond(Preconditioner):
         # q1 and q2 need no scan: q1[i, j] reaches row i of a = Q1 dG Q2^T and so
         # g1[i, i]; q2[k, l] reaches column k and so g2[k, k].
         g1, g2 = self._pair_gradient(dt, dg)
-        n1, n2 = _finite_max_norms(g1, g2)
+        a1, a2 = np.abs(g1).ravel(), np.abs(g2).ravel()  # max_norm's steps, inline
+        n1, n2 = a1[a1.argmax()], a2[a2.argmax()]
+        if not (n1 < math.inf and n2 < math.inf):  # false for an inf or a nan
+            raise NumericInputError("non-finite preconditioner gradient")
         if n1 > 0.0:
             self.q1 = _triangular_step(self.q1, g1, step / n1)
         if n2 > 0.0:
@@ -475,7 +484,13 @@ class SpluPrecond(Preconditioner):
 
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
         """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
-        return self._matvec(self._checked(v, which in ("qinv", "qinvt")), which)
+        v = self._checked(v, which in ("qinv", "qinvt"))
+        return np.concatenate(self._blocks(*self._split(v), which))
+
+    def _two_products(self, v, first, second):
+        """The `second` product of the `first` product of a checked v, kept split
+        between the two and concatenated once."""
+        return np.concatenate(self._blocks(*self._blocks(*self._split(v), first), second))
 
     def _checked(self, v, inverse=False):
         """v as a float vector of this dim, once the diagonals are above the floor
@@ -487,9 +502,6 @@ class SpluPrecond(Preconditioner):
         if inverse and not (_all_finite(self.l3) and _all_finite(self.u3)):
             raise NumericInputError("non-finite entries in factor l3 or u3")
         return v
-
-    def _matvec(self, v, which):
-        return np.concatenate(self._blocks(*self._split(v), which))
 
     def _blocks(self, v1, v2, which, solve=tri_solve):
         """The two blocks of Q v, Q^T v, Q^{-1} v or Q^{-T} v for v = (v1, v2); the
@@ -511,10 +523,10 @@ class SpluPrecond(Preconditioner):
         raise ContractViolationError(f"unknown matvec selector {which!r}")
 
     def apply(self, g):
-        return self._matvec(self._matvec(self._checked(g), "q"), "qt")
+        return self._two_products(self._checked(g), "q", "qt")
 
     def apply_inv(self, v):
-        return self._matvec(self._matvec(self._checked(v, True), "qinvt"), "qinv")
+        return self._two_products(self._checked(v, True), "qinvt", "qinv")
 
     def materialize_lu(self):
         """Dense (L, U); test and diagnostic helper, O(L^2) storage."""
@@ -612,13 +624,17 @@ class DirectSumPrecond(Preconditioner):
         return np.concatenate([p.apply_inv(v[s]) for (_, p), s in zip(self.blocks, self.slices)])
 
     def update(self, pair, step):
-        # Each block slice gets a TangentPair's probe checks without the copy;
-        # each block's own update checks the step and its diagonals on the views.
-        dt = self._check_dim(pair.delta_theta)
-        dg = self._check_dim(pair.delta_g)
+        # The TangentPair is finite, 1-D, float and of equal length, so a slice
+        # needs only the all-zero test; each block's update checks the step, the
+        # slice's length and its diagonals. No block changes before every slice
+        # has passed.
+        dt, dg = pair.delta_theta, pair.delta_g
+        if len(dt) != self.dim:
+            raise _wrong_length(self.dim, dt)
         subs = [_BlockPair(dt[s], dg[s]) for s in self.slices]
         for sub in subs:
-            _check_probe(*sub)
+            if not np.count_nonzero(sub.delta_theta):
+                raise ContractViolationError("delta_theta must not be all zero")
         for (_, p), sub in zip(self.blocks, subs):
             p.update(sub, step)
 

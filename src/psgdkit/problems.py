@@ -300,21 +300,24 @@ def make_xor_mlp(hidden: int) -> Problem:
         return backward(th).grad
 
     def hvp(th, v):
+        # ndarray.dot and a positional reduce axis rather than @ and axis=: on these
+        # tiny arrays each skips a layer that costs about as much as the arithmetic.
+        # Every product and row sum keeps its operands' shapes, and so its bits.
         f = backward(th)
         v = layout.checked(v)
         v1 = v[:n1].reshape((hidden, 3), order="F")
         v2 = v[n1:]
         p, ds, w2 = f.p, f.ds, f.w2
 
-        rz = f.dtanh * (xa @ v1.T)
+        rz = f.dtanh * xa.dot(v1.T)
         rza = np.concatenate([rz, zeros], axis=1)
-        rs = f.za @ v2 + np.add.reduce(rza * w2, axis=1)
+        rs = f.za.dot(v2) + np.add.reduce(rza * w2, 1)
         rds = p * (1.0 - p) * rs / nb
 
-        rgw2 = rds @ f.za + ds @ rza
+        rgw2 = rds.dot(f.za) + ds.dot(rza)
         rdz = ds[:, None] * v2[:hidden] + rds[:, None] * w2[:hidden]
         rda1 = rdz * f.dtanh - 2.0 * f.dz * f.z * rz
-        rgw1 = rda1.T @ xa
+        rgw1 = rda1.T.dot(xa)
         return np.concatenate([rgw1.ravel(order="F"), rgw2])
 
     ev = BoundEvaluator(loss=loss, grad=grad, hvp=hvp)

@@ -157,6 +157,40 @@ class TestRun:
         assert fault in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["run", "--problem", "quad", "--dim", "-2"], "argument --dim: must be at least 1"),
+        (["run", "--problem", "quad", "--noise", "-1"],
+         "argument --noise: noise scale must be nonnegative and finite, got -1.0"),
+        (["run", "--problem", "quad", "--noise", "inf"],
+         "argument --noise: noise scale must be nonnegative and finite, got inf"),
+        (["run", "--problem", "quad", "--iters", "0"], "argument --iters: must be at least 1, got 0"),
+        (["run", "--problem", "xor-mlp", "--hidden", "0"],
+         "argument --hidden: must be at least 2 for --problem xor-mlp, got 0"),
+        (["run", "--problem", "addition-rnn", "--hidden", "0"],
+         "argument --hidden: must be at least 1 for --problem addition-rnn, got 0"),
+        (["run", "--problem", "addition-rnn", "--seq-len", "0"],
+         "argument --seq-len: must be at least 4 for --problem addition-rnn, got 0"),
+        (["run", "--problem", "quad", "--mu", "nan"],
+         "argument --mu: must be finite and positive, got nan"),
+        (["run", "--problem", "quad", "--precond-mu", "2"],
+         "argument --precond-mu: must lie in (0, 1), got 2.0"),
+        (["sweep", "--problem", "quad", "--run", "psgd:dense:nan"],
+         "argument --run: its mu must be finite and positive, got nan"),
+        (["run", "--problem", "quad", "--clip", "0"],
+         "argument --clip: must be none, auto or a positive number, got 0.0"),
+    ], ids=["negative-dim", "negative-noise", "infinite-noise", "zero-iters", "xor-zero-hidden",
+            "rnn-zero-hidden", "zero-seq-len", "nan-mu", "precond-mu-above-one", "nan-run-mu",
+            "zero-clip"])
+    def test_out_of_range_value_names_its_flag(self, argv, fault, tmp_path, capsys):
+        # rejected as a usage error before any output, not by the run's own checks
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert fault in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("dim", [[], ["--dim", "3"]], ids=["dim-omitted", "dim-agrees"])
     def test_explicit_diagonal_sets_the_header_dim(self, dim, tmp_path):
         out = tmp_path / "runs"

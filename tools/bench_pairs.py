@@ -19,10 +19,13 @@ per-pair values with their median and quartiles. The change/parent ratio of
 each pair is recorded as well. After the pairs, each side runs
 `benchmarks/run.py --trace 1` once per workload on `--first-seed`, and its
 per-layer metrics are stored under that side's `layers`; `correct` covers this
-run too. Last, each side runs the tier-1 suite once in its extracted tree
+run too. Last, each side runs the tier-1 suite twice in its extracted tree
 (`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, with
-`--durations=0`), parent first, and its wall time, last output line, exit code
-and the c03, c07 and c10 call durations are stored under that side's `tier1`.
+`--durations=0`), in the order parent, change, change, parent, so a drift of
+the host over the four runs weighs on both sides alike. Each run's wall time,
+last output line, exit code and c03, c07 and c10 call durations are stored
+in that side's `tier1` `runs`, with the side's medians of the wall time and
+of c10 beside them.
 
 The script uses the standard library only; it neither imports psgdkit nor
 writes anything under benchmarks/: the traced runs write their span tables
@@ -43,6 +46,7 @@ PAIRS = 10
 ENVIRONMENT = ("python", "numpy", "scipy", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS")
 TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are recorded
+TIER1_ORDER = ("parent", "change", "change", "parent")
 
 
 def git(*args):
@@ -126,8 +130,9 @@ def main(argv=None):
                           "layers": "python3 benchmarks/run.py --trace 1, once per side "
                                     "on the first seed, after the pairs",
                           "tier1": "PYTHONPATH=src python -m pytest -q "
-                                   "--continue-on-collection-errors --durations=0, once per "
-                                   "side, parent first, after the layers"}
+                                   "--continue-on-collection-errors --durations=0, twice per "
+                                   "side in the order parent, change, change, parent, after "
+                                   "the layers"}
     record["workloads"] = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
@@ -163,9 +168,16 @@ def main(argv=None):
                 entry[metric] = {side: summary(v) for side, v in per_side.items()}
                 entry[metric]["change_over_parent"] = summary(ratios)
             record["workloads"][workload] = entry
-        for side in ("parent", "change"):
-            record[side]["tier1"] = tier1(trees[side])
-            print(f"tier-1 {side}: {record[side]['tier1']['result']}", flush=True)
+        tier1_runs = {"parent": [], "change": []}
+        for side in TIER1_ORDER:
+            tier1_runs[side].append(tier1(trees[side]))
+            print(f"tier-1 {side}: {tier1_runs[side][-1]['result']}", flush=True)
+        for side, runs in tier1_runs.items():
+            c10 = [r["call_s"]["c10"] for r in runs if "c10" in r["call_s"]]
+            record[side]["tier1"] = {
+                "runs": runs,
+                "median_wall_s": statistics.median(r["wall_s"] for r in runs),
+                "median_c10_s": statistics.median(c10) if c10 else None}
     with open(os.path.join(ROOT, args.out), "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
