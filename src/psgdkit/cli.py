@@ -102,7 +102,11 @@ def _parse_damping(text):
         return "none", 0.0
     for prefix, kind in (("trad:", "traditional"), ("noncvx:", "nonconvex")):
         if text.startswith(prefix):
-            return kind, float(text[len(prefix):])
+            lam = float(text[len(prefix):])
+            if not 0.0 <= lam < math.inf:
+                raise argparse.ArgumentTypeError(
+                    f"damping strength must be finite and nonnegative, got {lam}")
+            return kind, lam
     raise ValueError(text)
 
 
@@ -284,7 +288,9 @@ def _add_run_flags(p):
     problem_flag("--quad-diag", "explicit quadratic Hessian diagonal, by default "
                                 "alternating +1,-2,...,+-dim", metavar="D1,D2,...",
                  type=_flag_type(lambda t: t if _numbers(t) else "alternating",
-                                 "comma-separated numbers"))
+                                 "comma-separated numbers",
+                                 lambda t: all(map(math.isfinite, _numbers(t))),
+                                 "Hessian must be finite"))
     problem_flag("--noise", "quadratic gradient noise scale",
                  type=_flag_type(float, "a number", lambda v: 0.0 <= v < math.inf,
                                  "noise scale must be nonnegative and finite"))

@@ -178,9 +178,13 @@ class TestRun:
          "argument --run: its mu must be finite and positive, got nan"),
         (["run", "--problem", "quad", "--clip", "0"],
          "argument --clip: must be none, auto or a positive number, got 0.0"),
+        (["run", "--problem", "quad", "--damping", "trad:-1"],
+         "argument --damping: damping strength must be finite and nonnegative, got -1.0"),
+        (["run", "--problem", "quad", "--quad-diag", "nan,1"],
+         "argument --quad-diag: Hessian must be finite, got nan,1"),
     ], ids=["negative-dim", "negative-noise", "infinite-noise", "zero-iters", "xor-zero-hidden",
             "rnn-zero-hidden", "zero-seq-len", "nan-mu", "precond-mu-above-one", "nan-run-mu",
-            "zero-clip"])
+            "zero-clip", "negative-damping", "nan-diag"])
     def test_out_of_range_value_names_its_flag(self, argv, fault, tmp_path, capsys):
         # rejected as a usage error before any output, not by the run's own checks
         out = tmp_path / "runs"
