@@ -289,7 +289,8 @@ def _add_run_flags(p):
                                 "alternating +1,-2,...,+-dim", metavar="D1,D2,...",
                  type=_flag_type(lambda t: t if _numbers(t) else "alternating",
                                  "comma-separated numbers",
-                                 lambda t: all(map(math.isfinite, _numbers(t))),
+                                 lambda t: t == "alternating" or all(map(math.isfinite,
+                                                                         _numbers(t))),
                                  "Hessian must be finite"))
     problem_flag("--noise", "quadratic gradient noise scale",
                  type=_flag_type(float, "a number", lambda v: 0.0 <= v < math.inf,

@@ -195,6 +195,13 @@ class TestRun:
         assert fault in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_empty_diagonal_is_the_alternating_default(self, tmp_path):
+        out = tmp_path / "runs"
+        assert run_cli(["run", "--problem", "quad", "--quad-diag", "", "--iters", "2", "--name",
+                        "h", "--out", str(out)]) == 0
+        assert read(out / "h.csv").splitlines()[0].endswith(
+            " dim=10 quad_diag=alternating noise=0.0")
+
     @pytest.mark.parametrize("dim", [[], ["--dim", "3"]], ids=["dim-omitted", "dim-agrees"])
     def test_explicit_diagonal_sets_the_header_dim(self, dim, tmp_path):
         out = tmp_path / "runs"
