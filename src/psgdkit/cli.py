@@ -295,8 +295,8 @@ def _add_run_flags(p):
     problem_flag("--noise", "quadratic gradient noise scale",
                  type=_flag_type(float, "a number", lambda v: 0.0 <= v < math.inf,
                                  "noise scale must be nonnegative and finite"))
-    problem_flag("--hidden", "hidden units", type=int)
-    problem_flag("--seq-len", "sequence length", type=int)
+    problem_flag("--hidden", "hidden units", type=_flag_type(int, "an integer"))
+    problem_flag("--seq-len", "sequence length", type=_flag_type(int, "an integer"))
     problem_flag("--batch-size", "mini-batch size", type=_int_at_least(1))
     p.add_argument("--method", default="psgd", choices=["psgd", "sgd", "rmsprop", "esgd"])
     p.add_argument("--precond", default="dense",

@@ -77,14 +77,16 @@ class RunConfig:
             raise ContractViolationError(f"unknown variant {self.precond_variant!r}")
         if self.skip_schedule not in ("never", "log10"):
             raise ContractViolationError(f"unknown skip schedule {self.skip_schedule!r}")
-        if not self.mu > 0.0:
-            raise ContractViolationError("step size must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ContractViolationError("step size must be finite and positive")
         if not 0.0 < self.precond_mu < 1.0:
             raise ContractViolationError("preconditioner step size must lie in (0, 1)")
         if self.clip_omega is not None and not self.clip_omega > 0.0:
             raise ContractViolationError("clip threshold must be positive")
         if self.iters < 1:
             raise ContractViolationError("iters must be at least 1")
+        if self.seed < 0:
+            raise ContractViolationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ evaluator whose loss, gradient and optional Hessian-vector product all see the
 same batch realization. That makes gradient differencing on one batch and
 run-level determinism structural rather than a calling convention. A problem
 whose batch ignores the seed says so (``seeded=False``), so a run need not
-derive one. The network problems evaluate a bound batch at most once per
-distinct theta: loss, gradient and Hvp at one theta share one forward pass,
-and a repeated gradient is a lookup.
+derive one. A run takes the loss, the gradient and a curvature probe at each
+theta, so the network problems make one forward and backward pass per
+distinct theta on a bound batch: loss, gradient and Hvp at one theta share
+it, and a repeated gradient is a lookup.
 
 Parameters are described by a layout of named tensors; flat vectors use
 column-major order per block, matching the matricization the Kronecker-style
@@ -79,8 +80,9 @@ def _last_value(fn):
     The key is th's exact value (its shape and bytes as float64), since a
     caller may change an array in place between calls. fn runs on a read-only
     copy of th rebuilt from the key, so what it returns cannot alias the
-    caller's array, and an array result is made read-only, so no caller can
-    write into what the next call returns. A call that raises caches nothing.
+    caller's array; an array fn hands on to callers must be made read-only by
+    fn, so no caller can write into what the next call returns. A call that
+    raises caches nothing.
     """
     last = (None, None)  # (key, value), swapped as one tuple so no reader mixes two calls
 
@@ -91,8 +93,6 @@ def _last_value(fn):
         seen, value = last
         if seen != key:
             value = fn(np.frombuffer(key[1]).reshape(th.shape))
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
             last = (key, value)
         return value
 
@@ -138,7 +138,8 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     of b (i.i.d. standard normal entries scaled by ``noise_scale``) and
     averages them; noise_scale 0 gives the deterministic quadratic. The exact
     Hvp is v -> H_hat v. H must be a non-empty, finite, symmetric matrix, b
-    finite and ``batch_size`` at least 1.
+    finite, ``noise_scale`` finite and nonnegative, and ``batch_size`` at
+    least 1.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -155,8 +156,8 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
         raise ContractViolationError("linear term has the wrong length")
     if not np.isfinite(b).all():
         raise ContractViolationError("linear term must be finite")
-    if noise_scale < 0.0:
-        raise ContractViolationError("noise scale must be nonnegative")
+    if not 0.0 <= noise_scale < np.inf:
+        raise ContractViolationError("noise scale must be nonnegative and finite")
     if batch_size < 1:
         raise ContractViolationError("batch size must be at least 1")
     layout = ParamLayout([ParamBlock("theta", (dim,))])
@@ -234,29 +235,14 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-class _XorPass:
-    """The XOR network's intermediates at one theta.
-
-    The forward ones (w2, z, za, s) are set when the pass is made; the
-    backward ones and the gradient stay None until a gradient or an Hvp at
-    that theta first asks for them.
-    """
-
-    __slots__ = ("w2", "z", "za", "s", "p", "ds", "dz", "dtanh", "grad")
-
-    def __init__(self, w2, z, za, s):
-        self.w2, self.z, self.za, self.s = w2, z, za, s
-        self.p = self.ds = self.dz = self.dtanh = self.grad = None
-
-
 def make_xor_mlp(hidden: int) -> Problem:
     """Two-layer tanh network on the four-point XOR set with logistic loss.
 
     Both affine blocks take inputs augmented with a constant 1. The batch is
     always the full set, so the problem is seed-free. The gradient is
     hand-coded backprop and the exact Hvp comes from a forward-over-reverse
-    pass; loss, gradient and Hvp at one theta share one record of the
-    intermediates, each computed at most once.
+    pass; loss, gradient and Hvp at one theta share one forward and backward
+    pass, made once.
     """
     if hidden < 2:
         raise ContractViolationError("need at least two hidden units")
@@ -271,52 +257,47 @@ def make_xor_mlp(hidden: int) -> Problem:
     xa = np.concatenate([x, ones], axis=1)
     nb = 4.0
 
+    # ndarray.dot and a positional reduce axis rather than @ and axis=: on these
+    # tiny arrays each skips a layer that costs about as much as the arithmetic.
+    # Every product and row sum keeps its operands' shapes, and so its bits.
     @_last_value
-    def forward(th):
+    def evaluate(th):
+        """(s, read-only gradient, then the intermediates hvp reuses) at th."""
         w1 = layout.checked(th)[:n1].reshape((hidden, 3), order="F")
         w2 = th[n1:]
-        z = np.tanh(xa @ w1.T)
+        z = np.tanh(xa.dot(w1.T))
         za = np.concatenate([z, ones], axis=1)
-        return _XorPass(w2, z, za, za @ w2)
-
-    def backward(th):
-        f = forward(th)
-        if f.grad is None:
-            f.p = _sigmoid(f.s)
-            f.ds = (f.p - targets) / nb
-            f.dz = f.ds[:, None] * f.w2[:hidden]
-            f.dtanh = 1.0 - f.z * f.z
-            gw1 = (f.dz * f.dtanh).T @ xa
-            grad = np.concatenate([gw1.ravel(order="F"), f.ds @ f.za])
-            grad.flags.writeable = False
-            f.grad = grad
-        return f
+        s = za.dot(w2)
+        p = _sigmoid(s)
+        ds = (p - targets) / nb
+        dz = ds[:, None] * w2[:hidden]
+        dtanh = 1.0 - z * z
+        gw1 = (dz * dtanh).T.dot(xa)
+        grad = np.concatenate([gw1.ravel(order="F"), ds.dot(za)])
+        grad.flags.writeable = False
+        return s, grad, w2, z, za, p, ds, dz, dtanh
 
     def loss(th):
-        s = forward(th).s
+        s = evaluate(th)[0]
         return float(np.add.reduce(_softplus(s) - targets * s) / nb)
 
     def grad(th):
-        return backward(th).grad
+        return evaluate(th)[1]
 
     def hvp(th, v):
-        # ndarray.dot and a positional reduce axis rather than @ and axis=: on these
-        # tiny arrays each skips a layer that costs about as much as the arithmetic.
-        # Every product and row sum keeps its operands' shapes, and so its bits.
-        f = backward(th)
+        _, _, w2, z, za, p, ds, dz, dtanh = evaluate(th)
         v = layout.checked(v)
         v1 = v[:n1].reshape((hidden, 3), order="F")
         v2 = v[n1:]
-        p, ds, w2 = f.p, f.ds, f.w2
 
-        rz = f.dtanh * xa.dot(v1.T)
+        rz = dtanh * xa.dot(v1.T)
         rza = np.concatenate([rz, zeros], axis=1)
-        rs = f.za.dot(v2) + np.add.reduce(rza * w2, 1)
+        rs = za.dot(v2) + np.add.reduce(rza * w2, 1)
         rds = p * (1.0 - p) * rs / nb
 
-        rgw2 = rds.dot(f.za) + ds.dot(rza)
+        rgw2 = rds.dot(za) + ds.dot(rza)
         rdz = ds[:, None] * v2[:hidden] + rds[:, None] * w2[:hidden]
-        rda1 = rdz * f.dtanh - 2.0 * f.dz * f.z * rz
+        rda1 = rdz * dtanh - 2.0 * dz * z * rz
         rgw1 = rda1.T.dot(xa)
         return np.concatenate([rgw1.ravel(order="F"), rgw2])
 
@@ -363,26 +344,18 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
         inputs = np.stack([values.T, marks.T], axis=2)  # (seq_len, batch, 2), C order
 
         @_last_value
-        def forward(th):
+        def evaluate(th):
+            """(prediction, read-only gradient) at th: the forward pass, then BPTT."""
             w, wo = layout.unflatten(th)
-            wht, bias = w[:, :hidden].T, w[:, hidden + 2]
+            wh = w[:, :hidden]
+            wht, bias = wh.T, w[:, hidden + 2]
             xw = inputs @ w[:, hidden:hidden + 2].T  # equals the per-step products bit for bit
-            # a fresh array per pass: a remembered pass must never be written into
             states = np.zeros((seq_len + 1, batch_size, hidden))
             for t in range(seq_len):
                 np.tanh(states[t] @ wht + xw[t] + bias, out=states[t + 1])
             ha = np.hstack([states[-1], ones[0]])
             pred = ha @ wo.ravel()
-            return w, wo, states, ha, pred
 
-        def loss(th):
-            _, _, _, _, pred = forward(th)
-            return float(np.mean((pred - targets) ** 2))
-
-        @_last_value
-        def grad(th):
-            w, wo, states, ha, pred = forward(th)
-            wh = w[:, :hidden]
             dpred = 2.0 * (pred - targets) / batch_size
             dtanh = 1.0 - states * states
             # step t's augmented input [h_{t-1}, x_t, 1], so w_rec's gradient is one
@@ -395,7 +368,16 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
                 gw += da.T @ xs[t - 1]
                 if t > 1:  # no step before the first reads dh
                     dh = da @ wh
-            return np.concatenate([gw.ravel(order="F"), dpred @ ha])
+            grad = np.concatenate([gw.ravel(order="F"), dpred @ ha])
+            grad.flags.writeable = False
+            return pred, grad
+
+        def loss(th):
+            pred = evaluate(th)[0]
+            return float(np.mean((pred - targets) ** 2))
+
+        def grad(th):
+            return evaluate(th)[1]
 
         return BoundEvaluator(loss=loss, grad=grad, hvp=None)
 

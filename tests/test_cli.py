@@ -302,7 +302,10 @@ class TestRun:
         (["sweep", "--run", "psgd:kron:abc"], "", "--run"),
         (["run"], "quad_diag=1,x\n", "--quad-diag"),
         (["sweep"], "run=sgd::fast\n", "--run"),
-    ], ids=["quad-diag", "damping", "clip", "run", "quad-diag-config", "run-config"])
+        (["run", "--hidden", "x"], "", "--hidden"),
+        (["run", "--seq-len", "2.5"], "", "--seq-len"),
+    ], ids=["quad-diag", "damping", "clip", "run", "quad-diag-config", "run-config", "hidden",
+            "seq-len"])
     def test_malformed_value_names_its_flag(self, argv, config, flag, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config)

@@ -230,6 +230,11 @@ class TestRunConfigValidation:
             RunConfig(iters=0)
         with pytest.raises(ContractViolationError):
             RunConfig(skip_schedule="sometimes")
+        for mu in (math.inf, math.nan):
+            with pytest.raises(ContractViolationError, match="step size"):
+                RunConfig(mu=mu)
+        with pytest.raises(ContractViolationError, match="seed"):
+            RunConfig(seed=-1)
 
     def test_batch_seed_stream_is_stable(self):
         assert batch_seed_for(0, 1) == batch_seed_for(0, 1)
@@ -316,6 +321,12 @@ def _golden_cases():
             clip_omega=10.0 * math.sqrt(xor3.dim), probe=ProbeConfig(mode="exact"),
             iters=200, seed=0)),
         "xor7-esgd": (xor7, RunConfig(method="esgd", mu=0.05, iters=200, seed=0)),
+        # differenced probes: the only path that takes a gradient at a theta
+        # (theta + dtheta) whose loss is never taken
+        "xor-psgd-dense-approx": (xor, RunConfig(
+            method="psgd", precond_variant="dense", mu=0.5, precond_mu=0.05,
+            clip_omega=10.0 * math.sqrt(xor.dim), probe=ProbeConfig(mode="approximate"),
+            iters=200, seed=0)),
     }
 
 
@@ -332,6 +343,7 @@ GOLDEN_TRAJECTORIES = {
     "xor-psgd-kron": "7a15f53e8ea62ecd2bcedfba44a7379ee487c7ab4574013ee0a6c1fd00634b6e",
     "xor3-psgd-kron": "a8a2621f3aeaf8799e02f40f7c92964b6d5b752a6036a1cece0c064da45fdd7a",
     "xor7-esgd": "773ea2b41d279f94efbb3eafb388455e6a4225d78ad4c23d8868d56f5b1859a6",
+    "xor-psgd-dense-approx": "2d5342e613ae0d0b08a2c43a075fa049c29df83c095c5fa332d5370de9cad3c7",
 }
 
 

@@ -81,15 +81,17 @@ class TestQuadratic:
         with pytest.raises(ContractViolationError):
             make_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("h, b, fault", [
-        (np.diag([np.nan, 1.0]), None, "Hessian must be finite"),
-        (np.diag([np.inf, 1.0]), None, "Hessian must be finite"),
-        (np.eye(2), np.array([0.0, np.nan]), "linear term must be finite"),
-        (np.eye(2), np.array([-np.inf, 0.0]), "linear term must be finite"),
-    ], ids=["nan-hessian", "inf-hessian", "nan-linear", "inf-linear"])
-    def test_non_finite_terms_rejected(self, h, b, fault):
+    @pytest.mark.parametrize("h, b, noise, fault", [
+        (np.diag([np.nan, 1.0]), None, 0.0, "Hessian must be finite"),
+        (np.diag([np.inf, 1.0]), None, 0.0, "Hessian must be finite"),
+        (np.eye(2), np.array([0.0, np.nan]), 0.0, "linear term must be finite"),
+        (np.eye(2), np.array([-np.inf, 0.0]), 0.0, "linear term must be finite"),
+        (np.eye(2), None, np.nan, "noise scale must be nonnegative and finite"),
+        (np.eye(2), None, np.inf, "noise scale must be nonnegative and finite"),
+    ], ids=["nan-hessian", "inf-hessian", "nan-linear", "inf-linear", "nan-noise", "inf-noise"])
+    def test_non_finite_terms_rejected(self, h, b, noise, fault):
         with pytest.raises(ContractViolationError, match=fault):
-            make_quadratic(h, b)
+            make_quadratic(h, b, noise_scale=noise)
 
     def test_empty_hessian_rejected(self):
         with pytest.raises(ContractViolationError, match="empty"):

@@ -14,8 +14,10 @@ uses seed `--first-seed + i` for both sides, and the side that runs first
 alternates from pair to pair. It reads each command's last output line (one
 JSON object) and writes, for both revisions, the commit, the hash of its
 `src/` tree, its code size (`src_lines`, the `wc -l` total of
-`src/psgdkit/*.py`) and the environment, and per workload and end-to-end metric the
-per-pair values with their median and quartiles. The change/parent ratio of
+`src/psgdkit/*.py`, and `src_code_lines`, the lines of those files that hold
+code rather than blanks, comments or docstrings) and the environment, and per
+workload and end-to-end metric the per-pair values with their median and
+quartiles. The change/parent ratio of
 each pair is recorded as well. After the pairs, each side runs
 `benchmarks/run.py --trace 1` once per workload on `--first-seed`, and its
 per-layer metrics are stored under that side's `layers`; `correct` covers this
@@ -33,6 +35,8 @@ into the extracted trees, which are deleted at the end.
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import statistics
@@ -40,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
@@ -47,6 +52,9 @@ ENVIRONMENT = ("python", "numpy", "scipy", "nproc", "OPENBLAS_NUM_THREADS", "OMP
                "MKL_NUM_THREADS")
 TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are recorded
 TIER1_ORDER = ("parent", "change", "change", "parent")
+NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER)
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def git(*args):
@@ -60,15 +68,36 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def src_lines(tree):
-    """Newlines in tree's src/psgdkit/*.py together, as `wc -l` counts them."""
+def sources(tree):
+    """The bytes of each of tree's src/psgdkit/*.py, in name order."""
     pkg = os.path.join(tree, "src", "psgdkit")
-    total = 0
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+                yield fh.read()
+
+
+def src_lines(tree):
+    """Newlines in tree's src/psgdkit/*.py together, as `wc -l` counts them."""
+    return sum(source.count(b"\n") for source in sources(tree))
+
+
+def code_lines(source):
+    """Lines of one Python source that hold a token other than a comment, less docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def src_code_lines(tree):
+    """Code lines (see code_lines) in tree's src/psgdkit/*.py together."""
+    return sum(code_lines(source) for source in sources(tree))
 
 
 def bench(tree, workload, seed, seconds, trace=0):
@@ -140,6 +169,7 @@ def main(argv=None):
             os.mkdir(trees[side])
             extract(rev, trees[side])
             record[side]["src_lines"] = src_lines(trees[side])
+            record[side]["src_code_lines"] = src_code_lines(trees[side])
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i in range(PAIRS):
