@@ -25,22 +25,13 @@ import struct
 import numpy as np
 
 from .errors import ContractViolationError, NumericInputError
-from .preconditioners import (
-    DensePrecond,
-    DiagPrecond,
-    DirectSumPrecond,
-    KronPrecond,
-    Preconditioner,
-    ScanPrecond,
-    SpluPrecond,
-)
+from .preconditioners import FAMILIES, DirectSumPrecond, Preconditioner
 
 __all__ = ["load_state", "save_state", "state_from_bytes", "state_to_bytes"]
 
 _MAGIC = b"PCS1"
 MAX_NESTING = 32  # direct sums inside direct sums, counting the outermost
-_BY_TAG = {cls.tag: cls for cls in (DensePrecond, DiagPrecond, SpluPrecond, KronPrecond,
-                                    ScanPrecond, DirectSumPrecond)}
+_BY_TAG = {cls.tag: cls for cls in (*FAMILIES.values(), DirectSumPrecond)}
 
 
 def state_to_bytes(p: Preconditioner) -> bytes:

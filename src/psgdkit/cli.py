@@ -33,7 +33,8 @@ import numpy as np
 from .checkpoint import save_state
 from .curvature import ProbeConfig
 from .errors import PsgdkitError
-from .optimizer import RMSPROP_BETA, RMSPROP_EPS, RunConfig, run
+from .optimizer import METHODS, RMSPROP_BETA, RMSPROP_EPS, RunConfig, run
+from .preconditioners import FAMILIES
 from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
 from .verify import SUITES, run_suite
 
@@ -298,9 +299,8 @@ def _add_run_flags(p):
     problem_flag("--hidden", "hidden units", type=_flag_type(int, "an integer"))
     problem_flag("--seq-len", "sequence length", type=_flag_type(int, "an integer"))
     problem_flag("--batch-size", "mini-batch size", type=_int_at_least(1))
-    p.add_argument("--method", default="psgd", choices=["psgd", "sgd", "rmsprop", "esgd"])
-    p.add_argument("--precond", default="dense",
-                   choices=["dense", "diag", "splu", "kron", "scan"])
+    p.add_argument("--method", default="psgd", choices=list(METHODS))
+    p.add_argument("--precond", default="dense", choices=list(FAMILIES))
     p.add_argument("--splu-order", type=_int_at_least(1), default=10,
                    help="sparse-LU order r (clamped to the problem dimension)")
     p.add_argument("--per-block", action="store_true",

@@ -28,8 +28,8 @@ from .errors import (
     NumericInputError,
     PsgdkitError,
 )
-from .preconditioners import Preconditioner, closed_form_diagonal, make_preconditioner
-from .problems import Problem
+from .preconditioners import FAMILIES, Preconditioner, closed_form_diagonal, make_preconditioner
+from .problems import Problem, _integer
 
 __all__ = [
     "RunConfig",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 METHODS = ("psgd", "sgd", "rmsprop", "esgd")
-VARIANTS = ("dense", "diag", "splu", "kron", "scan")
 
 # The RMSProp baseline's decay of the squared-gradient average, and the
 # constant added to its root before dividing.
@@ -73,7 +72,7 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ContractViolationError(f"unknown method {self.method!r}")
-        if self.precond_variant not in VARIANTS:
+        if self.precond_variant not in FAMILIES:
             raise ContractViolationError(f"unknown variant {self.precond_variant!r}")
         if self.skip_schedule not in ("never", "log10"):
             raise ContractViolationError(f"unknown skip schedule {self.skip_schedule!r}")
@@ -83,9 +82,10 @@ class RunConfig:
             raise ContractViolationError("preconditioner step size must lie in (0, 1)")
         if self.clip_omega is not None and not self.clip_omega > 0.0:
             raise ContractViolationError("clip threshold must be positive")
-        if self.iters < 1:
+        _integer(self.splu_order, "splu_order")
+        if _integer(self.iters, "iters") < 1:
             raise ContractViolationError("iters must be at least 1")
-        if self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise ContractViolationError("seed must be nonnegative")
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "DensePrecond",
     "DiagPrecond",
     "DirectSumPrecond",
+    "FAMILIES",
     "KronPrecond",
     "Preconditioner",
     "ScanPrecond",
@@ -117,19 +118,23 @@ class Preconditioner:
       diagonal entries) or ``"free"``;
     - ``_factor_shapes(*shape_fields)``: the factors' shapes.
 
+    Its kernels are ``_apply`` and ``_apply_inv``, on a float vector of its
+    dim, and ``_update``; ``FAMILIES`` lists the families by variant name.
     The constructor (the identity state), ``factor_shapes`` (each shape field
     checked to be at least 1, nothing allocated), ``min_diag``, ``param_count``
     and the checkpoint record derive from this declaration. A family without
     a ``dim`` field is an (m, n) matrix block with ``dim = m * n``.
-    ``update`` takes a TangentPair, which has proved its two vectors finite,
-    1-D, float and of equal length. It checks the step, the pair's length
-    and the diagonal floor, then runs the family's ``_update`` kernel on the
-    raw arrays. Before it
-    assigns anything a kernel shows its factors finite, by ``_scan_factors``
-    or by the norm test on a gradient every factor entry reaches, even times a
-    zero (inf * 0 is nan on a BLAS that skips no zero operand). That gradient
-    is computed under ``_quiet``, so numpy's error state adds no warning or
-    FloatingPointError to the NumericInputError the norm test raises.
+    ``apply`` and ``apply_inv`` check the vector once and run the kernel (a
+    direct sum's kernel runs each block's kernel on its slice). ``update``
+    takes a TangentPair, which has proved its two vectors finite, 1-D, float
+    and of equal length. It checks the step, the pair's length and the
+    diagonal floor, then runs the family's ``_update`` kernel on the raw
+    arrays. Before it assigns anything a kernel shows its factors finite, by
+    ``_scan_factors`` or by the norm test on a gradient every factor entry
+    reaches, even times a zero (inf * 0 is nan on a BLAS that skips no zero
+    operand). That gradient is computed under ``_quiet``, so numpy's error
+    state adds no warning or FloatingPointError to the NumericInputError the
+    norm test raises.
     """
 
     dim: int
@@ -146,10 +151,12 @@ class Preconditioner:
             setattr(self, name, _IDENTITY[structure](s))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """P g; ContractViolationError unless g is a vector of this dim."""
+        return self._apply(self._check_dim(g))
 
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """P^{-1} v; ContractViolationError unless v is a vector of this dim."""
+        return self._apply_inv(self._check_dim(v))
 
     @classmethod
     def factor_shapes(cls, *shape) -> list:
@@ -170,9 +177,6 @@ class Preconditioner:
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
         self._update(dt, pair.delta_g, step)
-
-    def _update(self, dt: np.ndarray, dg: np.ndarray, step: float) -> None:
-        raise NotImplementedError
 
     def min_diag(self) -> float:
         """Smallest diagonal entry over the factors; the group needs it positive.
@@ -220,12 +224,10 @@ class DensePrecond(Preconditioner):
     def _factor_shapes(cls, dim):
         return [(dim, dim)]
 
-    def apply(self, g):
-        g = self._check_dim(g)
+    def _apply(self, g):
         return self.q.T.dot(self.q.dot(g))
 
-    def apply_inv(self, v):
-        v = self._check_dim(v)
+    def _apply_inv(self, v):
         w = tri_solve(self.q, v, transpose=True)
         return tri_solve(self.q, w)
 
@@ -257,12 +259,10 @@ class DiagPrecond(Preconditioner):
     def _factor_shapes(cls, dim):
         return [(dim,)]
 
-    def apply(self, g):
-        g = self._check_dim(g)
+    def _apply(self, g):
         return self.q * self.q * g
 
-    def apply_inv(self, v):
-        v = self._check_dim(v)
+    def _apply_inv(self, v):
         return v / (self.q * self.q)
 
     def _pair_gradient(self, dt, dg):
@@ -319,13 +319,11 @@ class KronPrecond(Preconditioner):
     # v.reshape(n, m).T is v.reshape((m, n), order="F") without the keyword
     # (column-major matricization); g.T.ravel() flattens back.
 
-    def apply(self, g):
-        g = self._check_dim(g)
+    def _apply(self, g):
         q1, q2 = self.q1, self.q2
         return q1.T.dot(q1.dot(g.reshape(self.n, self.m).T).dot(q2.T)).dot(q2).T.ravel()
 
-    def apply_inv(self, v):
-        v = self._check_dim(v)
+    def _apply_inv(self, v):
         x = v.reshape(self.n, self.m).T
         x = tri_solve(self.q1, x, transpose=True)
         x = tri_solve(self.q1, x)
@@ -410,13 +408,11 @@ class ScanPrecond(Preconditioner):
             out[:, :-1] = (g[:, :-1] - np.outer(out[:, -1], self.c2)) / self.d2[:-1]
         return out
 
-    def apply(self, g):
-        g = self._check_dim(g)
+    def _apply(self, g):
         gm = g.reshape(self.n, self.m).T
         return ((self.q1 * self.q1)[:, None] * self._right_q2(self._right_q2t(gm))).T.ravel()
 
-    def apply_inv(self, v):
-        v = self._check_dim(v)
+    def _apply_inv(self, v):
         x = v.reshape(self.n, self.m).T / (self.q1 * self.q1)[:, None]
         return self._right_q2t_inv(self._right_q2_inv(x)).T.ravel()
 
@@ -484,7 +480,7 @@ class SpluPrecond(Preconditioner):
 
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
         """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
-        v = self._checked(v, which in ("qinv", "qinvt"))
+        v = self._checked(self._check_dim(v), which in ("qinv", "qinvt"))
         return np.concatenate(self._blocks(*self._split(v), which))
 
     def _two_products(self, v, first, second):
@@ -493,10 +489,9 @@ class SpluPrecond(Preconditioner):
         return np.concatenate(self._blocks(*self._blocks(*self._split(v), first), second))
 
     def _checked(self, v, inverse=False):
-        """v as a float vector of this dim, once the diagonals are above the floor
-        and, for an inverse product, l3 and u3 are finite (an inf there divides
-        its entry to zero before any solve could see it)."""
-        v = self._check_dim(v)
+        """v, once the diagonals are above the floor and, for an inverse product,
+        l3 and u3 are finite (an inf there divides its entry to zero before any
+        solve could see it)."""
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
         if inverse and not (_all_finite(self.l3) and _all_finite(self.u3)):
@@ -522,10 +517,10 @@ class SpluPrecond(Preconditioner):
             return solve(self.l1, w1 - self.l2.T.dot(x2), lower=True, transpose=True), x2
         raise ContractViolationError(f"unknown matvec selector {which!r}")
 
-    def apply(self, g):
+    def _apply(self, g):
         return self._two_products(self._checked(g), "q", "qt")
 
-    def apply_inv(self, v):
+    def _apply_inv(self, v):
         return self._two_products(self._checked(v, True), "qinvt", "qinv")
 
     def materialize_lu(self):
@@ -615,13 +610,12 @@ class DirectSumPrecond(Preconditioner):
             start += p.dim
         self.dim = start
 
-    def apply(self, g):
-        g = self._check_dim(g)
-        return np.concatenate([p.apply(g[s]) for (_, p), s in zip(self.blocks, self.slices)])
+    # A checked vector's slice is a checked vector of its block's dim.
+    def _apply(self, g):
+        return np.concatenate([p._apply(g[s]) for (_, p), s in zip(self.blocks, self.slices)])
 
-    def apply_inv(self, v):
-        v = self._check_dim(v)
-        return np.concatenate([p.apply_inv(v[s]) for (_, p), s in zip(self.blocks, self.slices)])
+    def _apply_inv(self, v):
+        return np.concatenate([p._apply_inv(v[s]) for (_, p), s in zip(self.blocks, self.slices)])
 
     def update(self, pair, step):
         # The TangentPair is finite, 1-D, float and of equal length, so a slice
@@ -669,36 +663,34 @@ def estimation_criterion(p: Preconditioner, pairs) -> float:
     return total / count
 
 
+# Each family by its variant name; the CLI lists them in this order.
+FAMILIES = {"dense": DensePrecond, "diag": DiagPrecond, "splu": SpluPrecond,
+            "kron": KronPrecond, "scan": ScanPrecond}
+
+
 def make_preconditioner(variant: str, layout, splu_order: int = 10,
                         per_block: bool = False) -> Preconditioner:
     """Build a preconditioner for a parameter layout.
 
     dense/diag/splu act on the whole flattened vector by default (one block
-    per tensor with ``per_block=True``); kron/scan always get one factored
-    block per layout tensor, treating vector tensors as single-column
-    matrices.
+    per tensor with ``per_block=True``, splu's order clamped to its dim);
+    kron/scan always get one factored block per layout tensor, treating
+    vector tensors as single-column matrices.
     """
-    def block_shape(shape):
-        if len(shape) == 1:
-            return shape[0], 1
-        if len(shape) == 2:
-            return shape
-        raise ContractViolationError(f"unsupported tensor rank {len(shape)}")
-
-    def flat_variant(dim):
-        if variant == "dense":
-            return DensePrecond(dim)
-        if variant == "diag":
-            return DiagPrecond(dim)
-        if variant == "splu":
-            return SpluPrecond(dim, min(splu_order, dim))
+    cls = FAMILIES.get(variant)
+    if cls is None:
         raise ContractViolationError(f"unknown preconditioner variant {variant!r}")
 
-    if variant in ("kron", "scan"):
-        cls = KronPrecond if variant == "kron" else ScanPrecond
-        return DirectSumPrecond(
-            [(b.name, cls(*block_shape(b.shape))) for b in layout.blocks])
+    def flat(dim):
+        return cls(dim, min(splu_order, dim)) if cls is SpluPrecond else cls(dim)
+
+    def block(shape):
+        if len(shape) not in (1, 2):
+            raise ContractViolationError(f"unsupported tensor rank {len(shape)}")
+        return cls(shape[0], shape[1] if len(shape) == 2 else 1)
+
+    if "dim" not in cls.shape_fields:  # an (m, n) block family
+        return DirectSumPrecond([(b.name, block(b.shape)) for b in layout.blocks])
     if per_block:
-        return DirectSumPrecond(
-            [(b.name, flat_variant(int(np.prod(b.shape)))) for b in layout.blocks])
-    return flat_variant(layout.size)
+        return DirectSumPrecond([(b.name, flat(b.size)) for b in layout.blocks])
+    return flat(layout.size)

@@ -15,6 +15,7 @@ column-major order per block, matching the matricization the Kronecker-style
 preconditioners use.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,6 +73,14 @@ class ParamLayout:
         theta = self.checked(theta)
         return [np.reshape(theta[s], b.shape, order="F")
                 for b, s in zip(self.blocks, self.slices)]
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; ContractViolationError unless it is an integer (numpy's pass)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractViolationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _last_value(fn):
@@ -138,8 +147,8 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     of b (i.i.d. standard normal entries scaled by ``noise_scale``) and
     averages them; noise_scale 0 gives the deterministic quadratic. The exact
     Hvp is v -> H_hat v. H must be a non-empty, finite, symmetric matrix, b
-    finite, ``noise_scale`` finite and nonnegative, and ``batch_size`` at
-    least 1.
+    finite, ``noise_scale`` finite and nonnegative, and ``batch_size`` an
+    integer at least 1.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -158,7 +167,7 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
         raise ContractViolationError("linear term must be finite")
     if not 0.0 <= noise_scale < np.inf:
         raise ContractViolationError("noise scale must be nonnegative and finite")
-    if batch_size < 1:
+    if _integer(batch_size, "batch size") < 1:
         raise ContractViolationError("batch size must be at least 1")
     layout = ParamLayout([ParamBlock("theta", (dim,))])
     upper = np.triu(np.ones((dim, dim), bool))
@@ -244,7 +253,7 @@ def make_xor_mlp(hidden: int) -> Problem:
     pass; loss, gradient and Hvp at one theta share one forward and backward
     pass, made once.
     """
-    if hidden < 2:
+    if _integer(hidden, "hidden size") < 2:
         raise ContractViolationError("need at least two hidden units")
     layout = ParamLayout([
         ParamBlock("w1", (hidden, 3)),
@@ -319,9 +328,9 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
     Gradients come from hand-coded backprop through time; no exact Hvp is
     provided (use gradient differencing).
     """
-    if seq_len < 4:
+    if _integer(seq_len, "sequence length") < 4:
         raise ContractViolationError("sequence length must be at least 4")
-    if hidden < 1 or batch_size < 1:
+    if _integer(hidden, "hidden size") < 1 or _integer(batch_size, "batch size") < 1:
         raise ContractViolationError("hidden size and batch size must be positive")
     layout = ParamLayout([
         ParamBlock("w_rec", (hidden, hidden + 3)),

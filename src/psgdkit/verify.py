@@ -207,7 +207,7 @@ def suite_gradcheck():
     for prob, tol in problems:
         results.append(_result(f"gradient/{prob.name}", gradient_selfcheck(prob), tol))
     rng = np.random.default_rng(2024)
-    for variant in ("dense", "diag", "kron", "scan", "splu"):
+    for variant in _ANCHORS:
         results.append(_result(f"criterion-gradient/{variant}",
                                _anchor_worst(variant, rng), 1e-5))
     return results

@@ -235,6 +235,11 @@ class TestRunConfigValidation:
                 RunConfig(mu=mu)
         with pytest.raises(ContractViolationError, match="seed"):
             RunConfig(seed=-1)
+        for field in ("iters", "seed", "splu_order"):
+            for bad in (2.5, 3.0, "3", None):
+                with pytest.raises(ContractViolationError, match=f"{field} must be an integer"):
+                    RunConfig(**{field: bad})
+        RunConfig(iters=np.int64(3), seed=np.int32(1), splu_order=np.int64(2))
 
     def test_batch_seed_stream_is_stable(self):
         assert batch_seed_for(0, 1) == batch_seed_for(0, 1)

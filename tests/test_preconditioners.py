@@ -13,10 +13,12 @@ from psgdkit.errors import (
     PsgdkitError,
 )
 from psgdkit.preconditioners import (
+    FAMILIES,
     DensePrecond,
     DiagPrecond,
     DirectSumPrecond,
     KronPrecond,
+    Preconditioner,
     ScanPrecond,
     SpluPrecond,
     closed_form_diagonal,
@@ -412,6 +414,54 @@ class TestDirectSum:
             solo.update(TangentPair(pair.delta_theta[:2], pair.delta_g[:2]), 0.1)
         np.testing.assert_allclose(p.blocks[0][1].q, solo.q)
 
+    @staticmethod
+    def trained_sum(seed):
+        rng = np.random.default_rng(seed)
+        p = DirectSumPrecond([("a", KronPrecond(2, 3)), ("b", SpluPrecond(5, 2)),
+                              ("c", ScanPrecond(3, 2))])
+        for _ in range(30):
+            p.update(random_pair(rng, p.dim, scale=rng.uniform(0.3, 2.0)), 0.3)
+        return p, rng.standard_normal(p.dim)
+
+    @pytest.mark.parametrize("method", ["apply", "apply_inv"])
+    def test_apply_is_the_concatenated_block_applies(self, method):
+        p, v = self.trained_sum(10)
+        expected = np.concatenate([getattr(b, method)(v[s]) for (_, b), s in
+                                   zip(p.blocks, p.slices)])
+        assert getattr(p, method)(v).tobytes() == expected.tobytes()
+        assert getattr(p, method)(list(v)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", ["apply", "apply_inv"])
+    def test_apply_checks_the_vector_once(self, method, monkeypatch):
+        p, v = self.trained_sum(11)
+        checks = []
+        check = Preconditioner._check_dim
+
+        def counting(self, x):
+            checks.append(self)
+            return check(self, x)
+
+        monkeypatch.setattr(Preconditioner, "_check_dim", counting)
+        getattr(p, method)(v)
+        assert checks == [p]
+
+    @pytest.mark.parametrize("method", ["apply", "apply_inv"])
+    def test_apply_rejects_a_wrong_length(self, method):
+        p, v = self.trained_sum(12)
+        for bad in (v[:-1], np.append(v, 1.0), list(v[:-1]), v[:, None], [[1.0, 2.0]]):
+            with pytest.raises(ContractViolationError, match=f"length {p.dim}"):
+                getattr(p, method)(bad)
+
+    @pytest.mark.parametrize("method", ["apply", "apply_inv"])
+    def test_collapsed_splu_block_raises_through_the_sum(self, method):
+        layout = ParamLayout([ParamBlock("w1", (2, 3)), ParamBlock("w2", (4,))])
+        p = make_preconditioner("splu", layout, splu_order=2, per_block=True)
+        v = np.random.default_rng(13).standard_normal(p.dim)
+        getattr(p, method)(v)
+        p.blocks[1][1].u3[1] = 1e-301
+        with pytest.raises(DegenerateStateError, match="SpluPrecond factor diagonal collapsed"):
+            getattr(p, method)(v)
+
 
 FAMILY_SHAPES = [(DensePrecond, (4,)), (DiagPrecond, (4,)), (KronPrecond, (3, 2)),
                  (ScanPrecond, (3, 2)), (SpluPrecond, (5, 2))]
@@ -489,6 +539,27 @@ class TestFactory:
         p = make_preconditioner("diag", layout, per_block=True)
         assert isinstance(p, DirectSumPrecond)
         assert [b.dim for _, b in p.blocks] == [6, 4]
+
+    @pytest.mark.parametrize("variant", ["kron", "scan"])
+    def test_block_families_reject_a_rank_3_tensor(self, variant):
+        layout = ParamLayout([ParamBlock("w1", (2, 3)), ParamBlock("t", (2, 2, 2))])
+        with pytest.raises(ContractViolationError, match="unsupported tensor rank 3"):
+            make_preconditioner(variant, layout)
+
+    def test_unknown_variant_rejected(self):
+        layout = ParamLayout([ParamBlock("w1", (2, 3))])
+        for per_block in (False, True):
+            with pytest.raises(ContractViolationError, match="unknown preconditioner variant"):
+                make_preconditioner("lbfgs", layout, per_block=per_block)
+
+    def test_families_table(self):
+        assert list(FAMILIES) == ["dense", "diag", "splu", "kron", "scan"]
+        assert [cls.tag for cls in FAMILIES.values()] == [1, 2, 3, 4, 5]
+        layout = ParamLayout([ParamBlock("w1", (2, 3)), ParamBlock("w2", (4,))])
+        for variant, cls in FAMILIES.items():
+            p = make_preconditioner(variant, layout, splu_order=3)
+            blocks = [b for _, b in p.blocks] if isinstance(p, DirectSumPrecond) else [p]
+            assert all(type(b) is cls for b in blocks)
 
 
 class TestMinDiag:

@@ -395,3 +395,23 @@ class TestSeededDeclaration:
         base = make_rosenbrock()
         prob = Problem("custom", base.layout, base.bind_batch, base.initial_theta)
         assert prob.seeded is True
+
+
+class TestSizeArguments:
+    """Each builder's sizes are integers; numpy integers count as integers."""
+
+    @pytest.mark.parametrize("build, fault", [
+        (lambda: make_xor_mlp(2.5), "hidden size"),
+        (lambda: make_addition_rnn(6, 2.5), "hidden size"),
+        (lambda: make_addition_rnn(6.0, 3), "sequence length"),
+        (lambda: make_addition_rnn(6, 3, batch_size=1.5), "batch size"),
+        (lambda: make_quadratic(np.eye(2), batch_size=2.0), "batch size"),
+    ], ids=["xor-hidden", "rnn-hidden", "rnn-seq-len", "rnn-batch-size", "quad-batch-size"])
+    def test_non_integer_size_rejected(self, build, fault):
+        with pytest.raises(ContractViolationError, match=f"{fault} must be an integer"):
+            build()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert make_xor_mlp(np.int64(3)).dim == 13
+        assert make_addition_rnn(np.int32(6), np.int64(3), batch_size=np.int64(2)).dim == 22
+        assert make_quadratic(np.eye(2), batch_size=np.int64(2)).dim == 2

@@ -14,8 +14,9 @@ uses seed `--first-seed + i` for both sides, and the side that runs first
 alternates from pair to pair. It reads each command's last output line (one
 JSON object) and writes, for both revisions, the commit, the hash of its
 `src/` tree, its code size (`src_lines`, the `wc -l` total of
-`src/psgdkit/*.py`, and `src_code_lines`, the lines of those files that hold
-code rather than blanks, comments or docstrings) and the environment, and per
+`src/psgdkit/*.py`, `src_code_lines`, the lines of those files that hold
+code rather than blanks, comments or docstrings, and `src_code_lines_by_file`,
+the same count per file) and the environment, and per
 workload and end-to-end metric the per-pair values with their median and
 quartiles. The change/parent ratio of
 each pair is recorded as well. After the pairs, each side runs
@@ -69,17 +70,17 @@ def extract(rev, dest):
 
 
 def sources(tree):
-    """The bytes of each of tree's src/psgdkit/*.py, in name order."""
+    """(name, bytes) of each of tree's src/psgdkit/*.py, in name order."""
     pkg = os.path.join(tree, "src", "psgdkit")
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
-                yield fh.read()
+                yield name, fh.read()
 
 
 def src_lines(tree):
     """Newlines in tree's src/psgdkit/*.py together, as `wc -l` counts them."""
-    return sum(source.count(b"\n") for source in sources(tree))
+    return sum(source.count(b"\n") for _, source in sources(tree))
 
 
 def code_lines(source):
@@ -95,9 +96,9 @@ def code_lines(source):
     return len(lines - docstrings)
 
 
-def src_code_lines(tree):
-    """Code lines (see code_lines) in tree's src/psgdkit/*.py together."""
-    return sum(code_lines(source) for source in sources(tree))
+def src_code_lines_by_file(tree):
+    """File name -> code lines (see code_lines), for tree's src/psgdkit/*.py."""
+    return {name: code_lines(source) for name, source in sources(tree)}
 
 
 def bench(tree, workload, seed, seconds, trace=0):
@@ -169,7 +170,9 @@ def main(argv=None):
             os.mkdir(trees[side])
             extract(rev, trees[side])
             record[side]["src_lines"] = src_lines(trees[side])
-            record[side]["src_code_lines"] = src_code_lines(trees[side])
+            by_file = src_code_lines_by_file(trees[side])
+            record[side]["src_code_lines"] = sum(by_file.values())
+            record[side]["src_code_lines_by_file"] = by_file
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i in range(PAIRS):
