@@ -302,7 +302,8 @@ def _golden_cases():
         f"quad-psgd-{variant}": (quad, RunConfig(
             method="psgd", precond_variant=variant, splu_order=4, mu=0.5, precond_mu=0.01,
             probe=ProbeConfig(mode="exact"), iters=300, seed=0))
-        for variant in ("dense", "diag", "splu")
+        # scan on the quadratic's one vector tensor is the n == 1 block, whose c2 is empty
+        for variant in ("dense", "diag", "splu", "scan")
     }
     return {
         **quad_cases,
@@ -339,6 +340,7 @@ GOLDEN_TRAJECTORIES = {
     "quad-psgd-dense": "6fd3ba452a02f6b582790652e7dfe9552e969bccdb404db8471f07355b85e1bc",
     "quad-psgd-diag": "d2643282af47adf3cdef7f93b37249ce0638ff14ddd615639ec2591618e1cece",
     "quad-psgd-splu": "f7a9d189cdfc969dd9ae3ddd2470136ea8bbbe1bb746ef68af2ac127e10bf7ec",
+    "quad-psgd-scan": "835ecabde4f4d1efbde5cf7b2d2bebaa07769e72781a386182cd548d53a88daf",
     "rosenbrock-psgd-dense": "2d67c6194074da9797df2f66889f110c07d1eb9e0e95033934d855d712e7b833",
     "xor-sgd": "e455b3059d45025dcb4669d658d6b24e50b4c9743ada915fad4b693674daa7fd",
     "xor-rmsprop": "33f03222af0c94e00bbe550c8f9499d13462783929a7b913834911f94dcb1604",
