@@ -15,7 +15,9 @@ uint32 block count and, per block, uint16 name length + UTF-8 name + nested
 record. Loading sizes each record from its shape fields and reads its
 payload before it builds anything, so a record cannot make the loader
 allocate more than the record holds. It then rebuilds each family through
-its constructor and checks every factor against its declared structure.
+its constructor and checks every factor against its declared structure:
+finite entries, no entry outside a triangle, and no diagonal entry below
+the floor under which ``update`` refuses a state and a solve is meaningless.
 Direct sums nest at most ``MAX_NESTING`` deep, in saving and in loading.
 """
 
@@ -25,7 +27,7 @@ import struct
 import numpy as np
 
 from .errors import ContractViolationError, NumericInputError
-from .preconditioners import FAMILIES, DirectSumPrecond, Preconditioner
+from .preconditioners import _SOLVE_FLOOR, FAMILIES, DirectSumPrecond, Preconditioner
 
 __all__ = ["load_state", "save_state", "state_from_bytes", "state_to_bytes"]
 
@@ -88,8 +90,9 @@ def _check_factor(name: str, structure: str, a: np.ndarray) -> None:
     if structure == "free":
         return
     diagonal = a if structure == "positive" else a.diagonal()
-    if not (diagonal > 0.0).all():
-        raise ContractViolationError(f"non-positive diagonal entry in factor {name}")
+    if not (diagonal >= _SOLVE_FLOOR).all():  # the floor below which update refuses a state
+        raise ContractViolationError(
+            f"diagonal entry below {_SOLVE_FLOOR:g} in factor {name}")
     if structure == "upper" and np.tril(a, -1).any():
         raise ContractViolationError(f"entries below the upper triangle of factor {name}")
     if structure == "lower" and np.triu(a, 1).any():

@@ -380,66 +380,71 @@ class ScanPrecond(Preconditioner):
     def _factor_shapes(cls, m, n):
         return [(m,), (n,), (n - 1,)]
 
-    # right-multiplications by the structured Q2
-    def _right_q2t(self, g):
-        out = g * self.d2
-        if self.n > 1:
-            out[:, :-1] += g[:, -1:] * self.c2
-        return out
-
-    def _right_q2(self, g):
-        out = g * self.d2
-        if self.n > 1:
-            out[:, -1] += g[:, :-1] @ self.c2
-        return out
-
-    def _right_q2_inv(self, g):
-        # solve X Q2 = G for X
-        out = g / self.d2
-        if self.n > 1:
-            out[:, -1] = (g[:, -1] - out[:, :-1].dot(self.c2)) / self.d2[-1]
-        return out
-
-    def _right_q2t_inv(self, g):
-        # solve Y Q2^T = X for Y
-        out = np.empty_like(g)
-        out[:, -1] = g[:, -1] / self.d2[-1]
-        if self.n > 1:
-            out[:, :-1] = (g[:, :-1] - np.outer(out[:, -1], self.c2)) / self.d2[:-1]
-        return out
+    # Q2 is d2 on the diagonal and c2 above it in the last column, so X Q2^T
+    # adds X's last column times c2 to the other columns of X * d2, and X Q2
+    # adds X's other columns dotted with c2 to the last column of X * d2.
 
     def _apply(self, g):
-        gm = g.reshape(self.n, self.m).T
-        return ((self.q1 * self.q1)[:, None] * self._right_q2(self._right_q2t(gm))).T.ravel()
+        n, d2, c2, q1 = self.n, self.d2, self.c2, self.q1
+        x = g.reshape(n, self.m).T
+        y = x * d2  # X Q2^T
+        if n > 1:
+            y[:, :-1] += x[:, -1:] * c2
+        z = y * d2  # (X Q2^T) Q2
+        if n > 1:
+            z[:, -1] += y[:, :-1].dot(c2)
+        return ((q1 * q1)[:, None] * z).T.ravel()
 
     def _apply_inv(self, v):
-        x = v.reshape(self.n, self.m).T / (self.q1 * self.q1)[:, None]
-        return self._right_q2t_inv(self._right_q2_inv(x)).T.ravel()
+        n, d2, c2, q1 = self.n, self.d2, self.c2, self.q1
+        x = v.reshape(n, self.m).T / (q1 * q1)[:, None]
+        y = x / d2  # solve Y Q2 = X
+        if n > 1:
+            y[:, -1] = (x[:, -1] - y[:, :-1].dot(c2)) / d2[-1]
+        z = np.empty_like(y)  # solve Z Q2^T = Y
+        z[:, -1] = y[:, -1] / d2[-1]
+        if n > 1:
+            z[:, :-1] = (y[:, :-1] - z[:, -1:] * c2) / d2[:-1]
+        return z.T.ravel()
 
     def _pair_gradient(self, dt, dg):
-        dt, dg = dt.reshape(self.n, self.m).T, dg.reshape(self.n, self.m).T
-        a = self.q1[:, None] * self._right_q2t(dg)
-        bt = self._right_q2_inv(dt / self.q1[:, None])
+        m, n, d2, c2, q1 = self.m, self.n, self.d2, self.c2, self.q1
+        dt, dg = dt.reshape(n, m).T, dg.reshape(n, m).T
+        a = dg * d2  # Q1 dG Q2^T
+        if n > 1:
+            a[:, :-1] += dg[:, -1:] * c2
+        a = q1[:, None] * a
+        x = dt / q1[:, None]
+        bt = x / d2  # Q1^{-1} dT Q2^{-1}
+        if n > 1:
+            bt[:, -1] = (x[:, -1] - bt[:, :-1].dot(c2)) / d2[-1]
         aa, bb = a * a, bt * bt
         g1 = np.add.reduce(aa, 1) - np.add.reduce(bb, 1)
         gd = np.add.reduce(aa, 0) - np.add.reduce(bb, 0)
-        gc = a[:, :-1].T.dot(a[:, -1]) - bt[:, :-1].T.dot(bt[:, -1]) if self.n > 1 else np.zeros(0)
+        gc = a[:, :-1].T.dot(a[:, -1]) - bt[:, :-1].T.dot(bt[:, -1]) if n > 1 else np.zeros(0)
         return g1, gd, gc
 
     def _update(self, dt, dg, step):
         _scan_factors(self)  # no norm test here raises: an overflow is rejected
         g1, gd, gc = self._pair_gradient(dt, dg)
-        n1 = max_norm(g1)
+        q1, d2, c2 = self.q1, self.d2, self.c2
+        # max_norm's steps, inline; an inf or nan norm leaves a candidate
+        # that _admissible rejects, or fails the > 0 test
+        a1, ad = np.abs(g1), np.abs(gd)
+        n1 = a1[a1.argmax()]
         if n1 > 0.0:
-            cand = self.q1 - (step / n1) * g1 * self.q1
+            cand = q1 - (step / n1) * g1 * q1
             if _admissible(cand):
                 self.q1 = cand
 
-        n2 = max(max_norm(gd), max_norm(gc))
+        n2 = ad[ad.argmax()]
+        if gc.size:
+            ac = np.abs(gc)
+            n2 = max(n2, ac[ac.argmax()])
         if n2 > 0.0:
             mu = step / n2
-            cand_d = self.d2 - mu * gd * self.d2
-            cand_c = self.c2 - mu * (gd[:-1] * self.c2 + self.d2[-1] * gc)
+            cand_d = d2 - mu * gd * d2
+            cand_c = c2 - mu * (gd[:-1] * c2 + d2[-1] * gc)
             if _admissible(cand_d):
                 self.d2 = cand_d
                 self.c2 = cand_c

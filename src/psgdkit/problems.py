@@ -336,54 +336,61 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
         ParamBlock("w_rec", (hidden, hidden + 3)),
         ParamBlock("w_out", (1, hidden + 1)),
     ])
-    ones = np.ones((seq_len, batch_size, 1))
-
-    def make_batch(seed):
-        rng = np.random.default_rng(seed)
-        values = rng.random((batch_size, seq_len))
-        marks = np.zeros((batch_size, seq_len))
-        pos = np.argsort(rng.random((batch_size, seq_len)), axis=1)[:, :2]
-        rows = np.arange(batch_size)[:, None]
-        marks[rows, pos] = 1.0
-        targets = 0.5 * (values[rows[:, 0], pos[:, 0]] + values[rows[:, 0], pos[:, 1]])
-        return values, marks, targets
+    n1 = hidden * (hidden + 3)  # w_rec's share of theta, column-major as in the layout
+    rows = np.arange(batch_size)[:, None]
+    one = np.ones((batch_size, 1))
 
     def bind(seed: int) -> BoundEvaluator:
-        values, marks, targets = make_batch(seed)
-        inputs = np.stack([values.T, marks.T], axis=2)  # (seq_len, batch, 2), C order
+        # default_rng(seed)'s stream without its argument dispatch: the values,
+        # then the row whose two smallest entries mark the positions
+        rng = np.random.Generator(np.random.PCG64(seed))
+        values = rng.random((batch_size, seq_len))
+        pos = rng.random((batch_size, seq_len)).argsort(1)[:, :2]
+        targets = 0.5 * np.add.reduce(values[rows, pos], 1)  # the two values, summed in order
+        # step t's augmented input [h_{t-1}, x_t, 1], so w_rec's gradient is one
+        # product per step. The batch fixes x_t = [value, mark] and the 1 here;
+        # each theta fills h_{t-1} into its own copy, never into this one.
+        xs_batch = np.zeros((seq_len, batch_size, hidden + 3))
+        xs_batch[:, :, hidden] = values.T
+        xs_batch[pos, rows, hidden + 1] = 1.0
+        xs_batch[:, :, hidden + 2] = 1.0
+        inputs = xs_batch[:, :, hidden:hidden + 2]
 
         @_last_value
         def evaluate(th):
             """(prediction, read-only gradient) at th: the forward pass, then BPTT."""
-            w, wo = layout.unflatten(th)
+            w = layout.checked(th)[:n1].reshape((hidden, hidden + 3), order="F")
+            wo = th[n1:]
             wh = w[:, :hidden]
             wht, bias = wh.T, w[:, hidden + 2]
             xw = inputs @ w[:, hidden:hidden + 2].T  # equals the per-step products bit for bit
+            xs = xs_batch.copy()
             states = np.zeros((seq_len + 1, batch_size, hidden))
             for t in range(seq_len):
-                np.tanh(states[t] @ wht + xw[t] + bias, out=states[t + 1])
-            ha = np.hstack([states[-1], ones[0]])
-            pred = ha @ wo.ravel()
+                a = states[t].dot(wht)  # h W^T + x W_x^T + b, summed in this order
+                a += xw[t]
+                a += bias
+                np.tanh(a, out=states[t + 1])
+            xs[:, :, :hidden] = states[:-1]
+            ha = np.concatenate([states[-1], one], axis=1)
+            pred = ha.dot(wo)
 
             dpred = 2.0 * (pred - targets) / batch_size
             dtanh = 1.0 - states * states
-            # step t's augmented input [h_{t-1}, x_t, 1], so w_rec's gradient is one
-            # product per step, summed from t = seq_len down, starting at 0
-            xs = np.concatenate([states[:-1], inputs, ones], axis=2)
-            gw = np.zeros((hidden, hidden + 3))
-            dh = np.outer(dpred, wo[0, :hidden])
+            gw = np.zeros((hidden, hidden + 3))  # summed from t = seq_len down, starting at 0
+            dh = dpred[:, None] * wo[:hidden]
             for t in range(seq_len, 0, -1):
                 da = dh * dtanh[t]
-                gw += da.T @ xs[t - 1]
+                gw += da.T.dot(xs[t - 1])
                 if t > 1:  # no step before the first reads dh
-                    dh = da @ wh
-            grad = np.concatenate([gw.ravel(order="F"), dpred @ ha])
+                    dh = da.dot(wh)
+            grad = np.concatenate([gw.ravel(order="F"), dpred.dot(ha)])
             grad.flags.writeable = False
             return pred, grad
 
         def loss(th):
-            pred = evaluate(th)[0]
-            return float(np.mean((pred - targets) ** 2))
+            d = evaluate(th)[0] - targets
+            return float(np.add.reduce(d * d) / batch_size)  # np.mean's sum and divide
 
         def grad(th):
             return evaluate(th)[1]

@@ -172,6 +172,8 @@ MALFORMED = {
     "diag-inf": (record(2, [3], [1.0, np.inf, 1.0]), "non-finite.*q"),
     "diag-negative": (record(2, [2], [1.0, -0.5]), "diagonal.*q"),
     "dense-zero-diagonal": (record(1, [2], [[1.0, 0.0], [0.0, 0.0]]), "diagonal.*q"),
+    # positive but below the floor update refuses; apply_inv would return inf
+    "dense-diagonal-1e-305": (record(1, [2], [[1e-305, 0.0], [0.0, 1.0]]), "diagonal.*q"),
     "dense-lower-entry": (record(1, [2], [[1.0, 0.0], [0.5, 1.0]]), "triangle.*q"),
     "kron-lower-entry": (record(4, [2, 2], [1.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 1.0]),
                          "triangle.*q2"),
@@ -180,6 +182,8 @@ MALFORMED = {
     "splu-upper-entry-in-l1": (record(3, [4, 2], splu_payload(4, 2, l1=[[1.0, 2.0], [0.0, 1.0]])),
                                "triangle.*l1"),
     "splu-zero-u3": (record(3, [4, 2], splu_payload(4, 2, u3=[1.0, 0.0])), "diagonal.*u3"),
+    "splu-l3-1e-305": (record(3, [4, 2], splu_payload(4, 2, l3=[1e-305, 1.0])),
+                       "diagonal.*l3"),
     "splu-inf-l2": (record(3, [4, 2], splu_payload(4, 2, l2=[[0.0, np.inf], [0.0, 0.0]])),
                     "non-finite.*l2"),
     "splu-order-above-dim": (record(3, [4, 5], splu_payload(4, 4)), "order"),
@@ -203,3 +207,10 @@ def test_malformed_record_rejected(name):
     data, fault = MALFORMED[name]
     with pytest.raises(PsgdkitError, match=fault):
         state_from_bytes(data)
+
+
+def test_diagonal_above_the_floor_loads():
+    # 1e-299 is above the 1e-300 floor, so the state loads as written
+    p = state_from_bytes(record(1, [2], [[1e-299, 0.0], [0.0, 1.0]]))
+    assert p.q.tobytes() == np.array([[1e-299, 0.0], [0.0, 1.0]]).tobytes()
+    assert p.min_diag() == 1e-299

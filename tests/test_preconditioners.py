@@ -357,13 +357,23 @@ class TestScanQ2Matvec:
         np.testing.assert_allclose(p.materialize_q2() @ np.array([1.0, 1.0]), [5.0, 1.0])
 
     def test_matches_dense_factor(self):
-        # the structured product the update kernel uses, against the dense Q2
+        # the structured products of apply and apply_inv, against the dense Q,
+        # at the shapes where Q2 has no last column above its diagonal (n == 1),
+        # only that column (m == 1), and both
         rng = np.random.default_rng(6)
-        p = ScanPrecond(2, 5)
-        p.d2 = 0.5 + rng.random(5)
-        p.c2 = rng.standard_normal(4)
-        x = rng.standard_normal(5)
-        np.testing.assert_allclose(p._right_q2t(x[None, :])[0], p.materialize_q2() @ x)
+        for m, n in ((1, 1), (1, 7), (7, 1), (6, 9)):
+            p = ScanPrecond(m, n)
+            for _ in range(5):
+                p.q1 = 0.5 + rng.random(m)
+                p.d2 = 0.5 + rng.random(n)
+                p.c2 = 0.5 * rng.standard_normal(n - 1)
+                q = p.materialize_q()
+                g, v = rng.standard_normal(m * n), rng.standard_normal(m * n)
+                expect_g = q.T @ (q @ g)
+                expect_v = np.linalg.solve(q.T @ q, v)
+                assert np.linalg.norm(p.apply(g) - expect_g) <= 1e-12 * np.linalg.norm(expect_g)
+                assert (np.linalg.norm(p.apply_inv(v) - expect_v)
+                        <= 1e-12 * np.linalg.norm(expect_v))
 
 
 class TestDirectSum:

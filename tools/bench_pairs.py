@@ -20,9 +20,12 @@ the same count per file) and the environment, and per
 workload and end-to-end metric the per-pair values with their median and
 quartiles. The change/parent ratio of
 each pair is recorded as well. After the pairs, each side runs
-`benchmarks/run.py --trace 1` once per workload on `--first-seed`, and its
-per-layer metrics are stored under that side's `layers`; `correct` covers this
-run too. Last, each side runs the tier-1 suite twice in its extracted tree
+`benchmarks/run.py --trace 1` five times per workload, run i on seed
+`--first-seed + i` for both sides, the side that runs first alternating as in
+the pairs; `correct` covers these runs too. The workload's `layers` map each
+per-layer metric to its unit, each side's per-run values with their median
+and quartiles, and `change_lower`, the number of runs i whose change value is
+below the parent's. Last, each side runs the tier-1 suite twice in its extracted tree
 (`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, with
 `--durations=0`), in the order parent, change, change, parent, so a drift of
 the host over the four runs weighs on both sides alike. Each run's wall time,
@@ -49,6 +52,7 @@ import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+TRACED = 5  # traced runs per side and workload
 ENVIRONMENT = ("python", "numpy", "scipy", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS")
 TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are recorded
@@ -157,8 +161,13 @@ def main(argv=None):
                           "pairs": PAIRS, "seconds": seconds,
                           "seeds": [args.first_seed + i for i in range(PAIRS)],
                           "order": "alternating; parent first in even pairs",
-                          "layers": "python3 benchmarks/run.py --trace 1, once per side "
-                                    "on the first seed, after the pairs",
+                          "layers": f"python3 benchmarks/run.py --trace 1, {TRACED} runs per "
+                                    "side on the first seeds, alternating as the pairs, after "
+                                    "the pairs",
+                          "layer_claim": "a layer moved only if change_lower is "
+                                         f"{TRACED} (lower) or 0 (higher) of {TRACED} runs and "
+                                         "the medians differ by more than the parent's q3 - q1; "
+                                         "otherwise it is unresolved",
                           "tier1": "PYTHONPATH=src python -m pytest -q "
                                    "--continue-on-collection-errors --durations=0, twice per "
                                    "side in the order parent, change, change, parent, after "
@@ -189,11 +198,24 @@ def main(argv=None):
                             "failed": sum(r["failed"] for r in rs),
                             "attempted": sum(r["attempted"] for r in rs)}
                      for side, rs in runs.items()}
-            for side in ("parent", "change"):
-                _, traced = bench(trees[side], workload, args.first_seed, seconds, trace=1)
-                entry[side]["correct"] = entry[side]["correct"] and traced["correct"]
-                entry[side]["layers"] = traced["metrics"]
-                print(f"{workload} traced {side}: correct={traced['correct']}", flush=True)
+            traced = {"parent": [], "change": []}
+            for i in range(TRACED):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    _, result = bench(trees[side], workload, args.first_seed + i, seconds,
+                                      trace=1)
+                    entry[side]["correct"] = entry[side]["correct"] and result["correct"]
+                    traced[side].append(result["metrics"])
+                    print(f"{workload} traced {i} {side}: correct={result['correct']}",
+                          flush=True)
+            entry["layers"] = {}
+            for layer, first in traced["parent"][0].items():
+                per_side = {side: [m[layer]["value"] for m in ms] for side, ms in traced.items()}
+                entry["layers"][layer] = {
+                    "unit": first["unit"],
+                    **{side: summary(v) for side, v in per_side.items()},
+                    "change_lower": sum(c < p for p, c in zip(per_side["parent"],
+                                                              per_side["change"]))}
             for metric in metrics:
                 per_side = {side: [r["metrics"][metric]["value"] for r in rs]
                             for side, rs in runs.items()}
