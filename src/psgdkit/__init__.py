@@ -32,12 +32,9 @@ from .optimizer import (
     RunConfig,
     RunResult,
     TraceRow,
-    esgd_step,
-    psgd_step,
-    rmsprop_step,
     run,
-    sgd_step,
     skip_admits,
+    step,
 )
 from .preconditioners import (
     DensePrecond,

@@ -37,12 +37,9 @@ __all__ = [
     "RunResult",
     "TraceRow",
     "batch_seed_for",
-    "esgd_step",
-    "psgd_step",
-    "rmsprop_step",
     "run",
-    "sgd_step",
     "skip_admits",
+    "step",
 ]
 
 METHODS = ("psgd", "sgd", "rmsprop", "esgd")
@@ -136,82 +133,31 @@ def _probe_stream(cfg: RunConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 0x9B0BE]))
 
 
-def _admits(cfg: RunConfig, t: int) -> bool:
-    return True if cfg.skip_schedule == "never" else skip_admits(t)
-
-
 def _norm(x) -> float:
     """The 2-norm of a float vector: what np.linalg.norm computes, without its checks."""
     return math.sqrt(x.dot(x))
 
 
-def _finish_row(t, loss, g_norm, pg_norm, clipped, started) -> TraceRow:
-    wall = time.perf_counter_ns() - started if started is not None else 0
-    return TraceRow(t, loss, g_norm, pg_norm, clipped, wall)
-
-
-def _begin_step(theta, problem: Problem, cfg: RunConfig, t: int, timing: bool):
-    """Start the timer, bind iteration t's batch and evaluate loss and gradient.
-
-    A seeded problem is bound with iteration t's batch seed, a seed-free one
-    with the run's seed. Returns (started, bound evaluator, loss, gradient,
-    gradient norm) and raises RunDiverged when the loss or the gradient is
-    not finite.
-    """
-    started = time.perf_counter_ns() if timing else None
-    ev = problem.bind_batch(batch_seed_for(cfg.seed, t) if problem.seeded else cfg.seed)
-    loss = ev.loss(theta)
-    g = ev.grad(theta)
-    g_norm = _norm(g)
-    if not (math.isfinite(loss) and math.isfinite(g_norm)):
-        raise RunDiverged(_finish_row(t, loss, g_norm, float("nan"), False, started))
-    return started, ev, loss, g, g_norm
-
-
-def psgd_step(theta, problem: Problem, precond: Preconditioner, cfg: RunConfig,
-              t: int, rng, timing: bool = False):
-    """One preconditioned step; returns (theta, precond, trace row).
-
-    The incoming preconditioner state preconditions this iteration's gradient;
-    the probe (when the schedule admits t) produces the state for t + 1. Both
-    the probe and the gradient see the same bound batch.
-    """
-    started, ev, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
-
-    pg = precond.apply(g)  # incoming (last-iteration) state
-    if _admits(cfg, t):
+def _psgd(theta, ev, g, precond: Preconditioner, cfg, t, rng):
+    """P g with the incoming (last-iteration) state; the probe, when the
+    schedule admits t, then produces the state for t + 1 on the same batch."""
+    d = precond.apply(g)
+    if cfg.skip_schedule == "never" or skip_admits(t):
         precond.update(make_tangent_pair(ev, theta, cfg.probe, rng), cfg.precond_mu)
-
-    pg_norm = _norm(pg)
-    clipped = False
-    if cfg.clip_omega is not None:
-        scale = pg_norm / cfg.clip_omega
-        clipped = scale > 1.0
-        if clipped:
-            pg = pg / scale
-    theta = theta - cfg.mu * pg
-    return theta, precond, _finish_row(t, loss, g_norm, pg_norm, clipped, started)
+    return d, precond
 
 
-def sgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
-             timing: bool = False):
-    started, _, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
-    theta = theta - cfg.mu * g
-    return theta, state, _finish_row(t, loss, g_norm, g_norm, False, started)
+def _sgd(theta, ev, g, state, cfg, t, rng):
+    return g, state
 
 
-def rmsprop_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
-                 timing: bool = False):
-    started, _, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
-    v = np.zeros_like(g) if state is None else state
+def _rmsprop(theta, ev, g, v, cfg, t, rng):
+    v = np.zeros_like(g) if v is None else v
     v = RMSPROP_BETA * v + (1.0 - RMSPROP_BETA) * g * g
-    step = g / (np.sqrt(v) + RMSPROP_EPS)
-    theta = theta - cfg.mu * step
-    return theta, v, _finish_row(t, loss, g_norm, _norm(step), False, started)
+    return g / (np.sqrt(v) + RMSPROP_EPS), v
 
 
-def esgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
-              timing: bool = False):
+def _esgd(theta, ev, g, state, cfg, t, rng):
     """Equilibrated SGD: divide the gradient by the RMS gradient response.
 
     Unit-normal probes feed a running mean of the squared Hessian-vector
@@ -219,8 +165,6 @@ def esgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
     gradient differencing at the small probe scale, rescaled back to a
     unit-normal probe by linearity.
     """
-    started, ev, loss, g, g_norm = _begin_step(theta, problem, cfg, t, timing)
-
     v = rng.standard_normal(theta.shape[0])
     if ev.hvp is not None:
         h = exact_delta_g(ev.hvp, theta, v)
@@ -230,13 +174,41 @@ def esgd_step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng,
     m2_sum = m2_sum + h * h
     count += 1
     p = closed_form_diagonal(np.ones_like(g), m2_sum / count)
-    pg = p * g
-    theta = theta - cfg.mu * pg
-    return theta, (m2_sum, count), _finish_row(t, loss, g_norm, _norm(pg),
-                                               False, started)
+    return p * g, (m2_sum, count)
 
 
-_STEPS = {"sgd": sgd_step, "rmsprop": rmsprop_step, "esgd": esgd_step}
+_DIRECTIONS = {"psgd": _psgd, "sgd": _sgd, "rmsprop": _rmsprop, "esgd": _esgd}
+
+
+def step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng, timing: bool = False):
+    """One step theta - mu d of cfg.method; returns (theta, state, trace row).
+
+    Binds iteration t's batch (a seeded problem with iteration t's batch
+    seed, a seed-free one with the run's seed), takes the loss and gradient,
+    and raises RunDiverged when either is not finite. The method's direction
+    d then sees that batch and state: g for sgd, g / (sqrt v + eps) for
+    rmsprop, p * g for esgd and P g for psgd. Only psgd clips d, to norm
+    cfg.clip_omega; the baselines ignore it.
+    """
+    started = time.perf_counter_ns() if timing else 0
+    ev = problem.bind_batch(batch_seed_for(cfg.seed, t) if problem.seeded else cfg.seed)
+    loss = ev.loss(theta)
+    g = ev.grad(theta)
+    g_norm = _norm(g)
+    if not (math.isfinite(loss) and math.isfinite(g_norm)):
+        wall = time.perf_counter_ns() - started if timing else 0
+        raise RunDiverged(TraceRow(t, loss, g_norm, float("nan"), False, wall))
+    d, state = _DIRECTIONS[cfg.method](theta, ev, g, state, cfg, t, rng)
+    d_norm = _norm(d)
+    clipped = False
+    if cfg.method == "psgd" and cfg.clip_omega is not None:
+        scale = d_norm / cfg.clip_omega
+        clipped = scale > 1.0
+        if clipped:
+            d = d / scale
+    theta = theta - cfg.mu * d
+    wall = time.perf_counter_ns() - started if timing else 0
+    return theta, state, TraceRow(t, loss, g_norm, d_norm, clipped, wall)
 
 
 def run(problem: Problem, cfg: RunConfig, timing: bool = False) -> RunResult:
@@ -244,13 +216,8 @@ def run(problem: Problem, cfg: RunConfig, timing: bool = False) -> RunResult:
     theta = problem.initial_theta(cfg.seed)
     rng = _probe_stream(cfg)
     rows = []
-    if cfg.method == "psgd":
-        state = make_preconditioner(cfg.precond_variant, problem.layout,
-                                    cfg.splu_order, cfg.per_block)
-        step = psgd_step
-    else:
-        state = None
-        step = _STEPS[cfg.method]
+    state = (make_preconditioner(cfg.precond_variant, problem.layout, cfg.splu_order,
+                                 cfg.per_block) if cfg.method == "psgd" else None)
     with np.errstate(all="ignore"):  # entered once; every step runs inside it
         for t in range(1, cfg.iters + 1):
             try:

@@ -54,12 +54,7 @@ class ParamLayout:
         self.blocks = tuple(blocks)
         if not self.blocks:
             raise ContractViolationError("layout needs at least one block")
-        self.slices = []
-        start = 0
-        for b in self.blocks:
-            self.slices.append(slice(start, start + b.size))
-            start += b.size
-        self.size = start
+        self.size = sum(b.size for b in self.blocks)
 
     def checked(self, theta) -> np.ndarray:
         """theta as a float array, once it is a flat vector of this layout's size."""
@@ -68,11 +63,6 @@ class ParamLayout:
             raise ContractViolationError(
                 f"flat vector of length {self.size} expected, got {theta.shape}")
         return theta
-
-    def unflatten(self, theta: np.ndarray):
-        theta = self.checked(theta)
-        return [np.reshape(theta[s], b.shape, order="F")
-                for b, s in zip(self.blocks, self.slices)]
 
 
 def _integer(value, what: str) -> int:

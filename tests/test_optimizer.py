@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 
@@ -8,17 +9,24 @@ import pytest
 from psgdkit.curvature import ProbeConfig, TangentPair
 from psgdkit.errors import ContractViolationError
 from psgdkit.optimizer import (
+    METHODS,
     RunConfig,
     batch_seed_for,
-    esgd_step,
-    psgd_step,
-    rmsprop_step,
     run,
-    sgd_step,
     skip_admits,
+    step,
 )
 from psgdkit.preconditioners import DensePrecond, make_preconditioner
-from psgdkit.problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
+from psgdkit.problems import (
+    BoundEvaluator,
+    ParamBlock,
+    ParamLayout,
+    Problem,
+    make_addition_rnn,
+    make_quadratic,
+    make_rosenbrock,
+    make_xor_mlp,
+)
 
 
 def quad_config(**kw):
@@ -52,8 +60,8 @@ class TestPsgdStep:
         prob = make_quadratic(np.diag([2.0, 8.0]))
         cfg = quad_config(mu=0.1)
         precond = DensePrecond(2)
-        theta, _, row = psgd_step(np.array([1.0, 1.0]), prob, precond, cfg, 1,
-                                  np.random.default_rng(0))
+        theta, _, row = step(np.array([1.0, 1.0]), prob, precond, cfg, 1,
+                             np.random.default_rng(0))
         np.testing.assert_allclose(theta, [0.8, 0.2])
         assert not row.clipped
 
@@ -64,7 +72,7 @@ class TestPsgdStep:
         cfg = quad_config(mu=1.0, clip_omega=5.0)
         theta0 = np.array([10.0, 0.0])  # gradient norm 10 with P = I
         precond = DensePrecond(2)
-        theta, _, row = psgd_step(theta0, prob, precond, cfg, 1, np.random.default_rng(0))
+        theta, _, row = step(theta0, prob, precond, cfg, 1, np.random.default_rng(0))
         assert row.clipped
         np.testing.assert_allclose(theta0 - theta, [5.0, 0.0])
 
@@ -79,7 +87,7 @@ class TestPsgdStep:
             precond.update(TangentPair(dt, h @ dt), 0.01)
         cfg = quad_config(mu=1.0)
         theta0 = np.array([3.0, -2.0])
-        theta, _, _ = psgd_step(theta0, prob, precond, cfg, 1, rng)
+        theta, _, _ = step(theta0, prob, precond, cfg, 1, rng)
         assert np.linalg.norm(theta) <= 0.15 * np.linalg.norm(theta0)
 
 
@@ -88,7 +96,7 @@ class TestBaselines:
         prob = make_quadratic(np.diag([1.0, 1.0]), np.array([0.0, 0.0]))
         cfg = RunConfig(method="sgd", mu=0.1, iters=1, seed=0)
         theta0 = np.array([1.0, -2.0])  # gradient equals theta for H = I
-        theta, _, _ = sgd_step(theta0, prob, None, cfg, 1, np.random.default_rng(0))
+        theta, _, _ = step(theta0, prob, None, cfg, 1, np.random.default_rng(0))
         np.testing.assert_allclose(theta0 - theta, [0.1, -0.2])
 
     def test_rmsprop_constant_gradient_limit(self):
@@ -100,7 +108,7 @@ class TestBaselines:
         rng = np.random.default_rng(0)
         for t in range(1, 2001):
             prev = theta.copy()
-            theta, state, _ = rmsprop_step(theta, prob, state, cfg, t, rng)
+            theta, state, _ = step(theta, prob, state, cfg, t, rng)
         np.testing.assert_allclose(np.abs(prev - theta), [0.01, 0.01], rtol=1e-3)
 
     def test_esgd_converges_to_equilibration(self):
@@ -110,7 +118,7 @@ class TestBaselines:
         state = None
         rng = np.random.default_rng(2)
         for t in range(1, 10_001):
-            theta, state, _ = esgd_step(theta, prob, state, cfg, t, rng)
+            theta, state, _ = step(theta, prob, state, cfg, t, rng)
         m2_sum, count = state
         p = np.sqrt(1.0 / (m2_sum / count))
         np.testing.assert_allclose(p, [0.5, 0.2], rtol=0.05)
@@ -159,7 +167,7 @@ class TestRunLoop:
         rng = _probe_stream(cfg)
         precond = make_preconditioner(cfg.precond_variant, prob.layout, cfg.splu_order)
         for t in range(1, cfg.iters + 1):
-            new_theta, precond, _ = psgd_step(theta, prob, precond, cfg, t, rng)
+            new_theta, precond, _ = step(theta, prob, precond, cfg, t, rng)
             assert np.linalg.norm(new_theta - theta) / cfg.mu <= 2.0 + 1e-12
             theta = new_theta
 
@@ -206,7 +214,7 @@ class TestRunLoop:
         rng = _probe_stream(cfg)
         precond = CountingPrecond(2)
         for t in range(1, cfg.iters + 1):
-            theta, precond, _ = psgd_step(theta, prob, precond, cfg, t, rng)
+            theta, precond, _ = step(theta, prob, precond, cfg, t, rng)
         expected = sum(1 for t in range(1, 151) if skip_admits(t))
         assert len(calls) == expected < 150
 
@@ -216,6 +224,43 @@ class TestRunLoop:
         assert res.diverged
         assert not np.isfinite(res.rows[-1].train_loss)
         assert res.rows[-1].iter == len(res.rows)
+
+    @staticmethod
+    def failing_hvp_problem(first_bad_call):
+        """A seed-free quadratic 0.5 |theta|^2 whose Hvp returns inf from call first_bad_call on."""
+        calls = []
+
+        def hvp(theta, v):
+            calls.append(1)
+            return np.full_like(v, np.inf) if len(calls) >= first_bad_call else v.copy()
+
+        evaluator = BoundEvaluator(loss=lambda th: 0.5 * float(th.dot(th)),
+                                   grad=lambda th: th.copy(), hvp=hvp)
+        return Problem("failing-hvp", ParamLayout([ParamBlock("x", (2,))]),
+                       bind_batch=lambda seed: evaluator,
+                       initial_theta=lambda seed: np.array([1.0, -2.0]), seeded=False)
+
+    @pytest.mark.parametrize("method", ["psgd", "esgd"])
+    def test_numeric_failure_ends_run_with_nan_row(self, method):
+        cfg = RunConfig(method=method, mu=0.1, probe=ProbeConfig(mode="exact"),
+                        iters=10, seed=0)
+        res = run(self.failing_hvp_problem(4), cfg)
+        assert res.diverged
+        assert len(res.rows) == 4
+        last = res.rows[-1]
+        assert (last.iter, last.clipped, last.wall_ns) == (4, False, 0)
+        assert all(math.isnan(x) for x in (last.train_loss, last.grad_norm,
+                                           last.precond_grad_norm))
+        three = run(self.failing_hvp_problem(4), dataclasses.replace(cfg, iters=3))
+        assert not three.diverged and res.rows[:3] == three.rows
+        np.testing.assert_array_equal(res.theta, three.theta)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_timing_fills_wall_ns(self, method):
+        prob = make_quadratic(np.diag([1.0, 2.0]), noise_scale=0.1)
+        cfg = quad_config(method=method, iters=5)
+        assert all(r.wall_ns > 0 for r in run(prob, cfg, timing=True).rows)
+        assert all(r.wall_ns == 0 for r in run(prob, cfg).rows)
 
 
 class TestRunConfigValidation:

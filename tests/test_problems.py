@@ -4,8 +4,6 @@ import pytest
 from psgdkit.curvature import approx_delta_g
 from psgdkit.errors import ContractViolationError
 from psgdkit.problems import (
-    ParamBlock,
-    ParamLayout,
     Problem,
     make_addition_rnn,
     make_quadratic,
@@ -13,32 +11,6 @@ from psgdkit.problems import (
     make_xor_mlp,
 )
 from psgdkit.verify import gradient_selfcheck
-
-
-def column_major(tensors):
-    """The flat vector of a layout's tensors: each raveled column-major, in order."""
-    return np.concatenate([np.ravel(t, order="F") for t in tensors])
-
-
-class TestParamLayout:
-    def test_flatten_unflatten_round_trip(self):
-        layout = ParamLayout([
-            ParamBlock("w1", (3, 2)),
-            ParamBlock("v", (4,)),
-            ParamBlock("w2", (1, 4)),
-        ])
-        rng = np.random.default_rng(0)
-        theta = rng.standard_normal(layout.size)
-        np.testing.assert_array_equal(column_major(layout.unflatten(theta)), theta)
-
-    def test_unflatten_flatten_round_trip(self):
-        layout = ParamLayout([ParamBlock("a", (2, 2)), ParamBlock("b", (3,))])
-        tensors = [np.arange(4.0).reshape(2, 2), np.arange(3.0)]
-        out = layout.unflatten(column_major(tensors))
-        np.testing.assert_array_equal(column_major(tensors), [0.0, 2.0, 1.0, 3.0, 0.0, 1.0, 2.0])
-        for a, b in zip(out, tensors):
-            assert a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
 
 
 class TestQuadratic:

@@ -19,7 +19,9 @@ code rather than blanks, comments or docstrings, and `src_code_lines_by_file`,
 the same count per file) and the environment, and per
 workload and end-to-end metric the per-pair values with their median and
 quartiles. The change/parent ratio of
-each pair is recorded as well. After the pairs, each side runs
+each pair is recorded as well, and so are `change_better`, the pairs the
+change reads better in the metric's `better` direction, and the metric's
+`verdict` against its `bound` (see `verdict`). After the pairs, each side runs
 `benchmarks/run.py --trace 1` five times per workload, run i on seed
 `--first-seed + i` for both sides, the side that runs first alternating as in
 the pairs; `correct` covers these runs too. The workload's `layers` map each
@@ -141,6 +143,35 @@ def summary(values):
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(spec, entry):
+    """(change_better, verdict) of one end-to-end metric's entry on one workload.
+
+    spec is the metric's declaration in BENCHMARK.json, with its `better`
+    direction and its `bound`. change_better counts the pairs whose change
+    value is better in that direction; a tie counts for neither side. The
+    verdict is "worse" when the median change/parent ratio is worse than
+    1 - bound (higher is better) or 1 + bound (lower is better);
+    "unresolved" when the parent's (q3 - q1) / median exceeds the bound and
+    not every change run beats every parent run; and "within_bound"
+    otherwise.
+    """
+    higher, bound = spec["better"] == "higher", spec["bound"]
+
+    def beats(change, parent):
+        return change > parent if higher else change < parent
+
+    parent, change = entry["parent"], entry["change"]
+    better = sum(beats(c, p) for p, c in zip(parent["values"], change["values"]))
+    ratio = entry["change_over_parent"]["median"]
+    if ratio < 1 - bound if higher else ratio > 1 + bound:
+        return better, "worse"
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    if spread > bound and not all(beats(c, p) for c in change["values"]
+                                  for p in parent["values"]):
+        return better, "unresolved"
+    return better, "within_bound"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -151,7 +182,6 @@ def main(argv=None):
         spec = json.load(fh)
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    metrics = [m["name"] for m in spec["end_to_end"]]
 
     parent_rev = git("rev-parse", args.parent)
     change_rev = git("rev-parse", git("stash", "create") or "HEAD")
@@ -168,6 +198,13 @@ def main(argv=None):
                                          f"{TRACED} (lower) or 0 (higher) of {TRACED} runs and "
                                          "the medians differ by more than the parent's q3 - q1; "
                                          "otherwise it is unresolved",
+                          "verdict": "per end-to-end metric and workload: worse when the "
+                                     "median change/parent ratio is worse than 1 -/+ its bound "
+                                     "in BENCHMARK.json; unresolved when the parent's "
+                                     "(q3 - q1) / median exceeds the bound and not every "
+                                     "change run beats every parent run; within_bound "
+                                     "otherwise. change_better counts the pairs the change "
+                                     "reads better, ties for neither side",
                           "tier1": "PYTHONPATH=src python -m pytest -q "
                                    "--continue-on-collection-errors --durations=0, twice per "
                                    "side in the order parent, change, change, parent, after "
@@ -216,12 +253,15 @@ def main(argv=None):
                     **{side: summary(v) for side, v in per_side.items()},
                     "change_lower": sum(c < p for p, c in zip(per_side["parent"],
                                                               per_side["change"]))}
-            for metric in metrics:
-                per_side = {side: [r["metrics"][metric]["value"] for r in rs]
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                per_side = {side: [r["metrics"][name]["value"] for r in rs]
                             for side, rs in runs.items()}
                 ratios = [c / p for p, c in zip(per_side["parent"], per_side["change"])]
-                entry[metric] = {side: summary(v) for side, v in per_side.items()}
-                entry[metric]["change_over_parent"] = summary(ratios)
+                entry[name] = {side: summary(v) for side, v in per_side.items()}
+                entry[name]["change_over_parent"] = summary(ratios)
+                entry[name]["change_better"], entry[name]["verdict"] = verdict(metric,
+                                                                               entry[name])
             record["workloads"][workload] = entry
         tier1_runs = {"parent": [], "change": []}
         for side in TIER1_ORDER:
