@@ -123,6 +123,16 @@ class TestBaselines:
         p = np.sqrt(1.0 / (m2_sum / count))
         np.testing.assert_allclose(p, [0.5, 0.2], rtol=0.05)
 
+    @pytest.mark.parametrize("method", ["sgd", "rmsprop", "esgd"])
+    def test_baselines_ignore_clip(self, method):
+        # the CLI sets clip=auto for every xor-mlp and addition-rnn run; only psgd clips
+        prob = make_xor_mlp(4)
+        cfg = RunConfig(method=method, mu=0.05, iters=20, seed=0)
+        plain = run(prob, cfg)
+        clip = run(prob, dataclasses.replace(cfg, clip_omega=1e-3))
+        assert plain.rows == clip.rows and not any(r.clipped for r in clip.rows)
+        np.testing.assert_array_equal(plain.theta, clip.theta)
+
 
 class TestRunLoop:
     def test_bitwise_determinism(self):
