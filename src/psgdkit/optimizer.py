@@ -139,8 +139,11 @@ def _norm(x) -> float:
 
 
 def _psgd(theta, ev, g, precond: Preconditioner, cfg, t, rng):
-    """P g with the incoming (last-iteration) state; the probe, when the
-    schedule admits t, then produces the state for t + 1 on the same batch."""
+    """P g with the incoming (last-iteration) state.
+
+    The probe, when the schedule admits t, then produces the state for t + 1
+    from the same bound batch.
+    """
     d = precond.apply(g)
     if cfg.skip_schedule == "never" or skip_admits(t):
         precond.update(make_tangent_pair(ev, theta, cfg.probe, rng), cfg.precond_mu)
