@@ -29,7 +29,7 @@ from .errors import (
     PsgdkitError,
 )
 from .preconditioners import FAMILIES, Preconditioner, closed_form_diagonal, make_preconditioner
-from .problems import Problem, _integer
+from .problems import Problem, _integer, _is_word
 
 __all__ = [
     "RunConfig",
@@ -125,8 +125,16 @@ def skip_admits(t: int) -> bool:
 
 
 def batch_seed_for(seed: int, t: int) -> int:
-    """Deterministic per-iteration batch seed, decoupled from the probe stream."""
-    return int(np.random.SeedSequence([seed, 0xBA7C4, t]).generate_state(1)[0])
+    """Deterministic per-iteration batch seed, decoupled from the probe stream.
+
+    It is the first word of SeedSequence([seed, 0xBA7C4, t]). When seed and t
+    are ints in [0, 2**32), the three words go in as one uint32 array, which
+    SeedSequence reads as the same entropy without converting each int.
+    """
+    words = [seed, 0xBA7C4, t]
+    if _is_word(seed) and _is_word(t):
+        words = np.array(words, dtype=np.uint32)
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
 def _probe_stream(cfg: RunConfig) -> np.random.Generator:

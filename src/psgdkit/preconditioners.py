@@ -28,7 +28,14 @@ from .errors import (
     DegenerateStateError,
     NumericInputError,
 )
-from .linalg import _all_finite, _tri_solve_unchecked, _zero_strict_lower, max_norm, tri_solve
+from .linalg import (
+    _all_finite,
+    _strict_lower_mask,
+    _tri_solve_unchecked,
+    _zero_strict_lower,
+    max_norm,
+    tri_solve,
+)
 
 __all__ = [
     "DensePrecond",
@@ -483,50 +490,66 @@ class SpluPrecond(Preconditioner):
     def _split(self, v):
         return v[: self.r], v[self.r:]
 
+    # The four products of v = (v1, v2), each as the two blocks of its result.
+    # Their solves are unchecked: the update kernel's norm test catches what
+    # they let through, and the public paths check each inverse product's
+    # inputs and result (see _checked and _finite).
+
+    def _q(self, v1, v2):
+        w1 = self.u1.dot(v1) + self.u2.dot(v2)
+        return self.l1.dot(w1), self.l2.dot(w1) + self.l3 * (self.u3 * v2)
+
+    def _qt(self, v1, v2):
+        w1 = self.l1.T.dot(v1) + self.l2.T.dot(v2)
+        return self.u1.T.dot(w1), self.u2.T.dot(w1) + self.u3 * (self.l3 * v2)
+
+    def _qinv(self, v1, v2):
+        y1 = _tri_solve_unchecked(self.l1, v1, lower=True)
+        x2 = (v2 - self.l2.dot(y1)) / self.l3 / self.u3
+        return _tri_solve_unchecked(self.u1, y1 - self.u2.dot(x2)), x2
+
+    def _qinvt(self, v1, v2):
+        w1 = _tri_solve_unchecked(self.u1, v1, transpose=True)
+        x2 = (v2 - self.u2.T.dot(w1)) / self.u3 / self.l3
+        return _tri_solve_unchecked(self.l1, w1 - self.l2.T.dot(x2), lower=True,
+                                    transpose=True), x2
+
+    _PRODUCTS = {"q": _q, "qt": _qt, "qinv": _qinv, "qinvt": _qinvt}
+
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
         """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
-        v = self._checked(self._check_dim(v), which in ("qinv", "qinvt"))
-        return np.concatenate(self._blocks(*self._split(v), which))
-
-    def _two_products(self, v, first, second):
-        """The `second` product of the `first` product of a checked v, kept split
-        between the two and concatenated once."""
-        return np.concatenate(self._blocks(*self._blocks(*self._split(v), first), second))
+        inverse = which in ("qinv", "qinvt")
+        v = self._checked(self._check_dim(v), inverse)
+        product = self._PRODUCTS.get(which)
+        if product is None:
+            raise ContractViolationError(f"unknown matvec selector {which!r}")
+        x = np.concatenate(product(self, *self._split(v)))
+        return self._finite(x) if inverse else x
 
     def _checked(self, v, inverse=False):
         """v, once the diagonals are above the floor and, for an inverse product,
-        l3 and u3 are finite (an inf there divides its entry to zero before any
-        solve could see it)."""
+        v and every factor are finite."""
         if self.min_diag() < _SOLVE_FLOOR:
             raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
-        if inverse and not (_all_finite(self.l3) and _all_finite(self.u3)):
-            raise NumericInputError("non-finite entries in factor l3 or u3")
+        if inverse and not all(map(_all_finite, (v, self.l1, self.l2, self.l3,
+                                                 self.u1, self.u2, self.u3))):
+            raise NumericInputError("non-finite entries in an inverse product's input")
         return v
 
-    def _blocks(self, v1, v2, which, solve=tri_solve):
-        """The two blocks of Q v, Q^T v, Q^{-1} v or Q^{-T} v for v = (v1, v2); the
-        update kernel passes the unchecked solver for a state it has validated."""
-        if which == "q":
-            w1 = self.u1.dot(v1) + self.u2.dot(v2)
-            return self.l1.dot(w1), self.l2.dot(w1) + self.l3 * (self.u3 * v2)
-        if which == "qt":
-            w1 = self.l1.T.dot(v1) + self.l2.T.dot(v2)
-            return self.u1.T.dot(w1), self.u2.T.dot(w1) + self.u3 * (self.l3 * v2)
-        if which == "qinv":
-            y1 = solve(self.l1, v1, lower=True)
-            x2 = (v2 - self.l2.dot(y1)) / self.l3 / self.u3
-            return solve(self.u1, y1 - self.u2.dot(x2)), x2
-        if which == "qinvt":
-            w1 = solve(self.u1, v1, transpose=True)
-            x2 = (v2 - self.u2.T.dot(w1)) / self.u3 / self.l3
-            return solve(self.l1, w1 - self.l2.T.dot(x2), lower=True, transpose=True), x2
-        raise ContractViolationError(f"unknown matvec selector {which!r}")
+    @staticmethod
+    def _finite(x):
+        """x, the result of an inverse product, once it is finite: from finite
+        inputs, a solve that overflowed leaves an inf or a nan there."""
+        if not _all_finite(x):
+            raise NumericInputError("non-finite inverse product")
+        return x
 
     def _apply(self, g):
-        return self._two_products(self._checked(g), "q", "qt")
+        return np.concatenate(self._qt(*self._q(*self._split(self._checked(g)))))
 
     def _apply_inv(self, v):
-        return self._two_products(self._checked(v, True), "qinvt", "qinv")
+        v1, v2 = self._qinvt(*self._split(self._checked(v, True)))
+        return self._finite(np.concatenate(self._qinv(v1, v2)))
 
     def materialize_lu(self):
         """Dense (L, U); test and diagnostic helper, O(L^2) storage."""
@@ -545,39 +568,51 @@ class SpluPrecond(Preconditioner):
         return low @ up
 
     @_quiet
-    def _pair_gradient(self, dt, dg):
+    def _gradient(self, dt, dg):
+        """The pair's gradient as [gl1; gl2], gl3, [gu1, gu2] and gu3.
+
+        With a = Q dg and b = Q^{-T} dt, so P dg = Q^T a and P^{-1} dt = Q^{-1} b,
+        the L side is the projection of a a^T - b b^T onto {first r columns,
+        diagonal} and the U side that of P dg dg^T - dt (P^{-1} dt)^T onto
+        {first r rows, diagonal}. Each side's r columns or rows come from one
+        outer-product pair over the full vectors.
+        """
         g1, g2 = self._split(dg)
         x1, x2 = self._split(dt)
+        qg1, qg2 = self._q(g1, g2)
+        iqtx1, iqtx2 = self._qinvt(x1, x2)
+        pg1, pg2 = self._qt(qg1, qg2)
+        ipx1, ipx2 = self._qinv(iqtx1, iqtx2)
+        r = self.r
+        strict_lower = _strict_lower_mask(r)  # copyto writes through a view; putmask copies it
+        gl = (np.concatenate((qg1, qg2))[:, None] * qg1
+              - np.concatenate((iqtx1, iqtx2))[:, None] * iqtx1)
+        np.copyto(gl[:r].T, 0.0, where=strict_lower)  # gl1 is the lower part
+        gu = pg1[:, None] * dg - x1[:, None] * np.concatenate((ipx1, ipx2))
+        np.copyto(gu[:, :r], 0.0, where=strict_lower)  # gu1 the upper part
+        return gl, qg2 * qg2 - iqtx2 * iqtx2, gu, pg2 * g2 - x2 * ipx2
 
-        # a = Q dg and b = Q^{-T} dt, then P dg = Q^T a and P^{-1} dt = Q^{-1} b,
-        # all kept in partitioned form
-        qg1, qg2 = self._blocks(g1, g2, "q")
-        iqtx1, iqtx2 = self._blocks(x1, x2, "qinvt", _tri_solve_unchecked)
-        pg1, pg2 = self._blocks(qg1, qg2, "qt")
-        ipx1, ipx2 = self._blocks(iqtx1, iqtx2, "qinv", _tri_solve_unchecked)
-
-        # L side: projection of (a a^T - b b^T) onto {first r columns, diagonal};
-        # U side: same projection of (P dg dg^T - dt (P^{-1} dt)^T) onto
-        # {first r rows, diagonal}
-        gl1 = _zero_strict_lower((qg1[:, None] * qg1 - iqtx1[:, None] * iqtx1).T).T  # lower part
-        gl2 = qg2[:, None] * qg1 - iqtx2[:, None] * iqtx1
-        gl3 = qg2 * qg2 - iqtx2 * iqtx2
-        gu1 = _zero_strict_lower(pg1[:, None] * g1 - x1[:, None] * ipx1)
-        gu2 = pg1[:, None] * g2 - x1[:, None] * ipx2
-        gu3 = pg2 * g2 - x2 * ipx2
-        return gl1, gl2, gl3, gu1, gu2, gu3
+    def _pair_gradient(self, dt, dg):
+        """(gl1, gl2, gl3, gu1, gu2, gu3): the gradients of l1, l2, l3, u1, u2 and u3."""
+        gl, gl3, gu, gu3 = self._gradient(dt, dg)
+        r = self.r
+        return gl[:r], gl[r:], gl3, gu[:, :r], gu[:, r:], gu3
 
     def _update(self, dt, dg, step):
         # No factor needs a scan: u1 and u2 reach w1 = u1 g1 + u2 g2 and through
         # it all of l1 w1, as l1 does; l2, l3 and u3 reach l2 w1 + l3 (u3 g2).
         # So diag(gl1) or gl3 sees every entry.
-        gl1, gl2, gl3, gu1, gu2, gu3 = self._pair_gradient(dt, dg)
-        nl = max(_finite_max_norms(gl1, gl2, gl3))
-        nu = max(_finite_max_norms(gu1, gu2, gu3))
+        gl, gl3, gu, gu3 = self._gradient(dt, dg)
+        al = np.abs(np.concatenate((gl.ravel(), gl3)))  # max_norm's steps, inline
+        au = np.abs(np.concatenate((gu.ravel(), gu3)))
+        nl, nu = al[al.argmax()], au[au.argmax()]
+        if not (nl < math.inf and nu < math.inf):  # false for an inf or a nan
+            raise NumericInputError("non-finite preconditioner gradient")
+        r = self.r
         if nl > 0.0:
             mu = step / nl
-            cand_l1 = self.l1 - mu * gl1.dot(self.l1)
-            cand_l2 = self.l2 - mu * (gl2.dot(self.l1) + gl3[:, None] * self.l2)
+            cand_l1 = self.l1 - mu * gl[:r].dot(self.l1)
+            cand_l2 = self.l2 - mu * (gl[r:].dot(self.l1) + gl3[:, None] * self.l2)
             cand_l3 = self.l3 - mu * gl3 * self.l3
             # the diagonals alone would let an inf off the diagonal through
             if (_admissible(cand_l1.diagonal(), cand_l3)
@@ -586,8 +621,8 @@ class SpluPrecond(Preconditioner):
 
         if nu > 0.0:
             mu = step / nu
-            cand_u1 = self.u1 - mu * self.u1.dot(gu1)
-            cand_u2 = self.u2 - mu * (self.u1.dot(gu2) + gu3[None, :] * self.u2)
+            cand_u1 = self.u1 - mu * self.u1.dot(gu[:, :r])
+            cand_u2 = self.u2 - mu * (self.u1.dot(gu[:, r:]) + gu3[None, :] * self.u2)
             cand_u3 = self.u3 - mu * gu3 * self.u3
             if (_admissible(cand_u1.diagonal(), cand_u3)
                     and all(map(_all_finite, (cand_u1, cand_u2, cand_u3)))):

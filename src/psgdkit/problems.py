@@ -73,6 +73,24 @@ def _integer(value, what: str) -> int:
         raise ContractViolationError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _is_word(x) -> bool:
+    """True for an int in [0, 2**32), which a SeedSequence reads as one uint32 word."""
+    return type(x) is int and 0 <= x < 1 << 32
+
+
+def _batch_rng(seed) -> np.random.Generator:
+    """default_rng(seed): the generator a seeded problem draws its batch from.
+
+    A seed in [0, 2**32) goes into its SeedSequence as one uint32 word, which
+    gives the same stream without the int's conversion; any other seed takes
+    default_rng itself, with its result or its error.
+    """
+    if _is_word(seed):
+        entropy = np.random.SeedSequence(np.array([seed], dtype=np.uint32))
+        return np.random.Generator(np.random.PCG64(entropy))
+    return np.random.default_rng(seed)
+
+
 def _last_value(fn):
     """fn(th), recomputed only when th differs in value from the last call's th.
 
@@ -166,24 +184,30 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
         raw = rng.standard_normal((dim, dim))
         return np.where(upper, raw, raw.T), rng.standard_normal(dim)
 
-    def bind(seed: int) -> BoundEvaluator:
-        if noise_scale == 0.0:
-            h_hat, b_hat = h, b
-        else:
-            rng = np.random.default_rng(seed)
-            # each sum starts from its first draw, so a one-sample batch adds nothing
-            s_acc, n_acc = draw(rng)
-            for _ in range(batch_size - 1):
-                s, n = draw(rng)
-                s_acc += s
-                n_acc += n
-            h_hat = h + noise_scale * s_acc / batch_size
-            b_hat = b + noise_scale * n_acc / batch_size
+    def evaluator(h_hat, b_hat) -> BoundEvaluator:
         return BoundEvaluator(
             loss=lambda th: float(b_hat @ th + 0.5 * th @ (h_hat @ th)),
             grad=lambda th: h_hat @ th + b_hat,
             hvp=lambda th, v: h_hat @ v,
         )
+
+    exact = evaluator(h, b)  # noise_scale 0's evaluator, built once for every seed
+
+    def bind(seed: int) -> BoundEvaluator:
+        if noise_scale == 0.0:
+            return exact
+        rng = _batch_rng(seed)
+        # each sum starts from its first draw, so a one-sample batch adds nothing
+        # and divides by nothing (x / 1 is x)
+        s_acc, n_acc = draw(rng)
+        if batch_size == 1:
+            return evaluator(h + noise_scale * s_acc, b + noise_scale * n_acc)
+        for _ in range(batch_size - 1):
+            s, n = draw(rng)
+            s_acc += s
+            n_acc += n
+        return evaluator(h + noise_scale * s_acc / batch_size,
+                         b + noise_scale * n_acc / batch_size)
 
     return Problem(
         name="quadratic",
@@ -331,9 +355,8 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
     one = np.ones((batch_size, 1))
 
     def bind(seed: int) -> BoundEvaluator:
-        # default_rng(seed)'s stream without its argument dispatch: the values,
-        # then the row whose two smallest entries mark the positions
-        rng = np.random.Generator(np.random.PCG64(seed))
+        # the values, then the row whose two smallest entries mark the positions
+        rng = _batch_rng(seed)
         values = rng.random((batch_size, seq_len))
         pos = rng.random((batch_size, seq_len)).argsort(1)[:, :2]
         targets = 0.5 * np.add.reduce(values[rows, pos], 1)  # the two values, summed in order

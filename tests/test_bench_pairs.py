@@ -1,0 +1,86 @@
+"""The verdict and gain rules of tools/bench_pairs.py, on hand-built entries."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "bench_pairs.py")
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+HIGHER = {"name": "calibrated_iters_per_s", "better": "higher", "bound": 0.22}
+LOWER = {"name": "setup_s", "better": "lower", "bound": 0.25}
+# ten parent runs: median 100, quartiles 98.75 and 101.25 (q3 - q1 = 2.5)
+PARENT = [98.0, 99.0, 100.0, 101.0, 102.0, 98.0, 99.0, 100.0, 101.0, 102.0]
+
+
+def judged(spec, parent, change):
+    """An end-to-end entry as bench_pairs.main builds it, with its verdict and gain."""
+    entry = {"parent": bench_pairs.summary(parent), "change": bench_pairs.summary(change)}
+    entry["change_over_parent"] = bench_pairs.summary([c / p for p, c in zip(parent, change)])
+    entry["change_better"], entry["verdict"] = bench_pairs.verdict(spec, entry)
+    entry["gain"] = bench_pairs.gain(spec, entry)
+    return entry
+
+
+def test_parent_quartiles():
+    parent = bench_pairs.summary(PARENT)
+    assert (parent["median"], parent["q1"], parent["q3"]) == (100.0, 98.75, 101.25)
+
+
+def test_gain_in_every_pair():
+    entry = judged(HIGHER, PARENT, [1.1 * p for p in PARENT])
+    assert (entry["change_better"], entry["verdict"], entry["gain"]) == (10, "within_bound", True)
+
+
+def test_gain_needs_nine_pairs():
+    change = [1.1 * p for p in PARENT[:8]] + [0.9 * p for p in PARENT[8:]]
+    entry = judged(HIGHER, PARENT, change)
+    assert entry["change_better"] == 8
+    assert entry["change"]["median"] - entry["parent"]["median"] > 2.5
+    assert entry["gain"] is False
+    change[8] = 1.1 * PARENT[8]
+    assert judged(HIGHER, PARENT, change)["gain"] is True
+
+
+def test_gain_needs_medians_beyond_the_parent_spread():
+    # better in every pair, but the medians differ by 2.0 against q3 - q1 = 2.5
+    entry = judged(HIGHER, PARENT, [p + 2.0 for p in PARENT])
+    assert entry["change_better"] == 10
+    assert entry["gain"] is False
+    assert judged(HIGHER, PARENT, [p + 3.0 for p in PARENT])["gain"] is True
+
+
+def test_gain_for_a_lower_is_better_metric():
+    assert judged(LOWER, PARENT, [0.9 * p for p in PARENT])["gain"] is True
+    entry = judged(LOWER, PARENT, [1.1 * p for p in PARENT])
+    assert (entry["change_better"], entry["gain"]) == (0, False)
+
+
+def test_ties_count_for_neither_side():
+    entry = judged(HIGHER, PARENT, list(PARENT))
+    assert (entry["change_better"], entry["verdict"], entry["gain"]) == (0, "within_bound", False)
+
+
+@pytest.mark.parametrize("spec, factor", [(HIGHER, 0.7), (LOWER, 1.3)], ids=["higher", "lower"])
+def test_worse_beyond_the_bound(spec, factor):
+    entry = judged(spec, PARENT, [factor * p for p in PARENT])
+    assert (entry["change_better"], entry["verdict"], entry["gain"]) == (0, "worse", False)
+
+
+def test_within_the_bound_when_worse_by_less():
+    entry = judged(HIGHER, PARENT, [0.8 * p for p in PARENT])
+    assert (entry["verdict"], entry["gain"]) == ("within_bound", False)
+
+
+def test_unresolved_when_the_parent_spreads_beyond_the_bound():
+    # (q3 - q1) / median = 0.5 > 0.22, and the change runs overlap the parent's
+    parent = [60.0, 70.0, 100.0, 130.0, 140.0] * 2
+    entry = judged(HIGHER, parent, [p + 1.0 for p in parent])
+    assert (entry["change_better"], entry["verdict"]) == (10, "unresolved")
+    # every change run above every parent run resolves it
+    entry = judged(HIGHER, parent, [200.0] * 10)
+    assert entry["verdict"] == "within_bound"

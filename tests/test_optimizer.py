@@ -333,6 +333,17 @@ class TestBatchSeeds:
     def test_seeded_problem_derives_one_seed_per_iteration(self, monkeypatch, maker):
         assert self.count_seed_calls(monkeypatch, maker()) == list(range(1, 21))
 
+    @pytest.mark.parametrize("t", [1, 999, 2**32])
+    @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_batch_seed_is_the_seed_sequence_word(self, seed, t):
+        # uint32 words below 2**32 and the int path above must give one entropy
+        expected = int(np.random.SeedSequence([seed, 0xBA7C4, t]).generate_state(1)[0])
+        assert batch_seed_for(seed, t) == expected
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError):
+            batch_seed_for(-1, 1)
+
 
 class TestRosenbrockRun:
     def test_documented_config_finds_minimum(self):
@@ -360,6 +371,11 @@ def _golden_cases():
         # scan on the quadratic's one vector tensor is the n == 1 block, whose c2 is empty
         for variant in ("dense", "diag", "splu", "scan")
     }
+    # splu of order 1, so l1 and u1 are 1x1; a seed above 2**32 takes batch_seed_for's
+    # and the batch generator's int path rather than their uint32 words
+    quad_cases["quad-psgd-splu-r1"] = (quad, RunConfig(
+        method="psgd", precond_variant="splu", splu_order=1, mu=0.5, precond_mu=0.01,
+        probe=ProbeConfig(mode="exact"), iters=300, seed=2**32 + 5))
     return {
         **quad_cases,
         "rosenbrock-psgd-dense": (make_rosenbrock(), RunConfig(
@@ -382,6 +398,12 @@ def _golden_cases():
             clip_omega=10.0 * math.sqrt(xor3.dim), probe=ProbeConfig(mode="exact"),
             iters=200, seed=0)),
         "xor7-esgd": (xor7, RunConfig(method="esgd", mu=0.05, iters=200, seed=0)),
+        # per-block splu at the default order 10: w1's block is 12 with r = 10, w2's
+        # is 5 with r = 5, so l2, u2, l3 and u3 of the second block are empty
+        "xor-psgd-splu-perblock": (xor, RunConfig(
+            method="psgd", precond_variant="splu", per_block=True, mu=0.5, precond_mu=0.05,
+            clip_omega=10.0 * math.sqrt(xor.dim), probe=ProbeConfig(mode="exact"),
+            iters=200, seed=0)),
         # differenced probes: the only path that takes a gradient at a theta
         # (theta + dtheta) whose loss is never taken
         "xor-psgd-dense-approx": (xor, RunConfig(
@@ -396,6 +418,7 @@ GOLDEN_TRAJECTORIES = {
     "quad-psgd-diag": "d2643282af47adf3cdef7f93b37249ce0638ff14ddd615639ec2591618e1cece",
     "quad-psgd-splu": "f7a9d189cdfc969dd9ae3ddd2470136ea8bbbe1bb746ef68af2ac127e10bf7ec",
     "quad-psgd-scan": "835ecabde4f4d1efbde5cf7b2d2bebaa07769e72781a386182cd548d53a88daf",
+    "quad-psgd-splu-r1": "73d861e2d3d2c691f03ba885db80e1c2eb7b763668e88bbadf5eaa630cc929ff",
     "rosenbrock-psgd-dense": "2d67c6194074da9797df2f66889f110c07d1eb9e0e95033934d855d712e7b833",
     "xor-sgd": "e455b3059d45025dcb4669d658d6b24e50b4c9743ada915fad4b693674daa7fd",
     "xor-rmsprop": "33f03222af0c94e00bbe550c8f9499d13462783929a7b913834911f94dcb1604",
@@ -406,6 +429,7 @@ GOLDEN_TRAJECTORIES = {
     "xor3-psgd-kron": "a8a2621f3aeaf8799e02f40f7c92964b6d5b752a6036a1cece0c064da45fdd7a",
     "xor7-esgd": "773ea2b41d279f94efbb3eafb388455e6a4225d78ad4c23d8868d56f5b1859a6",
     "xor-psgd-dense-approx": "2d5342e613ae0d0b08a2c43a075fa049c29df83c095c5fa332d5370de9cad3c7",
+    "xor-psgd-splu-perblock": "7d6fb3da4a81a027bb2df42e516b66ab2559f65d24f80409d6631e12668aef8a",
 }
 
 

@@ -231,6 +231,57 @@ class TestAdditionRnn:
         assert make_addition_rnn(5, 3).bind_batch(0).hvp is None
 
 
+# seeds on both sides of the uint32 words a batch generator takes in one piece
+BATCH_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]
+
+
+def quadratic_reference(h, b, noise_scale, batch_size, seed):
+    """(H_hat, b_hat) of make_quadratic's batch `seed`, drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(np.ones(h.shape, bool))
+    s_acc = n_acc = None
+    for _ in range(batch_size):
+        raw = rng.standard_normal(h.shape)
+        s, n = np.where(upper, raw, raw.T), rng.standard_normal(len(b))
+        s_acc, n_acc = (s, n) if s_acc is None else (s_acc + s, n_acc + n)
+    return h + noise_scale * s_acc / batch_size, b + noise_scale * n_acc / batch_size
+
+
+class TestBatchStreams:
+    """A seeded batch is what default_rng(seed) draws, whichever path its seed takes."""
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_quadratic_batch_is_default_rng_draw(self, batch_size, seed):
+        h, b = np.diag([1.0, 2.0, 3.0]), np.array([0.5, 0.0, -0.5])
+        ev = make_quadratic(h, b, noise_scale=0.1, batch_size=batch_size).bind_batch(seed)
+        h_hat, b_hat = quadratic_reference(h, b, 0.1, batch_size, seed)
+        theta, v = np.random.default_rng(9).standard_normal((2, 3))
+        assert ev.grad(theta).tobytes() == (h_hat @ theta + b_hat).tobytes()
+        assert ev.hvp(theta, v).tobytes() == (h_hat @ v).tobytes()
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_rnn_batch_is_default_rng_draw(self, seed):
+        prob = make_addition_rnn(6, 3, batch_size=4)
+        th = prob.initial_theta(0)
+        ev = prob.bind_batch(seed)
+        ref_loss, ref_grad = rnn_reference(6, 3, 4, seed, th)
+        assert ev.loss(th) == ref_loss
+        assert ev.grad(th).tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("maker", [
+        lambda: make_quadratic(np.diag([1.0, 2.0]), noise_scale=0.1),
+        lambda: make_addition_rnn(5, 3),
+    ], ids=["noisy-quadratic", "rnn"])
+    def test_negative_seed_raises_numpys_error(self, maker):
+        with pytest.raises(ValueError):
+            maker().bind_batch(-1)
+
+    def test_noise_free_quadratic_binds_one_evaluator(self):
+        prob = make_quadratic(np.diag([1.0, 2.0]))
+        assert prob.bind_batch(0) is prob.bind_batch(12345)
+
+
 class TestSelfChecks:
     @pytest.mark.parametrize("maker,tol", [
         (lambda: make_quadratic(np.diag([2.0, -5.0, 1.0]), np.array([1.0, 0.0, -1.0])), 1e-6),

@@ -20,8 +20,9 @@ the same count per file) and the environment, and per
 workload and end-to-end metric the per-pair values with their median and
 quartiles. The change/parent ratio of
 each pair is recorded as well, and so are `change_better`, the pairs the
-change reads better in the metric's `better` direction, and the metric's
-`verdict` against its `bound` (see `verdict`). After the pairs, each side runs
+change reads better in the metric's `better` direction, the metric's
+`verdict` against its `bound` (see `verdict`) and whether it shows a `gain`
+(see `gain`). After the pairs, each side runs
 `benchmarks/run.py --trace 1` five times per workload, run i on seed
 `--first-seed + i` for both sides, the side that runs first alternating as in
 the pairs; `correct` covers these runs too. The workload's `layers` map each
@@ -55,6 +56,7 @@ import tokenize
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 TRACED = 5  # traced runs per side and workload
+GAIN_PAIRS = 9  # pairs of the PAIRS the change must read better in for a gain
 ENVIRONMENT = ("python", "numpy", "scipy", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                "MKL_NUM_THREADS")
 TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are recorded
@@ -172,6 +174,21 @@ def verdict(spec, entry):
     return better, "within_bound"
 
 
+def gain(spec, entry):
+    """True when one end-to-end metric's entry on one workload shows a gain.
+
+    The change must read better in at least GAIN_PAIRS of the pairs
+    (`change_better`, which `verdict` counts), and its median must be better
+    than the parent's, in the metric's `better` direction, by more than the
+    parent's q3 - q1.
+    """
+    parent, change = entry["parent"], entry["change"]
+    ahead = change["median"] - parent["median"]
+    if spec["better"] != "higher":
+        ahead = -ahead
+    return entry["change_better"] >= GAIN_PAIRS and ahead > parent["q3"] - parent["q1"]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -205,6 +222,10 @@ def main(argv=None):
                                      "change run beats every parent run; within_bound "
                                      "otherwise. change_better counts the pairs the change "
                                      "reads better, ties for neither side",
+                          "gain": f"per end-to-end metric and workload: true when the "
+                                  f"change reads better in at least {GAIN_PAIRS} of the "
+                                  f"{PAIRS} pairs and its median is better than the "
+                                  "parent's by more than the parent's q3 - q1",
                           "tier1": "PYTHONPATH=src python -m pytest -q "
                                    "--continue-on-collection-errors --durations=0, twice per "
                                    "side in the order parent, change, change, parent, after "
@@ -262,6 +283,7 @@ def main(argv=None):
                 entry[name]["change_over_parent"] = summary(ratios)
                 entry[name]["change_better"], entry[name]["verdict"] = verdict(metric,
                                                                                entry[name])
+                entry[name]["gain"] = gain(metric, entry[name])
             record["workloads"][workload] = entry
         tier1_runs = {"parent": [], "change": []}
         for side in TIER1_ORDER:
