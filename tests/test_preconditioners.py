@@ -303,16 +303,29 @@ class TestSpluMatvec:
         for bad in ([np.nan] if where in ("l3", "u3") else [np.nan, np.inf])
     ] + [("l3", (0,), np.inf), ("u3", (2,), np.inf)])
     def test_inverse_products_reject_non_finite(self, where, index, bad):
-        # the public inverse paths solve with the checked solver, which the
-        # update kernel skips for a state it has already validated; an inf in
-        # l3 or u3 divides its entry to zero before any solve, so those two
-        # factors are checked on their own
+        # the public inverse paths check v and every factor, which the update
+        # kernel skips for a state its norm test covers; an inf in l3 or u3
+        # divides its entry to zero before any solve could see it
         rng = np.random.default_rng(7)
         p = SpluPrecond(5, 2)
         for _ in range(20):
             p.update(random_pair(rng, 5), 0.3)
         v = rng.standard_normal(5)
         (v if where == "v" else getattr(p, where))[index] = bad
+        for call in (lambda: p.matvec(v, "qinv"), lambda: p.matvec(v, "qinvt"),
+                     lambda: p.apply_inv(v)):
+            with np.errstate(all="ignore"), pytest.raises(NumericInputError):
+                call()
+
+    @pytest.mark.parametrize("dim, factor", [(2, "l1"), (1, "u1")],
+                             ids=["l1-near-floor", "u1-near-floor"])
+    def test_inverse_product_that_overflows_raises(self, dim, factor):
+        # a diagonal just above the floor overflows a solve from finite inputs,
+        # inside a product (the next solve sees an inf) or in its last solve
+        # (the result is inf); either way the product is not returned
+        p = SpluPrecond(dim, 1)
+        getattr(p, factor)[0, 0] = 1e-299
+        v = np.full(dim, 1e10)
         for call in (lambda: p.matvec(v, "qinv"), lambda: p.matvec(v, "qinvt"),
                      lambda: p.apply_inv(v)):
             with np.errstate(all="ignore"), pytest.raises(NumericInputError):

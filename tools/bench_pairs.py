@@ -222,7 +222,7 @@ def main(argv=None):
                                      "change run beats every parent run; within_bound "
                                      "otherwise. change_better counts the pairs the change "
                                      "reads better, ties for neither side",
-                          "gain": f"per end-to-end metric and workload: true when the "
+                          "gain": "per end-to-end metric and workload: true when the "
                                   f"change reads better in at least {GAIN_PAIRS} of the "
                                   f"{PAIRS} pairs and its median is better than the "
                                   "parent's by more than the parent's q3 - q1",
