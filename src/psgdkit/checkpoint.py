@@ -15,9 +15,9 @@ uint32 block count and, per block, uint16 name length + UTF-8 name + nested
 record. Loading sizes each record from its shape fields and reads its
 payload before it builds anything, so a record cannot make the loader
 allocate more than the record holds. It then rebuilds each family through
-its constructor and checks every factor against its declared structure:
-finite entries, no entry outside a triangle, and no diagonal entry below
-the floor under which ``update`` refuses a state and a solve is meaningless.
+its constructor and sets its factors through ``set_factors``, which checks
+each against its declared structure: finite entries, no entry outside a
+triangle, and no diagonal entry below the floor that the kernels keep.
 Direct sums nest at most ``MAX_NESTING`` deep, in saving and in loading.
 """
 
@@ -26,8 +26,8 @@ import struct
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericInputError
-from .preconditioners import _SOLVE_FLOOR, FAMILIES, DirectSumPrecond, Preconditioner
+from .errors import ContractViolationError
+from .preconditioners import FAMILIES, DirectSumPrecond, Preconditioner
 
 __all__ = ["load_state", "save_state", "state_from_bytes", "state_to_bytes"]
 
@@ -83,22 +83,6 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
 
-def _check_factor(name: str, structure: str, a: np.ndarray) -> None:
-    """Reject a loaded factor that breaks its declared structure."""
-    if not np.isfinite(a).all():
-        raise NumericInputError(f"non-finite entries in factor {name}")
-    if structure == "free":
-        return
-    diagonal = a if structure == "positive" else a.diagonal()
-    if not (diagonal >= _SOLVE_FLOOR).all():  # the floor below which update refuses a state
-        raise ContractViolationError(
-            f"diagonal entry below {_SOLVE_FLOOR:g} in factor {name}")
-    if structure == "upper" and np.tril(a, -1).any():
-        raise ContractViolationError(f"entries below the upper triangle of factor {name}")
-    if structure == "lower" and np.triu(a, 1).any():
-        raise ContractViolationError(f"entries above the lower triangle of factor {name}")
-
-
 def _read_record(r: _Reader, depth: int = 0) -> Preconditioner:
     if r.take(4) != _MAGIC:
         raise ContractViolationError("bad magic in preconditioner record")
@@ -130,15 +114,12 @@ def _read_record(r: _Reader, depth: int = 0) -> Preconditioner:
         raise ContractViolationError(
             f"{cls.__name__} record of shape {shape} needs a payload of {size} values, "
             f"got {npayload}")
-    payload = np.frombuffer(r.take(8 * npayload), dtype="<f8").astype(float)
-    p = cls(*shape)
-    start = 0
-    for (name, structure), s in zip(cls.factors, shapes):
-        a = payload[start:start + math.prod(s)].reshape(s)
-        start += a.size
-        _check_factor(name, structure, a)
-        setattr(p, name, a)
-    return p
+    payload = np.frombuffer(r.take(8 * npayload), dtype="<f8")
+    arrays, start = {}, 0
+    for (name, _), s in zip(cls.factors, shapes):
+        arrays[name] = payload[start:start + math.prod(s)].reshape(s)
+        start += math.prod(s)
+    return cls(*shape).set_factors(**arrays)
 
 
 def state_from_bytes(data: bytes) -> Preconditioner:

@@ -51,9 +51,8 @@ __all__ = [
     "make_preconditioner",
 ]
 
-# Diagonal entries below this make triangular solves meaningless.
-_SOLVE_FLOOR = 1e-300
-# Candidate states whose diagonals fall below this are rejected outright.
+# The one floor of every factor diagonal: set_factors refuses a state below it
+# and the kernels a candidate, so no path reaches a state the kernels could not.
 _REJECT_FLOOR = 1e-150
 # Error state of the gradients that fold the factor checks (see Preconditioner).
 _quiet = np.errstate(all="ignore")
@@ -128,20 +127,23 @@ class Preconditioner:
     Its kernels are ``_apply`` and ``_apply_inv``, on a float vector of its
     dim, and ``_update``; ``FAMILIES`` lists the families by variant name.
     The constructor (the identity state), ``factor_shapes`` (each shape field
-    checked to be at least 1, nothing allocated), ``min_diag``, ``param_count``
-    and the checkpoint record derive from this declaration. A family without
-    a ``dim`` field is an (m, n) matrix block with ``dim = m * n``.
-    ``apply`` and ``apply_inv`` check the vector once and run the kernel (a
-    direct sum's kernel runs each block's kernel on its slice). ``update``
-    takes a TangentPair, which has proved its two vectors finite, 1-D, float
-    and of equal length. It checks the step, the pair's length and the
-    diagonal floor, then runs the family's ``_update`` kernel on the raw
-    arrays. Before it assigns anything a kernel shows its factors finite, by
-    ``_scan_factors`` or by the norm test on a gradient every factor entry
-    reaches, even times a zero (inf * 0 is nan on a BLAS that skips no zero
-    operand). That gradient is computed under ``_quiet``, so numpy's error
-    state adds no warning or FloatingPointError to the NumericInputError the
-    norm test raises.
+    checked to be at least 1, nothing allocated), ``set_factors``,
+    ``min_diag``, ``param_count`` and the checkpoint record derive from this
+    declaration. ``set_factors`` is the one checked way to set factors: the
+    constructor and it establish the group invariant, and the kernels keep it
+    (``_admissible``). Writing into a factor array in place bypasses it; tests
+    use that to corrupt a state on purpose. A family without a ``dim`` field
+    is an (m, n) matrix block with ``dim = m * n``. ``apply`` and
+    ``apply_inv`` check the vector once and run the kernel (a direct sum's
+    kernel runs each block's kernel on its slice). ``update`` takes a
+    TangentPair, which has proved its two vectors finite, 1-D, float and of
+    equal length. It checks the step and the pair's length, then runs the
+    family's ``_update`` kernel on the raw arrays. Before it assigns anything
+    a kernel shows its factors finite, by ``_scan_factors`` or by the norm
+    test on a gradient every factor entry reaches, even times a zero (inf * 0
+    is nan on a BLAS that skips no zero operand). That gradient is computed
+    under ``_quiet``, so numpy's error state adds no warning or
+    FloatingPointError to the NumericInputError the norm test raises.
     """
 
     dim: int
@@ -181,26 +183,52 @@ class Preconditioner:
         dt = pair.delta_theta
         if len(dt) != self.dim:  # the pair's two vectors have one length
             raise _wrong_length(self.dim, dt)
-        if self.min_diag() < _SOLVE_FLOOR:
-            raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
         self._update(dt, pair.delta_g, step)
+
+    def set_factors(self, **arrays) -> "Preconditioner":
+        """Set the named factors to float copies of the arrays; returns self.
+
+        Nothing is assigned unless every array passes, in this order:
+        ContractViolationError for an unknown name or a wrong shape,
+        NumericInputError for a non-finite entry, DegenerateStateError for a
+        diagonal entry below the floor (so for a zero or negative one) and
+        ContractViolationError for an entry outside a triangle.
+        """
+        structures = dict(self.factors)
+        family = type(self).__name__
+        checked = {}
+        for name, a in arrays.items():
+            if name not in structures:
+                raise ContractViolationError(f"{family} has no factor {name!r}")
+            structure, shape = structures[name], getattr(self, name).shape
+            a = np.array(a, dtype=float)
+            if a.shape != shape:
+                raise ContractViolationError(
+                    f"factor {name} of shape {shape} expected, got shape {a.shape}")
+            if not _all_finite(a):
+                raise NumericInputError(f"non-finite entries in factor {name}")
+            if structure != "free":
+                diagonal = a if structure == "positive" else a.diagonal()
+                if not (diagonal >= _REJECT_FLOOR).all():
+                    raise DegenerateStateError(f"{family} factor diagonal collapsed: "
+                                               f"entry below {_REJECT_FLOOR:g} in factor {name}")
+            if structure == "upper" and np.tril(a, -1).any():
+                raise ContractViolationError(f"entries below the upper triangle of factor {name}")
+            if structure == "lower" and np.triu(a, 1).any():
+                raise ContractViolationError(f"entries above the lower triangle of factor {name}")
+            checked[name] = a
+        vars(self).update(checked)
+        return self
 
     def min_diag(self) -> float:
         """Smallest diagonal entry over the factors; the group needs it positive.
 
         It is nan when a diagonal entry is nan.
         """
-        low = np.inf
-        for name, structure in self.factors:
-            if structure != "free":
-                d = getattr(self, name)
-                if structure != "positive":
-                    d = d.diagonal()
-                if d.size:
-                    x = d[d.argmin()]
-                    if x < low or x != x:
-                        low = x
-        return low
+        return np.min(np.concatenate([getattr(self, name) if structure == "positive"
+                                      else getattr(self, name).diagonal()
+                                      for name, structure in self.factors
+                                      if structure != "free"]))
 
     def param_count(self) -> int:
         """Factor entries the group lets vary: a triangular factor counts its
@@ -519,20 +547,16 @@ class SpluPrecond(Preconditioner):
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
         """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
         inverse = which in ("qinv", "qinvt")
-        v = self._checked(self._check_dim(v), inverse)
+        v = self._check_dim(v)
         product = self._PRODUCTS.get(which)
         if product is None:
             raise ContractViolationError(f"unknown matvec selector {which!r}")
-        x = np.concatenate(product(self, *self._split(v)))
+        x = np.concatenate(product(self, *self._split(self._checked(v) if inverse else v)))
         return self._finite(x) if inverse else x
 
-    def _checked(self, v, inverse=False):
-        """v, once the diagonals are above the floor and, for an inverse product,
-        v and every factor are finite."""
-        if self.min_diag() < _SOLVE_FLOOR:
-            raise DegenerateStateError(f"{type(self).__name__} factor diagonal collapsed")
-        if inverse and not all(map(_all_finite, (v, self.l1, self.l2, self.l3,
-                                                 self.u1, self.u2, self.u3))):
+    def _checked(self, v):
+        """v, once v and every factor are finite (an inverse product's input)."""
+        if not all(map(_all_finite, (v, self.l1, self.l2, self.l3, self.u1, self.u2, self.u3))):
             raise NumericInputError("non-finite entries in an inverse product's input")
         return v
 
@@ -545,10 +569,10 @@ class SpluPrecond(Preconditioner):
         return x
 
     def _apply(self, g):
-        return np.concatenate(self._qt(*self._q(*self._split(self._checked(g)))))
+        return np.concatenate(self._qt(*self._q(*self._split(g))))
 
     def _apply_inv(self, v):
-        v1, v2 = self._qinvt(*self._split(self._checked(v, True)))
+        v1, v2 = self._qinvt(*self._split(self._checked(v)))
         return self._finite(np.concatenate(self._qinv(v1, v2)))
 
     def materialize_lu(self):
@@ -659,9 +683,8 @@ class DirectSumPrecond(Preconditioner):
 
     def update(self, pair, step):
         # The TangentPair is finite, 1-D, float and of equal length, so a slice
-        # needs only the all-zero test; each block's update checks the step, the
-        # slice's length and its diagonals. No block changes before every slice
-        # has passed.
+        # needs only the all-zero test; each block's update checks the step and
+        # the slice's length. No block changes before every slice has passed.
         dt, dg = pair.delta_theta, pair.delta_g
         if len(dt) != self.dim:
             raise _wrong_length(self.dim, dt)
@@ -673,12 +696,7 @@ class DirectSumPrecond(Preconditioner):
             p.update(sub, step)
 
     def min_diag(self):
-        low = np.inf
-        for _, p in self.blocks:
-            x = p.min_diag()
-            if x < low or x != x:  # Python's min would pass over a nan after the first
-                low = x
-        return low
+        return np.min([p.min_diag() for _, p in self.blocks])
 
     def param_count(self):
         return sum(p.param_count() for _, p in self.blocks)

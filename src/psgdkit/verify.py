@@ -105,17 +105,18 @@ def _random_pairs(rng, dim, count=16):
 def _random_state(p, rng, scale):
     """Fill p's declared factors: a triangle of scale * normals over a diagonal in
     1 + scale * [0, 1), a positive vector in 0.5 + [0, 1), free scale * normals."""
+    values = {}
     for name, structure in p.factors:
         shape = getattr(p, name).shape
         if structure in ("upper", "lower"):
             tri = np.triu if structure == "upper" else np.tril
-            value = (tri(scale * rng.standard_normal(shape))
-                     + np.diag(1.0 + scale * rng.random(shape[0])))
+            values[name] = (tri(scale * rng.standard_normal(shape))
+                            + np.diag(1.0 + scale * rng.random(shape[0])))
         elif structure == "positive":
-            value = 0.5 + rng.random(shape)
+            values[name] = 0.5 + rng.random(shape)
         else:
-            value = scale * rng.standard_normal(shape)
-        setattr(p, name, value)
+            values[name] = scale * rng.standard_normal(shape)
+    p.set_factors(**values)
 
 
 def _dense_direction(p, grads, k, rng):

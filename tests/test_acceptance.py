@@ -118,9 +118,8 @@ def test_c08_scan_normalization():
     rng = np.random.default_rng(0)
     nu = np.array([1.5, -2.0])
     sigma = np.array([0.7, 2.5])
-    p = ScanPrecond(1, 3)
-    p.d2 = np.array([1.0 / sigma[0], 1.0 / sigma[1], 1.0])
-    p.c2 = np.array([-nu[0] / sigma[0], -nu[1] / sigma[1]])
+    p = ScanPrecond(1, 3).set_factors(d2=[1.0 / sigma[0], 1.0 / sigma[1], 1.0],
+                                      c2=[-nu[0] / sigma[0], -nu[1] / sigma[1]])
     feats = nu + sigma * rng.standard_normal((10_000, 2))
     out = np.column_stack([feats, np.ones(len(feats))]) @ p.materialize_q2().T
     mean = out[:, :2].mean(axis=0)

@@ -12,7 +12,7 @@ from psgdkit.checkpoint import (
     state_to_bytes,
 )
 from psgdkit.curvature import TangentPair
-from psgdkit.errors import ContractViolationError, PsgdkitError
+from psgdkit.errors import ContractViolationError, DegenerateStateError, PsgdkitError
 from psgdkit.preconditioners import (
     DensePrecond,
     DiagPrecond,
@@ -68,8 +68,7 @@ def test_round_trip_bitwise(maker):
 
 
 def test_payload_is_little_endian_float64():
-    p = DiagPrecond(3)
-    p.q = np.array([1.0, 2.0, 4.0])
+    p = DiagPrecond(3).set_factors(q=[1.0, 2.0, 4.0])
     data = state_to_bytes(p)
     assert data[:4] == b"PCS1"
     assert np.frombuffer(data[-24:], dtype="<f8").tolist() == [1.0, 2.0, 4.0]
@@ -172,7 +171,7 @@ MALFORMED = {
     "diag-inf": (record(2, [3], [1.0, np.inf, 1.0]), "non-finite.*q"),
     "diag-negative": (record(2, [2], [1.0, -0.5]), "diagonal.*q"),
     "dense-zero-diagonal": (record(1, [2], [[1.0, 0.0], [0.0, 0.0]]), "diagonal.*q"),
-    # positive but below the floor update refuses; apply_inv would return inf
+    # positive but below the floor; apply_inv would return inf
     "dense-diagonal-1e-305": (record(1, [2], [[1e-305, 0.0], [0.0, 1.0]]), "diagonal.*q"),
     "dense-lower-entry": (record(1, [2], [[1.0, 0.0], [0.5, 1.0]]), "triangle.*q"),
     "kron-lower-entry": (record(4, [2, 2], [1.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 1.0]),
@@ -209,8 +208,45 @@ def test_malformed_record_rejected(name):
         state_from_bytes(data)
 
 
-def test_diagonal_above_the_floor_loads():
-    # 1e-299 is above the 1e-300 floor, so the state loads as written
-    p = state_from_bytes(record(1, [2], [[1e-299, 0.0], [0.0, 1.0]]))
-    assert p.q.tobytes() == np.array([[1e-299, 0.0], [0.0, 1.0]]).tobytes()
-    assert p.min_diag() == 1e-299
+def test_diagonal_floor_boundary():
+    # the floor is the kernels' own: a diagonal at 1e-150 loads as written,
+    # and anything below it is refused, 1e-299 (whose solves overflow) included
+    data = record(1, [2], [[1e-150, 0.0], [0.0, 1.0]])
+    assert state_to_bytes(state_from_bytes(data)) == data
+    for low in (np.nextafter(1e-150, 0.0), 1e-299):
+        with pytest.raises(DegenerateStateError, match="DensePrecond factor diagonal collapsed: "
+                                                       "entry below 1e-150 in factor q$"):
+            state_from_bytes(record(1, [2], [[low, 0.0], [0.0, 1.0]]))
+
+
+def leaves(p):
+    return [b for _, sub in p.blocks for b in leaves(sub)] if isinstance(p, DirectSumPrecond) else [p]
+
+
+def test_mutated_records_load_only_valid_states():
+    # seeded bit flips, truncations and byte overwrites of saved records: a
+    # record either fails with a PsgdkitError or loads a state whose factors
+    # are finite with every diagonal at or above the floor
+    rng = np.random.default_rng(0)
+    saved = [state_to_bytes(trained(make())) for make in (
+        lambda: DensePrecond(5), lambda: DiagPrecond(7), lambda: SpluPrecond(9, 3),
+        lambda: KronPrecond(3, 4), lambda: ScanPrecond(3, 4),
+        lambda: DirectSumPrecond([("w1", KronPrecond(2, 3)), ("lu", SpluPrecond(5, 2))]))]
+    loaded = 0
+    for i in range(5000):
+        data = bytearray(saved[i % len(saved)])
+        kind, at = rng.integers(3), rng.integers(len(data))
+        if kind == 0:
+            data[at] ^= 1 << rng.integers(8)
+        elif kind == 1:
+            del data[at:]
+        else:
+            data[at:at + 8] = rng.bytes(len(data[at:at + 8]))
+        try:
+            p = state_from_bytes(bytes(data))
+        except PsgdkitError:
+            continue
+        loaded += 1
+        assert p.min_diag() >= 1e-150
+        assert all(np.isfinite(getattr(b, name)).all() for b in leaves(p) for name, _ in b.factors)
+    assert loaded > 1000

@@ -54,13 +54,11 @@ class TestApply:
             np.testing.assert_allclose(p.apply_inv(g), g, rtol=0, atol=1e-14)
 
     def test_diag_squares_factor(self):
-        p = DiagPrecond(2)
-        p.q = np.array([2.0, 3.0])
+        p = DiagPrecond(2).set_factors(q=[2.0, 3.0])
         np.testing.assert_allclose(p.apply(np.array([1.0, 1.0])), [4.0, 9.0])
 
     def test_dense_factored_product(self):
-        p = DensePrecond(2)
-        p.q = np.array([[1.0, 1.0], [0.0, 1.0]])
+        p = DensePrecond(2).set_factors(q=[[1.0, 1.0], [0.0, 1.0]])
         np.testing.assert_allclose(p.apply(np.array([1.0, 0.0])), [1.0, 1.0])
 
     def test_apply_is_positive_definite_action(self):
@@ -108,18 +106,17 @@ class TestUpdate:
             p.update(TangentPair(np.ones(2), np.ones(2)), 1.5)
 
     def test_update_rejected_when_diagonal_would_collapse(self):
-        p = DiagPrecond(1)
-        p.q = np.array([1.5e-150])
+        p = DiagPrecond(1).set_factors(q=[1.5e-150])
         # a pure shrink step (curvature response dominates) would multiply the
         # factor by (1 - mu0) and cross the floor, so the state is kept
         p.update(TangentPair(np.array([1e-320]), np.array([1.0])), 0.5)
         np.testing.assert_array_equal(p.q, [1.5e-150])
 
-    def test_collapsed_state_raises_on_update(self):
+    def test_collapsed_state_is_refused(self):
         p = DensePrecond(2)
-        p.q = np.diag([1e-301, 1.0])
         with pytest.raises(DegenerateStateError):
-            p.update(TangentPair(np.ones(2), np.ones(2)), 0.1)
+            p.set_factors(q=np.diag([1e-301, 1.0]))
+        np.testing.assert_array_equal(p.q, np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("maker, factor, index", [
@@ -153,20 +150,18 @@ class TestUpdate:
         # Dense, kron and splu updates scan no factor: a non-finite entry must
         # reach a gradient norm through the kernel's own products, also where
         # the probe entries it meets are zero (inf * 0 is nan). Every entry of
-        # every factor, the unused triangle included, on the BLAS in use. Under
+        # every factor, the unused triangle and a -inf on a diagonal included
+        # (update checks no floor), on the BLAS in use. Under
         # np.errstate(all="raise") any warning the fold let through would
         # surface as FloatingPointError instead of the expected class.
         rng = np.random.default_rng(8)
         trained = maker()
         for _ in range(10):
             trained.update(random_pair(rng, trained.dim), 0.2)
-        for name, structure in trained.factors:
+        for name, _ in trained.factors:
             for index in np.ndindex(getattr(trained, name).shape):
                 meets = _probe_entries_meeting(trained, name, index)
-                on_diagonal = structure != "free" and len(set(index)) == 1
                 for bad in (np.nan, np.inf, -np.inf):
-                    expected = (DegenerateStateError if bad == -np.inf and on_diagonal
-                                else NumericInputError)
                     for zeros in ("dg", "dt and dg", "all of dg"):
                         p = copy.deepcopy(trained)
                         getattr(p, name)[index] = bad
@@ -176,7 +171,7 @@ class TestUpdate:
                         dg[slice(None) if zeros == "all of dg" else meets] = 0.0
                         if zeros == "dt and dg" and dt[meets].size < dt.size:
                             dt[meets] = 0.0
-                        with np.errstate(all="raise"), pytest.raises(expected):
+                        with np.errstate(all="raise"), pytest.raises(NumericInputError):
                             p.update(TangentPair(dt, dg), 0.1)
                         for k, v in before.items():
                             np.testing.assert_array_equal(getattr(p, k), v)
@@ -217,6 +212,16 @@ class TestUpdate:
             for name, _ in p.factors:
                 assert np.isfinite(getattr(p, name)).all(), name
         assert returned > 150
+
+    def test_splu_overflow_on_the_u_side_alone_raises(self):
+        # u2 = 1e200 keeps the L side of the gradient finite (at most 1e300) and
+        # overflows gu3, so only the U half of the norm test sees it; it must
+        # raise before the L factors are assigned
+        p = SpluPrecond(2, 1).set_factors(u2=[[1e200]])
+        before = [getattr(p, name).tobytes() for name, _ in p.factors]
+        with pytest.raises(NumericInputError, match="non-finite preconditioner gradient"):
+            p.update(TangentPair(np.array([0.0, 1.0]), np.array([9e149, 1e-51])), 0.1)
+        assert [getattr(p, name).tobytes() for name, _ in p.factors] == before
 
     def test_overflowing_gradient_raises_on_update(self):
         p = DensePrecond(2)
@@ -342,18 +347,18 @@ class TestSpluMatvec:
         assert getattr(p, method)(v).tobytes() == p.matvec(p.matvec(v, inner), outer).tobytes()
         with pytest.raises(ContractViolationError):
             getattr(p, method)(np.ones(5))
-        p.u3[1] = 1e-301
+        before = getattr(p, method)(v)
         with pytest.raises(DegenerateStateError):
-            getattr(p, method)(v)
+            p.set_factors(u3=np.where(np.arange(4) == 1, 1e-301, p.u3))
+        assert getattr(p, method)(v).tobytes() == before.tobytes()
 
 
 class TestScanQ2Matvec:
     def test_feature_normalization(self):
         nu = np.array([1.0, -2.0])
         sigma = np.array([2.0, 4.0])
-        p = ScanPrecond(1, 3)
-        p.d2 = np.array([1.0 / sigma[0], 1.0 / sigma[1], 1.0])
-        p.c2 = np.array([-nu[0] / sigma[0], -nu[1] / sigma[1]])
+        p = ScanPrecond(1, 3).set_factors(d2=[1.0 / sigma[0], 1.0 / sigma[1], 1.0],
+                                          c2=[-nu[0] / sigma[0], -nu[1] / sigma[1]])
         x = np.array([3.0, 2.0, 1.0])
         np.testing.assert_allclose(
             p.materialize_q2() @ x, [(3.0 - 1.0) / 2.0, (2.0 + 2.0) / 4.0, 1.0])
@@ -364,9 +369,7 @@ class TestScanQ2Matvec:
         np.testing.assert_allclose(p.materialize_q2() @ x, x)
 
     def test_small_example(self):
-        p = ScanPrecond(1, 2)
-        p.d2 = np.array([2.0, 1.0])
-        p.c2 = np.array([3.0])
+        p = ScanPrecond(1, 2).set_factors(d2=[2.0, 1.0], c2=[3.0])
         np.testing.assert_allclose(p.materialize_q2() @ np.array([1.0, 1.0]), [5.0, 1.0])
 
     def test_matches_dense_factor(self):
@@ -377,9 +380,8 @@ class TestScanQ2Matvec:
         for m, n in ((1, 1), (1, 7), (7, 1), (6, 9)):
             p = ScanPrecond(m, n)
             for _ in range(5):
-                p.q1 = 0.5 + rng.random(m)
-                p.d2 = 0.5 + rng.random(n)
-                p.c2 = 0.5 * rng.standard_normal(n - 1)
+                p.set_factors(q1=0.5 + rng.random(m), d2=0.5 + rng.random(n),
+                              c2=0.5 * rng.standard_normal(n - 1))
                 q = p.materialize_q()
                 g, v = rng.standard_normal(m * n), rng.standard_normal(m * n)
                 expect_g = q.T @ (q @ g)
@@ -480,10 +482,10 @@ class TestDirectSum:
         layout = ParamLayout([ParamBlock("w1", (2, 3)), ParamBlock("w2", (4,))])
         p = make_preconditioner("splu", layout, splu_order=2, per_block=True)
         v = np.random.default_rng(13).standard_normal(p.dim)
-        getattr(p, method)(v)
-        p.blocks[1][1].u3[1] = 1e-301
+        before = getattr(p, method)(v)
         with pytest.raises(DegenerateStateError, match="SpluPrecond factor diagonal collapsed"):
-            getattr(p, method)(v)
+            p.blocks[1][1].set_factors(u3=[1.0, 1e-301])
+        assert getattr(p, method)(v).tobytes() == before.tobytes()
 
 
 FAMILY_SHAPES = [(DensePrecond, (4,)), (DiagPrecond, (4,)), (KronPrecond, (3, 2)),
@@ -519,10 +521,69 @@ class TestDeclaration:
                 make(4, 5)
 
     def test_collapse_message_names_the_family(self):
-        p = KronPrecond(2, 2)
-        p.q2 = np.diag([1.0, 1e-301])
         with pytest.raises(DegenerateStateError, match="KronPrecond factor diagonal collapsed"):
-            p.update(TangentPair(np.ones(4), np.ones(4)), 0.1)
+            KronPrecond(2, 2).set_factors(q2=np.diag([1.0, 1e-301]))
+
+
+def trained_state(cls, shape, seed):
+    rng = np.random.default_rng(seed)
+    p = cls(*shape)
+    for _ in range(30):
+        p.update(random_pair(rng, p.dim, scale=rng.uniform(0.3, 2.0)), 0.3)
+    return p
+
+
+def factor_faults(p):
+    """(class, message pattern, arrays) of set_factors calls that must fail."""
+    family = type(p).__name__
+    faults = [(ContractViolationError, f"{family} has no factor 'q9'", {"q9": np.ones(1)})]
+    for name, structure in p.factors:
+        a = getattr(p, name)
+        corner = (0,) * a.ndim
+
+        def bad(value, index=corner, a=a):
+            b = a.copy()
+            b[index] = value
+            return b
+
+        faults += [(ContractViolationError, rf"factor {name} of shape", {name: np.append(a, 1.0)}),
+                   (NumericInputError, rf"non-finite entries in factor {name}$", {name: bad(np.nan)}),
+                   (NumericInputError, rf"non-finite entries in factor {name}$", {name: bad(np.inf)})]
+        if structure != "free":
+            faults.append((DegenerateStateError,
+                           rf"{family} factor diagonal collapsed: entry below 1e-150 in factor {name}$",
+                           {name: bad(np.nextafter(1e-150, 0.0))}))
+        if structure in ("upper", "lower"):
+            faults.append((ContractViolationError, rf"triangle of factor {name}$",
+                           {name: bad(1.0, (1, 0) if structure == "upper" else (0, 1))}))
+    return faults
+
+
+class TestSetFactors:
+    @pytest.mark.parametrize("cls, shape", FAMILY_SHAPES)
+    def test_trained_factors_round_trip_bitwise(self, cls, shape):
+        p = trained_state(cls, shape, 0)
+        arrays = {name: getattr(p, name) for name, _ in cls.factors}
+        q = cls(*shape).set_factors(**arrays)
+        for name, a in arrays.items():
+            assert getattr(q, name).tobytes() == a.tobytes()
+            assert not np.shares_memory(getattr(q, name), a)
+        v = np.random.default_rng(1).standard_normal(p.dim)
+        assert q.apply(v).tobytes() == p.apply(v).tobytes()
+
+    @pytest.mark.parametrize("cls, shape", FAMILY_SHAPES)
+    def test_each_fault_names_its_factor_and_assigns_nothing(self, cls, shape):
+        # each fault alone, then after a good value of the first factor in the
+        # same call: neither call may change any factor
+        p = trained_state(cls, shape, 2)
+        first = cls.factors[0][0]
+        good = {first: getattr(trained_state(cls, shape, 3), first)}
+        before = [getattr(p, name).tobytes() for name, _ in cls.factors]
+        for error, message, arrays in factor_faults(p):
+            for call in (arrays, {**good, **arrays}):
+                with pytest.raises(error, match=message):
+                    p.set_factors(**call)
+                assert [getattr(p, name).tobytes() for name, _ in cls.factors] == before
 
 
 class TestParamCount:
@@ -587,14 +648,9 @@ class TestFactory:
 
 class TestMinDiag:
     def test_smallest_factor_diagonal(self):
-        kron = KronPrecond(2, 2)
-        kron.q2 = np.array([[1.0, -5.0], [0.0, 0.25]])
-        splu = SpluPrecond(4, 2)
-        splu.l2[:] = -3.0
-        splu.u3 = np.array([2.0, 0.1])
-        scan = ScanPrecond(2, 3)
-        scan.c2[:] = -4.0
-        scan.d2 = np.array([1.0, 0.5, 2.0])
+        kron = KronPrecond(2, 2).set_factors(q2=[[1.0, -5.0], [0.0, 0.25]])
+        splu = SpluPrecond(4, 2).set_factors(l2=np.full((2, 2), -3.0), u3=[2.0, 0.1])
+        scan = ScanPrecond(2, 3).set_factors(c2=[-4.0, -4.0], d2=[1.0, 0.5, 2.0])
         cases = [(kron, 0.25), (splu, 0.1), (scan, 0.5),
                  (DirectSumPrecond([("a", DiagPrecond(2)), ("b", kron)]), 0.25)]
         for p, expected in cases:
@@ -653,9 +709,7 @@ class TestFixedPointMoments:
 class TestPatternClosure:
     def test_scan_q2_pattern_closed_under_product(self):
         rng = np.random.default_rng(13)
-        p = ScanPrecond(2, 6)
-        p.d2 = 0.5 + rng.random(6)
-        p.c2 = rng.standard_normal(5)
+        p = ScanPrecond(2, 6).set_factors(d2=0.5 + rng.random(6), c2=rng.standard_normal(5))
         assert np.all(p.materialize_q2()[~scan_pattern(6)] == 0.0)
         assert pattern_closure_worst(scan_pattern(6), rng) == 0.0
 
