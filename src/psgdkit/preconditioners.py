@@ -54,7 +54,7 @@ __all__ = [
 # The one floor of every factor diagonal: set_factors refuses a state below it
 # and the kernels a candidate, so no path reaches a state the kernels could not.
 _REJECT_FLOOR = 1e-150
-# Error state of the gradients that fold the factor checks (see Preconditioner).
+# Error state of the gradients under a norm test (see Preconditioner).
 _quiet = np.errstate(all="ignore")
 # The identity state of a factor of each structure, given its shape.
 _IDENTITY = {"upper": lambda s: np.eye(s[0]), "lower": lambda s: np.eye(s[0]),
@@ -74,29 +74,20 @@ def _admissible(*diagonals: np.ndarray) -> bool:
     return True
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only, as every factor array a state holds is."""
+    a.setflags(write=False)
+    return a
+
+
 def _triangular_step(q: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
     """The candidate q - mu g q for a triangular factor q if it is admissible, else q.
     A 1x1 q takes the same steps on scalars (numpy dots two 1x1 arrays as one product)."""
     if q.shape[0] == 1:
         c = q[0, 0] - mu * (g[0, 0] * q[0, 0])
-        return np.array([[c]]) if c >= _REJECT_FLOOR else q
+        return _frozen(np.array([[c]])) if c >= _REJECT_FLOOR else q
     cand = q - mu * g.dot(q)
-    return cand if _admissible(cand.diagonal()) else q
-
-
-def _scan_factors(p: "Preconditioner") -> None:
-    """Raise NumericInputError unless every declared factor of p is finite."""
-    for name, _ in p.factors:
-        if not _all_finite(getattr(p, name)):
-            raise NumericInputError(f"non-finite entries in factor {name}")
-
-
-def _finite_max_norms(*parts) -> list:
-    """Max-norm of each part of a gradient; NumericInputError if one is not finite."""
-    norms = [max_norm(part) for part in parts]
-    if not all(map(math.isfinite, norms)):
-        raise NumericInputError("non-finite preconditioner gradient")
-    return norms
+    return _frozen(cand) if _admissible(cand.diagonal()) else q
 
 
 def _wrong_length(dim: int, v: np.ndarray) -> ContractViolationError:
@@ -131,19 +122,22 @@ class Preconditioner:
     ``min_diag``, ``param_count`` and the checkpoint record derive from this
     declaration. ``set_factors`` is the one checked way to set factors: the
     constructor and it establish the group invariant, and the kernels keep it
-    (``_admissible``). Writing into a factor array in place bypasses it; tests
-    use that to corrupt a state on purpose. A family without a ``dim`` field
-    is an (m, n) matrix block with ``dim = m * n``. ``apply`` and
-    ``apply_inv`` check the vector once and run the kernel (a direct sum's
-    kernel runs each block's kernel on its slice). ``update`` takes a
-    TangentPair, which has proved its two vectors finite, 1-D, float and of
-    equal length. It checks the step and the pair's length, then runs the
-    family's ``_update`` kernel on the raw arrays. Before it assigns anything
-    a kernel shows its factors finite, by ``_scan_factors`` or by the norm
-    test on a gradient every factor entry reaches, even times a zero (inf * 0
-    is nan on a BLAS that skips no zero operand). That gradient is computed
-    under ``_quiet``, so numpy's error state adds no warning or
-    FloatingPointError to the NumericInputError the norm test raises.
+    (``_admissible``). Every factor array a state holds is read-only: the
+    constructor's, each admitted candidate, and ``set_factors``' copies,
+    through which ``copy.deepcopy`` and ``pickle`` rebuild a state too. So
+    a state is valid by construction and no kernel checks its factors. A
+    family without a ``dim`` field is an (m, n) matrix block with
+    ``dim = m * n``. ``apply`` checks the vector once and runs the kernel (a
+    direct sum's kernel runs each block's kernel on its slice); ``apply_inv``
+    and splu's inverse ``matvec`` run theirs under the one contract of
+    ``_inverse``. ``update`` takes a TangentPair, which has
+    proved its two vectors finite, 1-D, float and of equal length. It checks
+    the step and the pair's length, then runs the family's ``_update``
+    kernel on the raw arrays. A gradient that overflows from finite inputs
+    fails the norm test of dense, kron and splu, which raises
+    NumericInputError; diag and scan reject the candidate it leaves. Those
+    norm tests' gradients are computed under ``_quiet``, so numpy's error
+    state adds no warning or FloatingPointError to the error.
     """
 
     dim: int
@@ -157,15 +151,20 @@ class Preconditioner:
         if "dim" not in self.shape_fields:
             self.dim = self.m * self.n
         for (name, structure), s in zip(self.factors, shapes):
-            setattr(self, name, _IDENTITY[structure](s))
+            setattr(self, name, _frozen(_IDENTITY[structure](s)))
+
+    def __setstate__(self, state):
+        # copy.deepcopy and pickle rebuild each array writable and unchecked
+        vars(self).update(state)
+        self.set_factors(**{name: getattr(self, name) for name, _ in self.factors})
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """P g; ContractViolationError unless g is a vector of this dim."""
         return self._apply(self._check_dim(g))
 
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        """P^{-1} v; ContractViolationError unless v is a vector of this dim."""
-        return self._apply_inv(self._check_dim(v))
+        """P^{-1} v under the contract of every inverse product (see _inverse)."""
+        return self._inverse(self._apply_inv, v)
 
     @classmethod
     def factor_shapes(cls, *shape) -> list:
@@ -188,11 +187,13 @@ class Preconditioner:
     def set_factors(self, **arrays) -> "Preconditioner":
         """Set the named factors to float copies of the arrays; returns self.
 
-        Nothing is assigned unless every array passes, in this order:
-        ContractViolationError for an unknown name or a wrong shape,
-        NumericInputError for a non-finite entry, DegenerateStateError for a
-        diagonal entry below the floor (so for a zero or negative one) and
-        ContractViolationError for an entry outside a triangle.
+        The copies are read-only; the arrays passed stay as they are. Nothing
+        is assigned unless every array passes, in this order:
+        ContractViolationError for an unknown name, an array that does not
+        hold real numbers or a wrong shape, NumericInputError for a non-finite
+        entry, DegenerateStateError for a diagonal entry below the floor (so
+        for a zero or negative one) and ContractViolationError for an entry
+        outside a triangle.
         """
         structures = dict(self.factors)
         family = type(self).__name__
@@ -201,7 +202,13 @@ class Preconditioner:
             if name not in structures:
                 raise ContractViolationError(f"{family} has no factor {name!r}")
             structure, shape = structures[name], getattr(self, name).shape
-            a = np.array(a, dtype=float)
+            try:
+                a = np.array(a)  # ValueError for a ragged nesting
+                if a.dtype.kind not in "biuf":
+                    raise ValueError
+            except ValueError:
+                raise ContractViolationError(f"factor {name} must hold real numbers") from None
+            a = a.astype(float, copy=False)
             if a.shape != shape:
                 raise ContractViolationError(
                     f"factor {name} of shape {shape} expected, got shape {a.shape}")
@@ -212,11 +219,11 @@ class Preconditioner:
                 if not (diagonal >= _REJECT_FLOOR).all():
                     raise DegenerateStateError(f"{family} factor diagonal collapsed: "
                                                f"entry below {_REJECT_FLOOR:g} in factor {name}")
-            if structure == "upper" and np.tril(a, -1).any():
+            if structure == "upper" and a[_strict_lower_mask(shape[0])].any():
                 raise ContractViolationError(f"entries below the upper triangle of factor {name}")
-            if structure == "lower" and np.triu(a, 1).any():
+            if structure == "lower" and a.T[_strict_lower_mask(shape[0])].any():
                 raise ContractViolationError(f"entries above the lower triangle of factor {name}")
-            checked[name] = a
+            checked[name] = _frozen(a)
         vars(self).update(checked)
         return self
 
@@ -247,6 +254,22 @@ class Preconditioner:
             raise _wrong_length(self.dim, v)
         return v
 
+    def _inverse(self, product, v: np.ndarray) -> np.ndarray:
+        """product(v) for an inverse product, under one contract:
+        ContractViolationError unless v is a vector of this dim,
+        NumericInputError unless v is finite, the product run without a numpy
+        warning, and NumericInputError unless its result is finite (from a
+        state at the floor, a finite v can overflow it).
+        """
+        v = self._check_dim(v)
+        if not _all_finite(v):
+            raise NumericInputError("non-finite entries in an inverse product's input")
+        with np.errstate(all="ignore"):  # a fresh one: an errstate enters once
+            x = product(v)
+        if not _all_finite(x):
+            raise NumericInputError("non-finite inverse product")
+        return x
+
 
 class DensePrecond(Preconditioner):
     """Full preconditioner with an upper-triangular Cholesky-like factor."""
@@ -273,9 +296,10 @@ class DensePrecond(Preconditioner):
         return _zero_strict_lower(a[:, None] * a - b[:, None] * b)
 
     def _update(self, dt, dg, step):
-        # q needs no scan: q[i, j] reaches a[i] = (Q dg)[i] and so grad[i, i].
         grad = self._pair_gradient(dt, dg)
-        (nrm,) = _finite_max_norms(grad)
+        nrm = max_norm(grad)
+        if not nrm < math.inf:  # false for an inf or a nan
+            raise NumericInputError("non-finite preconditioner gradient")
         if nrm > 0.0:
             self.q = _triangular_step(self.q, grad, step / nrm)
 
@@ -306,14 +330,14 @@ class DiagPrecond(Preconditioner):
         return a * a - b * b
 
     def _update(self, dt, dg, step):
-        _scan_factors(self)  # no norm test here raises: an overflow is rejected
+        # no norm test here raises: _admissible rejects what an overflow leaves
         grad = self._pair_gradient(dt, dg)
         nrm = max_norm(grad)
         if nrm == 0.0:
             return
         cand = self.q - (step / nrm) * grad * self.q
         if _admissible(cand):
-            self.q = cand
+            self.q = _frozen(cand)
 
     def materialize_q(self):
         return np.diag(self.q)
@@ -329,10 +353,10 @@ def closed_form_diagonal(m2_theta: np.ndarray, m2_g: np.ndarray) -> np.ndarray:
     m2_g = np.asarray(m2_g, dtype=float)
     if m2_theta.shape != m2_g.shape:
         raise ContractViolationError("moment vectors must share a shape")
-    if np.any(m2_theta <= 0.0):
+    if not np.all(m2_theta > 0.0):  # false for a nan too
         raise ContractViolationError("m2_theta must be strictly positive")
-    if np.any(m2_g <= 0.0):
-        raise DegenerateCurvatureError("zero entry in gradient second moment")
+    if not np.all(m2_g > 0.0):
+        raise DegenerateCurvatureError("zero or nan entry in gradient second moment")
     return np.sqrt(m2_theta / m2_g)
 
 
@@ -382,8 +406,6 @@ class KronPrecond(Preconditioner):
         return g1, g2
 
     def _update(self, dt, dg, step):
-        # q1 and q2 need no scan: q1[i, j] reaches row i of a = Q1 dG Q2^T and so
-        # g1[i, i]; q2[k, l] reaches column k and so g2[k, k].
         g1, g2 = self._pair_gradient(dt, dg)
         a1, a2 = np.abs(g1).ravel(), np.abs(g2).ravel()  # max_norm's steps, inline
         n1, n2 = a1[a1.argmax()], a2[a2.argmax()]
@@ -460,7 +482,6 @@ class ScanPrecond(Preconditioner):
         return g1, gd, gc
 
     def _update(self, dt, dg, step):
-        _scan_factors(self)  # no norm test here raises: an overflow is rejected
         g1, gd, gc = self._pair_gradient(dt, dg)
         q1, d2, c2 = self.q1, self.d2, self.c2
         # max_norm's steps, inline; an inf or nan norm leaves a candidate
@@ -470,7 +491,7 @@ class ScanPrecond(Preconditioner):
         if n1 > 0.0:
             cand = q1 - (step / n1) * g1 * q1
             if _admissible(cand):
-                self.q1 = cand
+                self.q1 = _frozen(cand)
 
         n2 = ad[ad.argmax()]
         if gc.size:
@@ -481,8 +502,7 @@ class ScanPrecond(Preconditioner):
             cand_d = d2 - mu * gd * d2
             cand_c = c2 - mu * (gd[:-1] * c2 + d2[-1] * gc)
             if _admissible(cand_d):
-                self.d2 = cand_d
-                self.c2 = cand_c
+                self.d2, self.c2 = _frozen(cand_d), _frozen(cand_c)
 
     def materialize_q2(self) -> np.ndarray:
         """Dense normalization factor Q2: d2 on the diagonal, c2 above it in the last column."""
@@ -520,8 +540,7 @@ class SpluPrecond(Preconditioner):
 
     # The four products of v = (v1, v2), each as the two blocks of its result.
     # Their solves are unchecked: the update kernel's norm test catches what
-    # they let through, and the public paths check each inverse product's
-    # inputs and result (see _checked and _finite).
+    # they let through, and the public inverse products run under _inverse.
 
     def _q(self, v1, v2):
         w1 = self.u1.dot(v1) + self.u2.dot(v2)
@@ -545,35 +564,20 @@ class SpluPrecond(Preconditioner):
     _PRODUCTS = {"q": _q, "qt": _qt, "qinv": _qinv, "qinvt": _qinvt}
 
     def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
-        """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt})."""
-        inverse = which in ("qinv", "qinvt")
-        v = self._check_dim(v)
+        """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt});
+        the inverses under the contract of apply_inv."""
         product = self._PRODUCTS.get(which)
         if product is None:
             raise ContractViolationError(f"unknown matvec selector {which!r}")
-        x = np.concatenate(product(self, *self._split(self._checked(v) if inverse else v)))
-        return self._finite(x) if inverse else x
-
-    def _checked(self, v):
-        """v, once v and every factor are finite (an inverse product's input)."""
-        if not all(map(_all_finite, (v, self.l1, self.l2, self.l3, self.u1, self.u2, self.u3))):
-            raise NumericInputError("non-finite entries in an inverse product's input")
-        return v
-
-    @staticmethod
-    def _finite(x):
-        """x, the result of an inverse product, once it is finite: from finite
-        inputs, a solve that overflowed leaves an inf or a nan there."""
-        if not _all_finite(x):
-            raise NumericInputError("non-finite inverse product")
-        return x
+        if which in ("qinv", "qinvt"):
+            return self._inverse(lambda v: np.concatenate(product(self, *self._split(v))), v)
+        return np.concatenate(product(self, *self._split(self._check_dim(v))))
 
     def _apply(self, g):
         return np.concatenate(self._qt(*self._q(*self._split(g))))
 
     def _apply_inv(self, v):
-        v1, v2 = self._qinvt(*self._split(self._checked(v)))
-        return self._finite(np.concatenate(self._qinv(v1, v2)))
+        return np.concatenate(self._qinv(*self._qinvt(*self._split(v))))
 
     def materialize_lu(self):
         """Dense (L, U); test and diagnostic helper, O(L^2) storage."""
@@ -623,9 +627,6 @@ class SpluPrecond(Preconditioner):
         return gl[:r], gl[r:], gl3, gu[:, :r], gu[:, r:], gu3
 
     def _update(self, dt, dg, step):
-        # No factor needs a scan: u1 and u2 reach w1 = u1 g1 + u2 g2 and through
-        # it all of l1 w1, as l1 does; l2, l3 and u3 reach l2 w1 + l3 (u3 g2).
-        # So diag(gl1) or gl3 sees every entry.
         gl, gl3, gu, gu3 = self._gradient(dt, dg)
         al = np.abs(np.concatenate((gl.ravel(), gl3)))  # max_norm's steps, inline
         au = np.abs(np.concatenate((gu.ravel(), gu3)))
@@ -641,7 +642,7 @@ class SpluPrecond(Preconditioner):
             # the diagonals alone would let an inf off the diagonal through
             if (_admissible(cand_l1.diagonal(), cand_l3)
                     and all(map(_all_finite, (cand_l1, cand_l2, cand_l3)))):
-                self.l1, self.l2, self.l3 = cand_l1, cand_l2, cand_l3
+                self.l1, self.l2, self.l3 = _frozen(cand_l1), _frozen(cand_l2), _frozen(cand_l3)
 
         if nu > 0.0:
             mu = step / nu
@@ -650,7 +651,7 @@ class SpluPrecond(Preconditioner):
             cand_u3 = self.u3 - mu * gu3 * self.u3
             if (_admissible(cand_u1.diagonal(), cand_u3)
                     and all(map(_all_finite, (cand_u1, cand_u2, cand_u3)))):
-                self.u1, self.u2, self.u3 = cand_u1, cand_u2, cand_u3
+                self.u1, self.u2, self.u3 = _frozen(cand_u1), _frozen(cand_u2), _frozen(cand_u3)
 
 
 class DirectSumPrecond(Preconditioner):

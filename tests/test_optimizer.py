@@ -54,6 +54,11 @@ class TestSkipAdmits:
         with pytest.raises(ContractViolationError):
             skip_admits(0)
 
+    def test_reads_its_index_as_an_integer(self):
+        with pytest.raises(ContractViolationError, match="must be an integer, got 102.0"):
+            skip_admits(102.0)
+        assert skip_admits(True) == skip_admits(1)
+
 
 class TestPsgdStep:
     def test_identity_preconditioner_is_plain_sgd(self):
