@@ -27,7 +27,7 @@ from .errors import (
     NumericInputError,
     PsgdkitError,
 )
-from .linalg import max_norm, tri_solve
+from .linalg import tri_solve
 from .optimizer import (
     RunConfig,
     RunResult,

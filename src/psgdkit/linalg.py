@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericInputError
 
-__all__ = ["max_norm", "tri_solve"]
+__all__ = ["tri_solve"]
 
 
 def _first_trtrs(*args):
@@ -27,18 +27,6 @@ def _first_trtrs(*args):
 
 
 _trtrs = _first_trtrs
-
-
-def max_norm(a) -> float:
-    """Max-norm (largest absolute entry) of a vector or matrix.
-
-    It is 0.0 for an empty or all-zero input, and nan or inf exactly when an
-    entry is not finite.
-    """
-    # argmax picks the first nan, if any; on the tiny arrays of the update
-    # kernels it costs a third of np.maximum.reduce, for the same value
-    x = np.abs(np.asarray(a, dtype=float)).ravel()
-    return float(x[x.argmax()]) if x.size else 0.0
 
 
 def _all_finite(a: np.ndarray) -> bool:

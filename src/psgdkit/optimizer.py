@@ -118,7 +118,7 @@ def skip_admits(t: int) -> bool:
     Admission rule: t mod max(floor(log10 t), 1) == 0, so every iteration is
     admitted below t = 100 and roughly one in floor(log10 t) afterwards.
     """
-    if (t := _integer(t, "iteration index")) < 1:  # an int: str(True) is "True"
+    if (t := _integer(t, "iteration index")) < 1:  # an int, so str(t) is its digits
         raise ContractViolationError("iteration index starts at 1")
     divisor = max(len(str(t)) - 1, 1)
     return t % divisor == 0

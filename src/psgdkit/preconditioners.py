@@ -17,6 +17,7 @@ pair (Q1, Q2) for an (M, N) block acts on vec(G) as vec(Q1 G Q2^T).
 """
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +34,6 @@ from .linalg import (
     _strict_lower_mask,
     _tri_solve_unchecked,
     _zero_strict_lower,
-    max_norm,
     tri_solve,
 )
 
@@ -52,9 +52,9 @@ __all__ = [
 ]
 
 # The one floor of every factor diagonal: set_factors refuses a state below it
-# and the kernels a candidate, so no path reaches a state the kernels could not.
+# and update a candidate, so no path reaches a state the kernels could not.
 _REJECT_FLOOR = 1e-150
-# Error state of the gradients under a norm test (see Preconditioner).
+# Error state of update, whose norm test and admission rule catch what it hides.
 _quiet = np.errstate(all="ignore")
 # The identity state of a factor of each structure, given its shape.
 _IDENTITY = {"upper": lambda s: np.eye(s[0]), "lower": lambda s: np.eye(s[0]),
@@ -66,12 +66,23 @@ _IDENTITY = {"upper": lambda s: np.eye(s[0]), "lower": lambda s: np.eye(s[0]),
 # the arithmetic, and the bits are the same.
 
 
-def _admissible(*diagonals: np.ndarray) -> bool:
-    """True when every candidate diagonal entry is at least _REJECT_FLOOR (so not nan)."""
-    for d in diagonals:
+def _invariant_fault(structure: str, a: np.ndarray):
+    """The error class of what breaks the group invariant in a factor array a of
+    the structure, or None: NumericInputError for a non-finite entry,
+    DegenerateStateError for a diagonal entry below _REJECT_FLOOR. set_factors
+    raises it, and update admits no candidate that has one."""
+    if a.size == 1:  # one entry (a 1x1 factor steps on scalars): the same tests on it
+        x = a.item()
+        if not math.isfinite(x):
+            return NumericInputError
+        return DegenerateStateError if structure != "free" and not x >= _REJECT_FLOOR else None
+    if not _all_finite(a):
+        return NumericInputError
+    if structure != "free":
+        d = a if structure == "positive" else a.diagonal()
         if d.size and not d[d.argmin()] >= _REJECT_FLOOR:
-            return False
-    return True
+            return DegenerateStateError
+    return None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -80,14 +91,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _triangular_step(q: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
-    """The candidate q - mu g q for a triangular factor q if it is admissible, else q.
-    A 1x1 q takes the same steps on scalars (numpy dots two 1x1 arrays as one product)."""
+def _step(name: str, structure: str, p, mu: float, g: np.ndarray) -> tuple:
+    """The candidate of p's factor name, a one-factor side: q - mu g*q for a
+    positive factor and q - mu g q for a triangular one. A 1x1 q takes the same
+    steps on scalars (numpy dots two 1x1 arrays as one product)."""
+    q = getattr(p, name)
+    if structure == "positive":
+        return (q - mu * g * q,)
     if q.shape[0] == 1:
-        c = q[0, 0] - mu * (g[0, 0] * q[0, 0])
-        return _frozen(np.array([[c]])) if c >= _REJECT_FLOOR else q
-    cand = q - mu * g.dot(q)
-    return _frozen(cand) if _admissible(cand.diagonal()) else q
+        return (np.array([[q[0, 0] - mu * (g[0, 0] * q[0, 0])]]),)
+    return (q - mu * g.dot(q),)
 
 
 def _wrong_length(dim: int, v: np.ndarray) -> ContractViolationError:
@@ -113,37 +126,50 @@ class Preconditioner:
       with its structure: ``"upper"`` or ``"lower"`` (a square triangular
       factor with a positive diagonal), ``"positive"`` (a vector of positive
       diagonal entries) or ``"free"``;
-    - ``_factor_shapes(*shape_fields)``: the factors' shapes.
+    - ``_factor_shapes(*shape_fields)``: the factors' shapes;
+    - ``sides``: the factors that share one normalized step, as (names,
+      candidate) pairs in factor order; the default is one side per factor.
 
-    Its kernels are ``_apply`` and ``_apply_inv``, on a float vector of its
-    dim, and ``_update``; ``FAMILIES`` lists the families by variant name.
+    A family is its declaration, ``_apply``, ``_apply_inv``,
+    ``_pair_gradient`` and its sides. ``_apply`` and ``_apply_inv`` act on a
+    float vector of its dim, ``_pair_gradient(dt, dg)`` gives one gradient
+    per factor in factor order, and a side's candidate method takes the step
+    and its factors' gradients and returns their candidates. A one-factor
+    side's candidate follows from the factor's structure (``_step``).
+    ``FAMILIES`` lists the families by variant name.
     The constructor (the identity state), ``factor_shapes`` (each shape field
     checked to be at least 1, nothing allocated), ``set_factors``,
     ``min_diag``, ``param_count`` and the checkpoint record derive from this
     declaration. ``set_factors`` is the one checked way to set factors: the
-    constructor and it establish the group invariant, and the kernels keep it
-    (``_admissible``). Every factor array a state holds is read-only: the
-    constructor's, each admitted candidate, and ``set_factors``' copies,
-    through which ``copy.deepcopy`` and ``pickle`` rebuild a state too. So
-    a state is valid by construction and no kernel checks its factors. A
-    family without a ``dim`` field is an (m, n) matrix block with
-    ``dim = m * n``. ``apply`` checks the vector once and runs the kernel (a
-    direct sum's kernel runs each block's kernel on its slice); ``apply_inv``
-    and splu's inverse ``matvec`` run theirs under the one contract of
-    ``_inverse``. ``update`` takes a TangentPair, which has
-    proved its two vectors finite, 1-D, float and of equal length. It checks
-    the step and the pair's length, then runs the family's ``_update``
-    kernel on the raw arrays. A gradient that overflows from finite inputs
-    fails the norm test of dense, kron and splu, which raises
-    NumericInputError; diag and scan reject the candidate it leaves. Those
-    norm tests' gradients are computed under ``_quiet``, so numpy's error
-    state adds no warning or FloatingPointError to the error.
+    constructor and it establish the group invariant, and ``update`` keeps it.
+    Every factor array a state holds is read-only: the constructor's, each
+    admitted candidate, and ``set_factors``' copies, through which
+    ``copy.deepcopy`` and ``pickle`` rebuild a state too. So a state is valid
+    by construction and no kernel checks its factors. A family without a
+    ``dim`` field is an (m, n) matrix block with ``dim = m * n``. ``apply``
+    checks the vector once and runs the kernel (a direct sum's kernel runs
+    each block's kernel on its slice); ``apply_inv`` and splu's inverse
+    ``matvec`` run theirs under the one contract of ``_inverse``.
+
+    ``update`` is every family's one relative-gradient step. It takes a
+    TangentPair, which has proved its two vectors finite, 1-D, float and of
+    equal length, and checks the step and the pair's length. Then, under
+    ``_quiet``, so numpy's error state adds no warning or FloatingPointError,
+    it computes the pair gradient and the max norm of each side. One policy:
+    a norm that is not finite (a gradient that overflows from finite inputs)
+    raises NumericInputError before any factor is assigned. Each side with a
+    nonzero norm forms its candidates with the step normalized by that norm.
+    One rule: the candidates are admitted, read-only, only when none breaks
+    the invariant ``set_factors`` enforces (``_invariant_fault``: every entry
+    finite, every diagonal entry at least the floor); else the side keeps
+    its factors.
     """
 
     dim: int
     tag: int
     shape_fields = ()
     factors = ()
+    sides = None
 
     def __init__(self, *shape):
         shapes = self.factor_shapes(*shape)
@@ -152,6 +178,15 @@ class Preconditioner:
             self.dim = self.m * self.n
         for (name, structure), s in zip(self.factors, shapes):
             setattr(self, name, _frozen(_IDENTITY[structure](s)))
+
+    def __init_subclass__(cls):
+        # each side as (the slice of its gradients, its names, their structures,
+        # its candidate method), a one-factor side's from the factor's structure
+        structures, cls._sides, i = dict(cls.factors), [], 0
+        for names, candidate in cls.sides or [((name,), None) for name, _ in cls.factors]:
+            cls._sides.append((slice(i, i + len(names)), names, [structures[n] for n in names],
+                               candidate or partial(_step, names[0], structures[names[0]])))
+            i += len(names)
 
     def __setstate__(self, state):
         # copy.deepcopy and pickle rebuild each array writable and unchecked
@@ -175,6 +210,7 @@ class Preconditioner:
                     f"{cls.__name__} dimension {field} must be at least 1, got {value}")
         return cls._factor_shapes(*shape)
 
+    @_quiet
     def update(self, pair: TangentPair, step: float) -> None:
         """One normalized relative-gradient step on the pair (dt, dg)."""
         if not 0.0 < step < 1.0:
@@ -182,7 +218,20 @@ class Preconditioner:
         dt = pair.delta_theta
         if len(dt) != self.dim:  # the pair's two vectors have one length
             raise _wrong_length(self.dim, dt)
-        self._update(dt, pair.delta_g, step)
+        grads = self._pair_gradient(dt, pair.delta_g)
+        norms = []
+        for g in grads:  # argmax picks a nan first; item gives a Python float
+            a = np.abs(g)
+            norms.append(a.item(a.argmax()) if a.size else 0.0)
+            if not norms[-1] < math.inf:  # false for a nan too
+                raise NumericInputError("non-finite preconditioner gradient")
+        for part, names, structures, candidate in self._sides:
+            nrm = max(norms[part])
+            if nrm > 0.0:
+                cands = candidate(self, step / nrm, *grads[part])
+                if not any(map(_invariant_fault, structures, cands)):
+                    for name, c in zip(names, cands):
+                        setattr(self, name, _frozen(c))
 
     def set_factors(self, **arrays) -> "Preconditioner":
         """Set the named factors to float copies of the arrays; returns self.
@@ -212,13 +261,11 @@ class Preconditioner:
             if a.shape != shape:
                 raise ContractViolationError(
                     f"factor {name} of shape {shape} expected, got shape {a.shape}")
-            if not _all_finite(a):
-                raise NumericInputError(f"non-finite entries in factor {name}")
-            if structure != "free":
-                diagonal = a if structure == "positive" else a.diagonal()
-                if not (diagonal >= _REJECT_FLOOR).all():
-                    raise DegenerateStateError(f"{family} factor diagonal collapsed: "
-                                               f"entry below {_REJECT_FLOOR:g} in factor {name}")
+            fault = _invariant_fault(structure, a)
+            if fault:
+                raise fault(f"non-finite entries in factor {name}" if fault is NumericInputError
+                            else f"{family} factor diagonal collapsed: "
+                                 f"entry below {_REJECT_FLOOR:g} in factor {name}")
             if structure == "upper" and a[_strict_lower_mask(shape[0])].any():
                 raise ContractViolationError(f"entries below the upper triangle of factor {name}")
             if structure == "lower" and a.T[_strict_lower_mask(shape[0])].any():
@@ -289,19 +336,10 @@ class DensePrecond(Preconditioner):
         w = tri_solve(self.q, v, transpose=True)
         return tri_solve(self.q, w)
 
-    @_quiet
     def _pair_gradient(self, dt, dg):
         a = self.q.dot(dg)
         b = _tri_solve_unchecked(self.q, dt, transpose=True)
-        return _zero_strict_lower(a[:, None] * a - b[:, None] * b)
-
-    def _update(self, dt, dg, step):
-        grad = self._pair_gradient(dt, dg)
-        nrm = max_norm(grad)
-        if not nrm < math.inf:  # false for an inf or a nan
-            raise NumericInputError("non-finite preconditioner gradient")
-        if nrm > 0.0:
-            self.q = _triangular_step(self.q, grad, step / nrm)
+        return (_zero_strict_lower(a[:, None] * a - b[:, None] * b),)
 
     def materialize_q(self):
         return self.q.copy()
@@ -327,17 +365,7 @@ class DiagPrecond(Preconditioner):
     def _pair_gradient(self, dt, dg):
         a = self.q * dg
         b = dt / self.q
-        return a * a - b * b
-
-    def _update(self, dt, dg, step):
-        # no norm test here raises: _admissible rejects what an overflow leaves
-        grad = self._pair_gradient(dt, dg)
-        nrm = max_norm(grad)
-        if nrm == 0.0:
-            return
-        cand = self.q - (step / nrm) * grad * self.q
-        if _admissible(cand):
-            self.q = _frozen(cand)
+        return (a * a - b * b,)
 
     def materialize_q(self):
         return np.diag(self.q)
@@ -353,10 +381,10 @@ def closed_form_diagonal(m2_theta: np.ndarray, m2_g: np.ndarray) -> np.ndarray:
     m2_g = np.asarray(m2_g, dtype=float)
     if m2_theta.shape != m2_g.shape:
         raise ContractViolationError("moment vectors must share a shape")
-    if not np.all(m2_theta > 0.0):  # false for a nan too
-        raise ContractViolationError("m2_theta must be strictly positive")
-    if not np.all(m2_g > 0.0):
-        raise DegenerateCurvatureError("zero or nan entry in gradient second moment")
+    if not np.all((m2_theta > 0.0) & (m2_theta < np.inf)):  # false for a nan too
+        raise ContractViolationError("m2_theta must be finite and strictly positive")
+    if not np.all((m2_g > 0.0) & (m2_g < np.inf)):
+        raise DegenerateCurvatureError("zero, inf or nan entry in gradient second moment")
     return np.sqrt(m2_theta / m2_g)
 
 
@@ -390,7 +418,6 @@ class KronPrecond(Preconditioner):
         x = tri_solve(self.q2, x)
         return x.ravel()
 
-    @_quiet
     def _pair_gradient(self, dt, dg):
         m, n, q1, q2 = self.m, self.n, self.q1, self.q2
         dt, dg = dt.reshape(n, m).T, dg.reshape(n, m).T
@@ -404,17 +431,6 @@ class KronPrecond(Preconditioner):
         g1 = _zero_strict_lower(a.dot(a.T) - bt.dot(bt.T))
         g2 = _zero_strict_lower(a.T.dot(a) - bt.T.dot(bt))
         return g1, g2
-
-    def _update(self, dt, dg, step):
-        g1, g2 = self._pair_gradient(dt, dg)
-        a1, a2 = np.abs(g1).ravel(), np.abs(g2).ravel()  # max_norm's steps, inline
-        n1, n2 = a1[a1.argmax()], a2[a2.argmax()]
-        if not (n1 < math.inf and n2 < math.inf):  # false for an inf or a nan
-            raise NumericInputError("non-finite preconditioner gradient")
-        if n1 > 0.0:
-            self.q1 = _triangular_step(self.q1, g1, step / n1)
-        if n2 > 0.0:
-            self.q2 = _triangular_step(self.q2, g2, step / n2)
 
     def materialize_q(self):
         return np.kron(self.q2, self.q1)
@@ -481,28 +497,11 @@ class ScanPrecond(Preconditioner):
         gc = a[:, :-1].T.dot(a[:, -1]) - bt[:, :-1].T.dot(bt[:, -1]) if n > 1 else np.zeros(0)
         return g1, gd, gc
 
-    def _update(self, dt, dg, step):
-        g1, gd, gc = self._pair_gradient(dt, dg)
-        q1, d2, c2 = self.q1, self.d2, self.c2
-        # max_norm's steps, inline; an inf or nan norm leaves a candidate
-        # that _admissible rejects, or fails the > 0 test
-        a1, ad = np.abs(g1), np.abs(gd)
-        n1 = a1[a1.argmax()]
-        if n1 > 0.0:
-            cand = q1 - (step / n1) * g1 * q1
-            if _admissible(cand):
-                self.q1 = _frozen(cand)
+    def _q2_candidates(self, mu, gd, gc):
+        d2, c2 = self.d2, self.c2
+        return d2 - mu * gd * d2, c2 - mu * (gd[:-1] * c2 + d2[-1] * gc)
 
-        n2 = ad[ad.argmax()]
-        if gc.size:
-            ac = np.abs(gc)
-            n2 = max(n2, ac[ac.argmax()])
-        if n2 > 0.0:
-            mu = step / n2
-            cand_d = d2 - mu * gd * d2
-            cand_c = c2 - mu * (gd[:-1] * c2 + d2[-1] * gc)
-            if _admissible(cand_d):
-                self.d2, self.c2 = _frozen(cand_d), _frozen(cand_c)
+    sides = ((("q1",), None), (("d2", "c2"), _q2_candidates))
 
     def materialize_q2(self) -> np.ndarray:
         """Dense normalization factor Q2: d2 on the diagonal, c2 above it in the last column."""
@@ -539,8 +538,8 @@ class SpluPrecond(Preconditioner):
         return v[: self.r], v[self.r:]
 
     # The four products of v = (v1, v2), each as the two blocks of its result.
-    # Their solves are unchecked: the update kernel's norm test catches what
-    # they let through, and the public inverse products run under _inverse.
+    # Their solves are unchecked: update's norm test catches what they let
+    # through, and the public inverse products run under _inverse.
 
     def _q(self, v1, v2):
         w1 = self.u1.dot(v1) + self.u2.dot(v2)
@@ -595,9 +594,8 @@ class SpluPrecond(Preconditioner):
         low, up = self.materialize_lu()
         return low @ up
 
-    @_quiet
-    def _gradient(self, dt, dg):
-        """The pair's gradient as [gl1; gl2], gl3, [gu1, gu2] and gu3.
+    def _pair_gradient(self, dt, dg):
+        """(gl1, gl2, gl3, gu1, gu2, gu3): the gradients of l1, l2, l3, u1, u2 and u3.
 
         With a = Q dg and b = Q^{-T} dt, so P dg = Q^T a and P^{-1} dt = Q^{-1} b,
         the L side is the projection of a a^T - b b^T onto {first r columns,
@@ -618,40 +616,20 @@ class SpluPrecond(Preconditioner):
         np.copyto(gl[:r].T, 0.0, where=strict_lower)  # gl1 is the lower part
         gu = pg1[:, None] * dg - x1[:, None] * np.concatenate((ipx1, ipx2))
         np.copyto(gu[:, :r], 0.0, where=strict_lower)  # gu1 the upper part
-        return gl, qg2 * qg2 - iqtx2 * iqtx2, gu, pg2 * g2 - x2 * ipx2
+        return (gl[:r], gl[r:], qg2 * qg2 - iqtx2 * iqtx2,
+                gu[:, :r], gu[:, r:], pg2 * g2 - x2 * ipx2)
 
-    def _pair_gradient(self, dt, dg):
-        """(gl1, gl2, gl3, gu1, gu2, gu3): the gradients of l1, l2, l3, u1, u2 and u3."""
-        gl, gl3, gu, gu3 = self._gradient(dt, dg)
-        r = self.r
-        return gl[:r], gl[r:], gl3, gu[:, :r], gu[:, r:], gu3
+    def _l_candidates(self, mu, gl1, gl2, gl3):
+        l1, l2, l3 = self.l1, self.l2, self.l3
+        return (l1 - mu * gl1.dot(l1), l2 - mu * (gl2.dot(l1) + gl3[:, None] * l2),
+                l3 - mu * gl3 * l3)
 
-    def _update(self, dt, dg, step):
-        gl, gl3, gu, gu3 = self._gradient(dt, dg)
-        al = np.abs(np.concatenate((gl.ravel(), gl3)))  # max_norm's steps, inline
-        au = np.abs(np.concatenate((gu.ravel(), gu3)))
-        nl, nu = al[al.argmax()], au[au.argmax()]
-        if not (nl < math.inf and nu < math.inf):  # false for an inf or a nan
-            raise NumericInputError("non-finite preconditioner gradient")
-        r = self.r
-        if nl > 0.0:
-            mu = step / nl
-            cand_l1 = self.l1 - mu * gl[:r].dot(self.l1)
-            cand_l2 = self.l2 - mu * (gl[r:].dot(self.l1) + gl3[:, None] * self.l2)
-            cand_l3 = self.l3 - mu * gl3 * self.l3
-            # the diagonals alone would let an inf off the diagonal through
-            if (_admissible(cand_l1.diagonal(), cand_l3)
-                    and all(map(_all_finite, (cand_l1, cand_l2, cand_l3)))):
-                self.l1, self.l2, self.l3 = _frozen(cand_l1), _frozen(cand_l2), _frozen(cand_l3)
+    def _u_candidates(self, mu, gu1, gu2, gu3):
+        u1, u2, u3 = self.u1, self.u2, self.u3
+        return (u1 - mu * u1.dot(gu1), u2 - mu * (u1.dot(gu2) + gu3[None, :] * u2),
+                u3 - mu * gu3 * u3)
 
-        if nu > 0.0:
-            mu = step / nu
-            cand_u1 = self.u1 - mu * self.u1.dot(gu[:, :r])
-            cand_u2 = self.u2 - mu * (self.u1.dot(gu[:, r:]) + gu3[None, :] * self.u2)
-            cand_u3 = self.u3 - mu * gu3 * self.u3
-            if (_admissible(cand_u1.diagonal(), cand_u3)
-                    and all(map(_all_finite, (cand_u1, cand_u2, cand_u3)))):
-                self.u1, self.u2, self.u3 = _frozen(cand_u1), _frozen(cand_u2), _frozen(cand_u3)
+    sides = ((("l1", "l2", "l3"), _l_candidates), (("u1", "u2", "u3"), _u_candidates))
 
 
 class DirectSumPrecond(Preconditioner):
@@ -668,6 +646,9 @@ class DirectSumPrecond(Preconditioner):
         if not blocks:
             raise ContractViolationError("direct sum needs at least one block")
         self.blocks = blocks
+        # the family states under the sum, those of nested sums included
+        self._states = [s for _, p in blocks
+                        for s in (p._states if isinstance(p, DirectSumPrecond) else [p])]
         self.slices = []
         start = 0
         for _, p in blocks:
@@ -685,7 +666,9 @@ class DirectSumPrecond(Preconditioner):
     def update(self, pair, step):
         # The TangentPair is finite, 1-D, float and of equal length, so a slice
         # needs only the all-zero test; each block's update checks the step and
-        # the slice's length. No block changes before every slice has passed.
+        # the slice's length. No block changes before every slice has passed,
+        # and if a block raises, every block keeps the factors it had: they are
+        # read-only, so their references are the snapshot.
         dt, dg = pair.delta_theta, pair.delta_g
         if len(dt) != self.dim:
             raise _wrong_length(self.dim, dt)
@@ -693,8 +676,14 @@ class DirectSumPrecond(Preconditioner):
         for sub in subs:
             if not np.count_nonzero(sub.delta_theta):
                 raise ContractViolationError("delta_theta must not be all zero")
-        for (_, p), sub in zip(self.blocks, subs):
-            p.update(sub, step)
+        saved = [vars(p).copy() for p in self._states]
+        try:
+            for (_, p), sub in zip(self.blocks, subs):
+                p.update(sub, step)
+        except BaseException:
+            for p, attributes in zip(self._states, saved):
+                vars(p).update(attributes)
+            raise
 
     def min_diag(self):
         return np.min([p.min_diag() for _, p in self.blocks])

@@ -66,8 +66,11 @@ class ParamLayout:
 
 
 def _integer(value, what: str) -> int:
-    """value as an int; ContractViolationError unless it is an integer (numpy's pass)."""
+    """value as an int; ContractViolationError unless it is an integer (numpy's
+    pass) other than a bool."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ContractViolationError(f"{what} must be an integer, got {value!r}") from None

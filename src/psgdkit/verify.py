@@ -88,7 +88,6 @@ def _criterion_dense(q, pairs):
 
 def _mean_pair_gradients(p, pairs):
     grads = [p._pair_gradient(pr.delta_theta, pr.delta_g) for pr in pairs]
-    grads = [g if isinstance(g, tuple) else (g,) for g in grads]
     return [sum(parts) / len(pairs) for parts in zip(*grads)]
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from psgdkit.errors import ContractViolationError, NumericInputError
-from psgdkit.linalg import _tri_solve_unchecked, max_norm, tri_solve
+from psgdkit.linalg import _tri_solve_unchecked, tri_solve
 
 
 class TestTriSolve:
@@ -82,10 +82,3 @@ class TestTriSolve:
     def test_nonpositive_diagonal(self):
         with pytest.raises(ContractViolationError):
             tri_solve(np.array([[1.0, 0.0], [0.0, -2.0]]), np.ones(2))
-
-
-class TestMaxNorm:
-    def test_examples(self):
-        assert max_norm(np.array([[1.0, -7.0], [2.0, 0.0]])) == 7.0
-        assert max_norm(np.zeros((3, 3))) == 0.0
-        assert max_norm(np.array([3.0])) == 3.0

@@ -162,14 +162,6 @@ class TestUpdate:
             assert [getattr(p, name).tobytes() for name, _ in p.factors] == before
             p.update(random_pair(rng, p.dim), 0.1)
 
-    def test_diag_rejects_nan_candidate(self):
-        # the gradient [inf, 0] normalizes to a zero step, and 0 * inf turns
-        # the first candidate entry into nan, which must not be admitted
-        p = DiagPrecond(2)
-        with np.errstate(all="ignore"):
-            p.update(TangentPair(np.ones(2), np.array([1e200, 1.0])), 0.1)
-        np.testing.assert_array_equal(p.q, [1.0, 1.0])
-
     @pytest.mark.parametrize("dim, order, seed", [(12, 3, 1), (6, 6, 5), (16, 10, 1)])
     def test_splu_admits_no_non_finite_candidate(self, dim, order, seed):
         # Probes scaled by up to 1e+-150 overflow the candidate factors; a
@@ -209,11 +201,41 @@ class TestUpdate:
             p.update(TangentPair(np.array([0.0, 1.0]), np.array([9e149, 1e-51])), 0.1)
         assert [getattr(p, name).tobytes() for name, _ in p.factors] == before
 
-    def test_overflowing_gradient_raises_on_update(self):
-        p = DensePrecond(2)
-        with np.errstate(over="ignore"), pytest.raises(NumericInputError):
+    @pytest.mark.parametrize("make", [lambda: DensePrecond(2), lambda: DiagPrecond(2),
+                                      lambda: KronPrecond(2, 1), lambda: ScanPrecond(2, 1),
+                                      lambda: SpluPrecond(2, 1)],
+                             ids=["dense", "diag", "kron", "scan", "splu"])
+    def test_overflowing_gradient_raises_on_update(self, make):
+        # dg = [1e200, 1] squares to inf in every family's gradient: one policy
+        # raises before any factor is assigned, and no warning escapes (pytest
+        # turns one into an error)
+        p = make()
+        before = [getattr(p, name).tobytes() for name, _ in p.factors]
+        with pytest.raises(NumericInputError, match="non-finite preconditioner gradient"):
             p.update(TangentPair(np.ones(2), np.array([1e200, 1.0])), 0.1)
-        np.testing.assert_array_equal(p.q, np.eye(2))
+        assert [getattr(p, name).tobytes() for name, _ in p.factors] == before
+
+    @pytest.mark.parametrize("make, probe, side", [
+        (lambda: DensePrecond(2).set_factors(q=[[1.0, 1e308], [0.0, 1.0]]), "wide", ["q"]),
+        (lambda: KronPrecond(2, 1).set_factors(q1=[[1.0, 1e308], [0.0, 1.0]]), "wide", ["q1"]),
+        (lambda: ScanPrecond(1, 2).set_factors(c2=[1e308]), "wide", ["d2", "c2"]),
+        (lambda: DiagPrecond(1).set_factors(q=[1e308]), "narrow", ["q"]),
+        (lambda: DensePrecond(1).set_factors(q=[[1e308]]), "narrow", ["q"]),
+    ], ids=["dense-q", "kron-q1", "scan-c2", "diag-q", "dense-1x1-q"])
+    def test_update_admits_no_state_set_factors_refuses(self, make, probe, side):
+        # Each gradient is finite and about -1 on the big factor's side, so the
+        # step 0.9 grows 1e308 to 1.9e308, which overflows: that side's
+        # candidates are refused together (scan's finite d2 with its c2), and
+        # the state stays one set_factors accepts.
+        p = make()
+        before = {name: getattr(p, name).tobytes() for name in side}
+        pair = {"wide": TangentPair(np.array([1.0, 1e308]), np.array([1e-3, 0.0])),
+                "narrow": TangentPair(np.array([1e308]), np.array([1e-320]))}[probe]
+        p.update(pair, 0.9)
+        for name, _ in p.factors:
+            assert np.isfinite(getattr(p, name)).all(), name
+        assert {name: getattr(p, name).tobytes() for name in side} == before
+        assert state_to_bytes(state_from_bytes(state_to_bytes(p))) == state_to_bytes(p)
 
 
 class TestClosedFormDiagonal:
@@ -238,10 +260,11 @@ class TestClosedFormDiagonal:
             closed_form_diagonal(np.ones(2), np.array([1.0, 0.0]))
 
     def test_nan_moment_rejected(self):
-        with pytest.raises(ContractViolationError, match="m2_theta"):
-            closed_form_diagonal(np.array([1.0, np.nan]), np.ones(2))
-        with pytest.raises(DegenerateCurvatureError, match="nan entry"):
-            closed_form_diagonal(np.ones(2), np.array([np.nan, 1.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ContractViolationError, match="m2_theta"):
+                closed_form_diagonal(np.array([1.0, bad]), np.ones(2))
+            with pytest.raises(DegenerateCurvatureError, match="nan entry"):
+                closed_form_diagonal(np.ones(2), np.array([bad, 1.0]))
 
 
 # States with a diagonal entry at the floor, for a finite v whose inverse
@@ -410,6 +433,28 @@ class TestDirectSum:
         with pytest.raises(ContractViolationError):
             p.update(TangentPair(dt, rng.standard_normal(p.dim)), 0.1)
         assert len(calls) == 2
+
+    def test_update_is_atomic_when_a_block_raises(self):
+        # block a's step is admitted, then block b's gradient overflows: the
+        # sum raises and block a keeps the factor it had
+        p = DirectSumPrecond([("a", DensePrecond(2)), ("b", DensePrecond(2))])
+        with pytest.raises(NumericInputError, match="non-finite preconditioner gradient"):
+            p.update(TangentPair(np.array([1.0, 2.0, 1.0, 1.0]),
+                                 np.array([3.0, 1.0, 1e200, 1.0])), 0.1)
+        np.testing.assert_array_equal(p.blocks[0][1].q, np.eye(2))
+        np.testing.assert_array_equal(p.blocks[1][1].q, np.eye(2))
+
+    def test_nested_update_is_atomic_when_a_later_block_raises(self):
+        # the inner sum's blocks both step, then c's gradient overflows: the
+        # outer sum puts the inner sum's blocks back too
+        inner = DirectSumPrecond([("a", DiagPrecond(1)), ("b", KronPrecond(1, 1))])
+        p = DirectSumPrecond([("inner", inner), ("c", DiagPrecond(1))])
+        before = state_to_bytes(p)
+        with pytest.raises(NumericInputError):
+            p.update(TangentPair(np.ones(3), np.array([3.0, 2.0, 1e200])), 0.1)
+        assert state_to_bytes(p) == before
+        p.update(TangentPair(np.ones(3), np.array([3.0, 2.0, 1.0])), 0.1)
+        assert inner.blocks[0][1].q[0] < 1.0 and inner.blocks[1][1].q1[0, 0] < 1.0
 
     def test_block_probe_with_overflowing_self_dot_reports_nothing(self):
         # block a's slice [1e154, 1e154] is finite and squares finitely, but its

@@ -429,7 +429,10 @@ class TestSizeArguments:
         (lambda: make_addition_rnn(6.0, 3), "sequence length"),
         (lambda: make_addition_rnn(6, 3, batch_size=1.5), "batch size"),
         (lambda: make_quadratic(np.eye(2), batch_size=2.0), "batch size"),
-    ], ids=["xor-hidden", "rnn-hidden", "rnn-seq-len", "rnn-batch-size", "quad-batch-size"])
+        (lambda: make_xor_mlp(True), "hidden size"),
+        (lambda: make_addition_rnn(6, 3, batch_size=True), "batch size"),
+    ], ids=["xor-hidden", "rnn-hidden", "rnn-seq-len", "rnn-batch-size", "quad-batch-size",
+            "xor-hidden-bool", "rnn-batch-size-bool"])
     def test_non_integer_size_rejected(self, build, fault):
         with pytest.raises(ContractViolationError, match=f"{fault} must be an integer"):
             build()
