@@ -54,6 +54,8 @@ __all__ = [
 # The one floor of every factor diagonal: set_factors refuses a state below it
 # and update a candidate, so no path reaches a state the kernels could not.
 _REJECT_FLOOR = 1e-150
+# The margin delta of a state's bound (see update) for the rounding of one step.
+_MARGIN = 4e-15
 # Error state of update, whose norm test and admission rule catch what it hides.
 _quiet = np.errstate(all="ignore")
 # The identity state of a factor of each structure, given its shape.
@@ -163,6 +165,18 @@ class Preconditioner:
     the invariant ``set_factors`` enforces (``_invariant_fault``: every entry
     finite, every diagonal entry at least the floor); else the side keeps
     its factors.
+
+    Each state carries a proven bound ``(hi, lo)``: every factor entry is at
+    most hi in magnitude and every diagonal entry at least lo. The
+    constructor and ``set_factors`` set it exactly, and so the loader,
+    ``verify``, ``copy.deepcopy`` and ``pickle`` do too. When the bound, the
+    step and the side's norm prove the candidates pass the rule (the argument
+    is written above the test in ``update``), they are admitted without
+    scanning them, and the bound advances in closed form to
+    ``(hi (1 + k step + delta), lo (1 - step - delta))``, with k two plus the
+    largest factor dimension and delta 4e-15. Otherwise the scan remains the
+    rule: the side is admitted by ``_invariant_fault`` and the bound is
+    re-derived exactly. Both ways admit the same candidates.
     """
 
     dim: int
@@ -178,6 +192,8 @@ class Preconditioner:
             self.dim = self.m * self.n
         for (name, structure), s in zip(self.factors, shapes):
             setattr(self, name, _frozen(_IDENTITY[structure](s)))
+        self._k = 2 + max(max(s) for s in shapes)  # see update
+        self._bound = self._exact_bound()
 
     def __init_subclass__(cls):
         # each side as (the slice of its gradients, its names, their structures,
@@ -225,13 +241,45 @@ class Preconditioner:
             norms.append(a.item(a.argmax()) if a.size else 0.0)
             if not norms[-1] < math.inf:  # false for a nan too
                 raise NumericInputError("non-finite preconditioner gradient")
+        # The proof that admits a side without _invariant_fault. The bound
+        # (hi, lo) has every factor entry at most hi in magnitude and every
+        # diagonal entry (every entry of a positive factor) at least lo. With
+        # u = 2^-53, mu = fl(step / nrm) and every gradient entry g of the side
+        # at most nrm in magnitude, mu |g| <= step (1 + u). nrm in
+        # [1e-100, 1e100] and hi <= 1e100 keep mu and every product below
+        # finite (a subnormal nrm makes mu inf, and a candidate inf or nan).
+        # - "upper", "lower" (q - mu g q, splu's u1 - mu u1 g): an entry of g q
+        #   sums n <= k - 2 products of at most nrm hi, so a candidate entry is
+        #   at most hi (1 + n step (1 + n u)) (1 + u) <= hi (1 + k step + delta).
+        #   g is triangular as q is, so the diagonal of g q is g_ii q_ii alone
+        #   (the other products are exact zeros): a candidate's diagonal entry
+        #   is at least q_ii (1 - step (1 + u)^3) (1 - u) >= lo (1 - step - delta).
+        # - "positive" (q - mu g q entrywise): the same with n = 1.
+        # - "free" (scan's c2, splu's l2 and u2): an entry sums two products
+        #   (scan) or r + 1 (splu), at most k - 1, so the same upper bound.
+        # Near step = 1, mu g_ii can round to 1 or above and a diagonal entry
+        # to 0 or below: there 1 - step - delta < 0 and the proof is not taken.
+        # lo (1 - step - delta) >= 1e-140 keeps every diagonal term normal (an
+        # underflow elsewhere errs by under 1e-223, far below delta lo) and
+        # each candidate diagonal above the floor. So the proof admits only
+        # what _invariant_fault admits, and the bound advances in closed form;
+        # a side it does not cover is scanned, and the bound re-derived.
+        hi, lo = self._bound
+        shrink = 1.0 - step - _MARGIN
+        proven = hi <= 1e100 and lo * shrink >= 1e-140
+        scanned = False
         for part, names, structures, candidate in self._sides:
             nrm = max(norms[part])
             if nrm > 0.0:
                 cands = candidate(self, step / nrm, *grads[part])
-                if not any(map(_invariant_fault, structures, cands)):
-                    for name, c in zip(names, cands):
-                        setattr(self, name, _frozen(c))
+                if not (proven and 1e-100 <= nrm <= 1e100):
+                    scanned = True
+                    if any(map(_invariant_fault, structures, cands)):
+                        continue
+                for name, c in zip(names, cands):
+                    setattr(self, name, _frozen(c))
+        self._bound = (self._exact_bound() if scanned
+                       else (hi * (1.0 + self._k * step + _MARGIN), lo * shrink))
 
     def set_factors(self, **arrays) -> "Preconditioner":
         """Set the named factors to float copies of the arrays; returns self.
@@ -272,7 +320,15 @@ class Preconditioner:
                 raise ContractViolationError(f"entries above the lower triangle of factor {name}")
             checked[name] = _frozen(a)
         vars(self).update(checked)
+        if checked:  # a direct sum, which has no factors, carries no bound
+            self._bound = self._exact_bound()
         return self
+
+    def _exact_bound(self) -> tuple:
+        """The state's bound (see update), exactly: the largest factor entry's
+        magnitude and the smallest diagonal entry, as Python floats."""
+        return (max(float(np.abs(getattr(self, name)).max(initial=0.0))
+                    for name, _ in self.factors), float(self.min_diag()))
 
     def min_diag(self) -> float:
         """Smallest diagonal entry over the factors; the group needs it positive.
@@ -667,8 +723,8 @@ class DirectSumPrecond(Preconditioner):
         # The TangentPair is finite, 1-D, float and of equal length, so a slice
         # needs only the all-zero test; each block's update checks the step and
         # the slice's length. No block changes before every slice has passed,
-        # and if a block raises, every block keeps the factors it had: they are
-        # read-only, so their references are the snapshot.
+        # and if a block raises, every block keeps the factors and the bound it
+        # had: the factors are read-only, so their references are the snapshot.
         dt, dg = pair.delta_theta, pair.delta_g
         if len(dt) != self.dim:
             raise _wrong_length(self.dim, dt)

@@ -1,4 +1,4 @@
-"""The verdict and gain rules of tools/bench_pairs.py, on hand-built entries."""
+"""The verdict, gain and family-record rules of tools/bench_pairs.py, on hand-built entries."""
 
 import importlib.util
 import os
@@ -84,3 +84,22 @@ def test_unresolved_when_the_parent_spreads_beyond_the_bound():
     # every change run above every parent run resolves it
     entry = judged(HIGHER, parent, [200.0] * 10)
     assert entry["verdict"] == "within_bound"
+
+
+def test_family_record_of_this_checkout():
+    # one short run of the family script in this checkout: every size reports
+    # a positive update and apply time
+    record = bench_pairs.families(os.path.dirname(os.path.dirname(_PATH)), repeats=1, calls=2)
+    assert list(record) == [f"{v} {'x'.join(map(str, shape))}"
+                            for v, shape in bench_pairs.FAMILY_SIZES]
+    assert all(r["update_us"] > 0.0 and r["apply_us"] > 0.0 for r in record.values())
+
+
+def test_family_record_summarizes_each_side():
+    runs = {"parent": [{"dense 16": {"update_us": u, "apply_us": 2.0}} for u in (10.0, 12.0, 11.0)],
+            "change": [{"dense 16": {"update_us": u, "apply_us": 2.0}} for u in (9.0, 8.0, 8.8)]}
+    record = bench_pairs.family_record(runs)["dense 16"]
+    assert record["update_us"]["parent"]["median"] == 11.0
+    assert record["update_us"]["change"]["median"] == 8.8
+    assert record["update_us"]["change_over_parent"] == pytest.approx(0.8)
+    assert record["apply_us"]["change_over_parent"] == 1.0

@@ -242,13 +242,13 @@ class TestRunLoop:
         assert res.rows[-1].iter == len(res.rows)
 
     @staticmethod
-    def failing_hvp_problem(first_bad_call):
-        """A seed-free quadratic 0.5 |theta|^2 whose Hvp returns inf from call first_bad_call on."""
+    def failing_hvp_problem(first_bad_call, bad=np.inf):
+        """A seed-free quadratic 0.5 |theta|^2 whose Hvp returns bad from call first_bad_call on."""
         calls = []
 
         def hvp(theta, v):
             calls.append(1)
-            return np.full_like(v, np.inf) if len(calls) >= first_bad_call else v.copy()
+            return np.full_like(v, bad) if len(calls) >= first_bad_call else v.copy()
 
         evaluator = BoundEvaluator(loss=lambda th: 0.5 * float(th.dot(th)),
                                    grad=lambda th: th.copy(), hvp=hvp)
@@ -270,6 +270,20 @@ class TestRunLoop:
         three = run(self.failing_hvp_problem(4), dataclasses.replace(cfg, iters=3))
         assert not three.diverged and res.rows[:3] == three.rows
         np.testing.assert_array_equal(res.theta, three.theta)
+
+    def test_overflowing_hvp_moment_ends_an_esgd_run_with_nan_row(self):
+        # A finite Hvp of 1e200 squares to inf in esgd's running second moment,
+        # which closed_form_diagonal refuses (DegenerateCurvatureError): the run
+        # stops with the numeric-failure row instead of stepping on a zero
+        # diagonal entry.
+        cfg = RunConfig(method="esgd", mu=0.1, probe=ProbeConfig(mode="exact"), iters=10, seed=0)
+        res = run(self.failing_hvp_problem(4, bad=1e200), cfg)
+        assert res.diverged
+        assert len(res.rows) == 4
+        last = res.rows[-1]
+        assert (last.iter, last.clipped, last.wall_ns) == (4, False, 0)
+        assert all(math.isnan(x) for x in (last.train_loss, last.grad_norm,
+                                           last.precond_grad_norm))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_timing_fills_wall_ns(self, method):

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import warnings
 
@@ -238,6 +239,120 @@ class TestUpdate:
         assert state_to_bytes(state_from_bytes(state_to_bytes(p))) == state_to_bytes(p)
 
 
+def family_states(p):
+    return p._states if isinstance(p, DirectSumPrecond) else [p]
+
+
+UNKNOWN = (math.inf, 0.0)  # a bound that proves nothing, so update scans every side
+NEAR_ONE = 1.0 - 2.0 ** -53  # the largest step below 1
+
+
+class TestBound:
+    """The bound (hi, lo) each state carries admits a side's candidates without
+    the scan only when they would pass it (see Preconditioner.update)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: DensePrecond(1), lambda: DensePrecond(3), lambda: DiagPrecond(1),
+        lambda: DiagPrecond(3), lambda: KronPrecond(1, 1), lambda: KronPrecond(1, 3),
+        lambda: KronPrecond(3, 1), lambda: KronPrecond(2, 3), lambda: ScanPrecond(1, 1),
+        lambda: ScanPrecond(2, 1), lambda: ScanPrecond(1, 3), lambda: ScanPrecond(2, 3),
+        lambda: SpluPrecond(1, 1), lambda: SpluPrecond(3, 1), lambda: SpluPrecond(4, 2),
+        lambda: SpluPrecond(3, 3),
+        lambda: DirectSumPrecond([("inner", DirectSumPrecond([("a", KronPrecond(2, 2)),
+                                                              ("b", DiagPrecond(1))])),
+                                  ("c", ScanPrecond(2, 2))]),
+    ], ids=["dense1", "dense3", "diag1", "diag3", "kron1x1", "kron1x3", "kron3x1", "kron2x3",
+            "scan1x1", "scan2x1", "scan1x3", "scan2x3", "splu1,1", "splu3,1", "splu4,2",
+            "splu3,3", "nested-sum"])
+    def test_bound_path_matches_the_scan(self, make):
+        # Each update of a state that carries its bound leaves the same bytes,
+        # or raises the same error, as the same state with its bound unknown;
+        # every bound it carries holds for its factors, and the state loads
+        # back. Probes mix unit scales (the bound path) with scales of up to
+        # 1e+-160 (the scan), at steps from 1e-9 to the largest below 1.
+        rng = np.random.default_rng(2024)
+        p = make()
+
+        def probe():
+            v = rng.standard_normal(p.dim)
+            if rng.random() < 0.5:
+                return v
+            if rng.random() < 0.5:
+                return 10.0 ** rng.uniform(-160, 160) * v
+            v[rng.integers(p.dim)] *= 10.0 ** rng.uniform(-160, 160)
+            return v
+
+        proven = scanned = 0
+        for _ in range(200):
+            pair = TangentPair(probe(), probe())
+            step = [1e-9, 0.5, 1.0 - 1e-9, NEAR_ONE][rng.integers(4)]
+            ref = copy.deepcopy(p)
+            for s in family_states(ref):
+                s._bound = UNKNOWN
+            outcomes = []
+            for s in (p, ref):
+                try:
+                    s.update(pair, step)
+                    outcomes.append(None)
+                except PsgdkitError as e:
+                    outcomes.append((type(e), str(e)))
+            assert outcomes[0] == outcomes[1]
+            assert state_to_bytes(p) == state_to_bytes(ref)
+            assert state_to_bytes(state_from_bytes(state_to_bytes(p))) == state_to_bytes(p)
+            for s in family_states(p):
+                (hi, lo), (max_entry, min_diag) = s._bound, s._exact_bound()
+                assert hi >= max_entry and lo <= min_diag
+                exact = (hi, lo) == (max_entry, min_diag)
+                proven += outcomes[0] is None and not exact
+                scanned += outcomes[0] is None and exact
+        assert proven >= 10 and scanned >= 10, (proven, scanned)
+
+    @pytest.mark.parametrize("make", [lambda: DensePrecond(3), lambda: KronPrecond(2, 3)],
+                             ids=["dense", "kron"])
+    def test_subnormal_side_norm_keeps_the_factors(self, make):
+        # A side norm of about 1e-310 makes step / norm inf, and every
+        # candidate inf or nan, while the state's own bound would prove it:
+        # the norm's range is part of the proof, so the side is scanned,
+        # refused, and the state keeps its factors and loads back.
+        rng = np.random.default_rng(3)
+        p = make()
+        for _ in range(30):
+            p.update(random_pair(rng, p.dim), 0.3)
+        hi, lo = p._bound
+        assert hi <= 1e100 and lo * 0.5 >= 1e-140
+        before = state_to_bytes(p)
+        dg = 1e-155 * rng.standard_normal(p.dim)
+        pair = TangentPair(np.full(p.dim, 1e-300), dg)
+        norms = [float(np.abs(g).max()) for g in p._pair_gradient(pair.delta_theta, pair.delta_g)]
+        assert all(0.0 < n < 1e-308 and 0.5 / n == math.inf for n in norms)
+        p.update(pair, 0.5)
+        assert state_to_bytes(p) == before
+        assert state_to_bytes(state_from_bytes(before)) == before
+
+    @pytest.mark.parametrize("make", [lambda: DiagPrecond(2), lambda: DensePrecond(2),
+                                      lambda: DensePrecond(1)], ids=["diag", "dense", "dense1x1"])
+    @pytest.mark.parametrize("scale", [1.0, 1.5e-150])
+    def test_step_near_one_admits_no_diagonal_below_the_floor(self, make, scale):
+        # At the largest step below 1, mu = fl(step / norm) times the gradient
+        # entry that sets the norm rounds to 1 for this x, so the candidate's
+        # diagonal entry is 0: the step margin in 1 - step - delta keeps the
+        # proof from admitting it, with the bound of the unit state (1, 1)
+        # and with a diagonal entry just above the floor alike.
+        x = next(x for x in (1.0 + i / 1000 for i in range(1000))
+                 if (NEAR_ONE / (x * x)) * (x * x) >= 1.0)
+        p = make()
+        p.set_factors(q=np.diag([scale, 1.0][:p.dim]) if p.factors[0][1] == "upper"
+                      else [scale, 1.0])
+        before = state_to_bytes(p)
+        dg = np.zeros(p.dim)
+        dg[0] = x / scale
+        dt = np.zeros(p.dim)
+        dt[-1] = 1e-300
+        p.update(TangentPair(dt, dg), NEAR_ONE)
+        assert p.min_diag() >= 1e-150
+        assert state_to_bytes(p) == before
+
+
 class TestClosedFormDiagonal:
     def test_direct_substitution(self):
         np.testing.assert_allclose(
@@ -443,6 +558,16 @@ class TestDirectSum:
                                  np.array([3.0, 1.0, 1e200, 1.0])), 0.1)
         np.testing.assert_array_equal(p.blocks[0][1].q, np.eye(2))
         np.testing.assert_array_equal(p.blocks[1][1].q, np.eye(2))
+        # the restore covers each block's bound: the sum goes on as a fresh sum
+        # set to those factors does
+        fresh = DirectSumPrecond([("a", DensePrecond(2)), ("b", DensePrecond(2))])
+        for (_, f), (_, b) in zip(fresh.blocks, p.blocks):
+            f.set_factors(q=b.q)
+            assert b._bound == f._bound
+        pair = TangentPair(np.array([1.0, 2.0, 1.0, 1.0]), np.array([3.0, 1.0, 0.5, 1.0]))
+        for s in (p, fresh):
+            s.update(pair, 0.1)
+        assert state_to_bytes(p) == state_to_bytes(fresh)
 
     def test_nested_update_is_atomic_when_a_later_block_raises(self):
         # the inner sum's blocks both step, then c's gradient overflows: the

@@ -28,7 +28,11 @@ change reads better in the metric's `better` direction, the metric's
 the pairs; `correct` covers these runs too. The workload's `layers` map each
 per-layer metric to its unit, each side's per-run values with their median
 and quartiles, and `change_lower`, the number of runs i whose change value is
-below the parent's. Last, each side runs the tier-1 suite twice in its extracted tree
+below the parent's. Then each side times every family's `update` and `apply` at
+the sizes of FAMILY_SIZES in a fresh interpreter run in its extracted tree
+(FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs; `families` holds,
+per size and kind, each side's summary and the change/parent ratio of the
+medians. Last, each side runs the tier-1 suite twice in its extracted tree
 (`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, with
 `--durations=0`), in the order parent, change, change, parent, so a drift of
 the host over the four runs weighs on both sides alike. Each run's wall time,
@@ -57,10 +61,55 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 TRACED = 5  # traced runs per side and workload
 GAIN_PAIRS = 9  # pairs of the PAIRS the change must read better in for a gain
-ENVIRONMENT = ("python", "numpy", "scipy", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-               "MKL_NUM_THREADS")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ENVIRONMENT = ("python", "numpy", "scipy", "nproc", *THREAD_VARS)
 TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are recorded
 TIER1_ORDER = ("parent", "change", "change", "parent")
+# (variant, shape fields) of the family record, and its runs per side (alternating)
+FAMILY_SIZES = [("dense", (16,)), ("dense", (64,)), ("dense", (128,)), ("diag", (16,)),
+                ("kron", (4, 3)), ("kron", (6, 9)), ("kron", (16, 17)),
+                ("scan", (4, 3)), ("scan", (6, 9)), ("scan", (16, 17)),
+                ("splu", (16, 4)), ("splu", (128, 10))]
+FAMILY_RUNS = 3
+FAMILY_REPEATS, FAMILY_CALLS = 7, 300  # each time is the best of the repeats of the calls
+# Run in a fresh interpreter with the tree's src on its path and one compute thread:
+# argv is the repeats, the calls per repeat and FAMILY_SIZES as JSON. Each state is
+# trained by 40 updates at step 0.1 on eight seeded pairs; update then takes step
+# 1e-9, so each call is admitted and the state barely moves. It prints one JSON object
+# mapping "variant shape" to the best per-call time of update and of apply, in us,
+# over the repeats.
+FAMILY_SCRIPT = """
+import json, sys, time
+import numpy as np
+from psgdkit.curvature import TangentPair
+from psgdkit.preconditioners import FAMILIES
+repeats, calls = int(sys.argv[1]), int(sys.argv[2])
+
+
+def best_us(fn, args):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for a in args:
+            fn(a)
+        best = min(best, (time.perf_counter() - start) / len(args))
+    return best * 1e6
+
+
+record = {}
+for variant, shape in json.loads(sys.argv[3]):
+    p = FAMILIES[variant](*shape)
+    rng = np.random.default_rng(0)
+    pairs = [TangentPair(rng.standard_normal(p.dim), rng.standard_normal(p.dim))
+             for _ in range(8)]
+    for i in range(40):
+        p.update(pairs[i % 8], 0.1)
+    args = [pairs[i % 8] for i in range(calls)]
+    record[f"{variant} {'x'.join(map(str, shape))}"] = {
+        "update_us": best_us(lambda pair: p.update(pair, 1e-9), args),
+        "apply_us": best_us(p.apply, [pair.delta_g for pair in args])}
+print(json.dumps(record))
+"""
 NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER)
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -119,6 +168,31 @@ def bench(tree, workload, seed, seconds, trace=0):
         raise RuntimeError(f"{workload} seed {seed} in {tree}: no output\n{out.stderr}")
     env = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
     return {k: env[k] for k in ENVIRONMENT if k in env}, json.loads(lines[-1])
+
+
+def families(tree, repeats=FAMILY_REPEATS, calls=FAMILY_CALLS):
+    """FAMILY_SCRIPT's record of each FAMILY_SIZES state, run in tree."""
+    out = subprocess.run([sys.executable, "-c", FAMILY_SCRIPT, str(repeats), str(calls),
+                          json.dumps(FAMILY_SIZES)], cwd=tree, capture_output=True, text=True,
+                         env={**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
+                              "PYTHONPATH": os.path.join(tree, "src")})
+    if out.returncode:
+        raise RuntimeError(f"family record in {tree} failed\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def family_record(runs):
+    """Per "variant shape" and kind (update_us, apply_us): each side's summary of its
+    family runs, and the change/parent ratio of the medians. runs maps each side to
+    its list of families() records."""
+    record = {}
+    for key in runs["parent"][0]:
+        record[key] = {}
+        for kind in ("update_us", "apply_us"):
+            entry = {side: summary([r[key][kind] for r in rs]) for side, rs in runs.items()}
+            entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+            record[key][kind] = entry
+    return record
 
 
 def tier1(tree):
@@ -226,10 +300,15 @@ def main(argv=None):
                                   f"change reads better in at least {GAIN_PAIRS} of the "
                                   f"{PAIRS} pairs and its median is better than the "
                                   "parent's by more than the parent's q3 - q1",
+                          "families": f"FAMILY_SCRIPT in each tree, {FAMILY_RUNS} runs per side "
+                                      "alternating as the pairs, after the layers: the best "
+                                      f"per-call update (step 1e-9) and apply time in us of "
+                                      f"{FAMILY_REPEATS} repeats of {FAMILY_CALLS} calls on each "
+                                      "FAMILY_SIZES state, trained by 40 updates at step 0.1",
                           "tier1": "PYTHONPATH=src python -m pytest -q "
                                    "--continue-on-collection-errors --durations=0, twice per "
                                    "side in the order parent, change, change, parent, after "
-                                   "the layers"}
+                                   "the families"}
     record["workloads"] = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
@@ -285,6 +364,12 @@ def main(argv=None):
                                                                                entry[name])
                 entry[name]["gain"] = gain(metric, entry[name])
             record["workloads"][workload] = entry
+        family_runs = {"parent": [], "change": []}
+        for i in range(FAMILY_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                family_runs[side].append(families(trees[side]))
+                print(f"families {i} {side}", flush=True)
+        record["families"] = family_record(family_runs)
         tier1_runs = {"parent": [], "change": []}
         for side in TIER1_ORDER:
             tier1_runs[side].append(tier1(trees[side]))
