@@ -6,6 +6,7 @@ must stay strictly positive (that is what keeps the factors on their group).
 """
 
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -17,12 +18,22 @@ __all__ = ["tri_solve"]
 
 def _first_trtrs(*args):
     # The first solve fetches LAPACK's float64 triangular solve, the routine scipy's
-    # solve_triangular ends in, and later solves call it directly: importing
-    # scipy.linalg is most of a fresh process's start-up, and the diag and scan
-    # families and the baselines never solve.
+    # solve_triangular ends in, and later solves call it directly: the diag and scan
+    # families and the baselines never solve. It loads scipy's LAPACK extension
+    # alone, not scipy.linalg, whose import is most of a fresh process's start-up
+    # time and memory. Loaded under its full name, the extension is the one object
+    # an `import scipy.linalg` shares, in either order.
     global _trtrs
-    from scipy.linalg import get_lapack_funcs
-    _trtrs = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
+    import scipy
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack was not found in {where}")
+    flapack = module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    _trtrs = flapack.dtrtrs
     return _trtrs(*args)
 
 

@@ -1,4 +1,5 @@
-"""The verdict, gain and family-record rules of tools/bench_pairs.py, on hand-built entries."""
+"""The verdict, gain, family-record and cold-CLI rules of tools/bench_pairs.py, on hand-built
+entries."""
 
 import importlib.util
 import os
@@ -88,11 +89,12 @@ def test_unresolved_when_the_parent_spreads_beyond_the_bound():
 
 def test_family_record_of_this_checkout():
     # one short run of the family script in this checkout: every size reports
-    # a positive update and apply time
+    # a positive update, apply and apply_inv time
     record = bench_pairs.families(os.path.dirname(os.path.dirname(_PATH)), repeats=1, calls=2)
     assert list(record) == [f"{v} {'x'.join(map(str, shape))}"
                             for v, shape in bench_pairs.FAMILY_SIZES]
-    assert all(r["update_us"] > 0.0 and r["apply_us"] > 0.0 for r in record.values())
+    assert all(set(r) == {"update_us", "apply_us", "apply_inv_us"} and min(r.values()) > 0.0
+               for r in record.values())
 
 
 def test_family_record_summarizes_each_side():
@@ -103,3 +105,22 @@ def test_family_record_summarizes_each_side():
     assert record["update_us"]["change"]["median"] == 8.8
     assert record["update_us"]["change_over_parent"] == pytest.approx(0.8)
     assert record["apply_us"]["change_over_parent"] == 1.0
+    assert set(record) == {"update_us", "apply_us"}
+
+
+def test_cold_cli_of_this_checkout(tmp_path):
+    # one fresh CLI run in this checkout: its trace goes under the given directory,
+    # and it reports a positive wall time and a peak RSS that holds at least numpy
+    run = bench_pairs.cold_cli(os.path.dirname(os.path.dirname(_PATH)), str(tmp_path))
+    assert set(run) == {"wall_s", "peak_rss_mb"}
+    assert run["wall_s"] > 0.0 and run["peak_rss_mb"] > 10.0
+    assert os.listdir(tmp_path)
+
+
+def test_cold_record_summarizes_each_side():
+    runs = {"parent": [{"wall_s": w, "peak_rss_mb": 58.0} for w in (0.6, 0.7, 0.65)],
+            "change": [{"wall_s": w, "peak_rss_mb": 40.6} for w in (0.3, 0.35, 0.325)]}
+    record = bench_pairs.cold_record(runs)
+    assert record["wall_s"]["parent"]["median"] == 0.65
+    assert record["wall_s"]["change_over_parent"] == pytest.approx(0.5)
+    assert record["peak_rss_mb"]["change_over_parent"] == pytest.approx(0.7)

@@ -1,5 +1,6 @@
 """Every name a psgdkit module lists in ``__all__`` exists, so star imports work,
-and importing psgdkit leaves scipy.linalg unloaded until a run first solves."""
+and no run imports scipy.linalg: a run's first triangular solve loads LAPACK's
+routine from scipy's LAPACK extension alone."""
 
 import importlib
 import json
@@ -27,26 +28,36 @@ def test_all_names_exist(name):
 
 
 # Runs, in one fresh interpreter, the CLI invocations below (3 iterations each) and
-# prints, after the import and after each run, whether scipy.linalg is loaded.
+# prints, after the import and after each run, whether scipy.linalg is loaded and
+# whether the triangular solve is still the stub that loads LAPACK at its first call.
 IMPORT_CONTRACT = """
 import json, sys
 import psgdkit, psgdkit.cli
-loaded = {"import": "scipy.linalg" in sys.modules}
+from psgdkit import linalg
+
+
+def seen():
+    return ["scipy.linalg" in sys.modules, linalg._trtrs is linalg._first_trtrs]
+
+
+record = {"import": seen()}
 for argv in sys.argv[2:]:
     psgdkit.cli.main(["run", *argv.split(), "--iters", "3", "--out", sys.argv[1]])
-    loaded[argv] = "scipy.linalg" in sys.modules
-print(json.dumps(loaded))
+    record[argv] = seen()
+print(json.dumps(record))
 """
 
 
-def test_scipy_linalg_loads_at_first_triangular_solve(tmp_path):
+def test_lapack_loads_at_first_triangular_solve_and_scipy_linalg_never(tmp_path):
     never_solve = ["--problem addition-rnn --precond scan", "--problem quad --precond diag",
                    "--problem xor-mlp --method sgd", "--problem xor-mlp --method rmsprop",
                    "--problem xor-mlp --method esgd"]
-    solves = "--problem xor-mlp --precond kron"
+    solves = ["--problem xor-mlp --precond kron", "--problem quad --precond dense",
+              "--problem quad --precond splu"]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path), *never_solve,
-                          solves], env={**os.environ, "PYTHONPATH": src},
+                          *solves], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == {"import": False, **dict.fromkeys(never_solve, False), solves: True}
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record == {"import": [False, True], **dict.fromkeys(never_solve, [False, True]),
+                      **dict.fromkeys(solves, [False, False])}

@@ -1,9 +1,55 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from psgdkit.errors import ContractViolationError, NumericInputError
 from psgdkit.linalg import _tri_solve_unchecked, tri_solve
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# Solves, in a fresh interpreter, with psgdkit and with scipy.linalg in the order argv[1]
+# names; prints whether scipy.linalg was unloaded after psgdkit's first solve, whether
+# psgdkit's solve is the routine get_lapack_funcs returns, and whether
+# solve_triangular gives tri_solve's bits on every (lower, transpose) case.
+LOAD_ORDER = """
+import json, sys
+import numpy as np
+from psgdkit import linalg
+
+rng = np.random.default_rng(5)
+cases = []
+for lower in (False, True):
+    for transpose in (False, True):
+        for order in ("C", "F"):
+            t = 0.3 * rng.standard_normal((7, 7))
+            t = np.tril(t) if lower else np.triu(t)
+            np.fill_diagonal(t, 0.5 + rng.random(7))
+            cases.append((np.asarray(t, order=order), rng.standard_normal((7, 3)),
+                          lower, transpose))
+
+
+def psgdkit_solves():
+    return [linalg.tri_solve(t, b, lower, transpose) for t, b, lower, transpose in cases]
+
+
+if sys.argv[1] == "psgdkit-first":
+    ours = psgdkit_solves()
+    unloaded = "scipy.linalg" not in sys.modules
+from scipy.linalg import get_lapack_funcs, solve_triangular
+if sys.argv[1] == "scipy-first":
+    ours = psgdkit_solves()
+    unloaded = None
+theirs = [solve_triangular(t, b, lower=lower, trans=int(transpose), check_finite=False)
+          for t, b, lower, transpose in cases]
+print(json.dumps({
+    "unloaded": unloaded,
+    "same_routine": linalg._trtrs is get_lapack_funcs("trtrs", (np.empty((1, 1)),)),
+    "same_bits": all(x.tobytes() == y.tobytes() for x, y in zip(ours, theirs))}))
+"""
 
 
 class TestTriSolve:
@@ -82,3 +128,32 @@ class TestTriSolve:
     def test_nonpositive_diagonal(self):
         with pytest.raises(ContractViolationError):
             tri_solve(np.array([[1.0, 0.0], [0.0, -2.0]]), np.ones(2))
+
+
+@pytest.mark.parametrize("order", ["psgdkit-first", "scipy-first"])
+def test_both_load_orders_share_scipys_routine(order):
+    # this module imports scipy.linalg at collection, so each order runs in a
+    # fresh interpreter
+    out = subprocess.run([sys.executable, "-c", LOAD_ORDER, order],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+                         check=True)
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record == {"unloaded": True if order == "psgdkit-first" else None,
+                      "same_routine": True, "same_bits": True}
+
+
+def test_missing_lapack_extension_names_the_directory_searched(tmp_path):
+    # a scipy package without linalg/_flapack first on the path: the first solve
+    # raises ImportError naming the directory it searched
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    script = ("import numpy as np\n"
+              "from psgdkit.linalg import tri_solve\n"
+              "try:\n"
+              "    tri_solve(np.eye(2), np.ones(2))\n"
+              "except ImportError as exc:\n"
+              "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), SRC])},
+                         check=True)
+    assert str(tmp_path / "scipy" / "linalg") in out.stdout

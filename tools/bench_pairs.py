@@ -28,11 +28,16 @@ change reads better in the metric's `better` direction, the metric's
 the pairs; `correct` covers these runs too. The workload's `layers` map each
 per-layer metric to its unit, each side's per-run values with their median
 and quartiles, and `change_lower`, the number of runs i whose change value is
-below the parent's. Then each side times every family's `update` and `apply` at
-the sizes of FAMILY_SIZES in a fresh interpreter run in its extracted tree
-(FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs; `families` holds,
-per size and kind, each side's summary and the change/parent ratio of the
-medians. Last, each side runs the tier-1 suite twice in its extracted tree
+below the parent's. Then each side times every family's `update`, `apply` and
+`apply_inv` at the sizes of FAMILY_SIZES in a fresh interpreter run in its
+extracted tree (FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs;
+`families` holds, per size and kind, each side's summary and the change/parent
+ratio of the medians. Then each side runs COLD_CLI, a fresh CLI process whose
+run solves, COLD_RUNS times in its extracted tree, alternating as the pairs;
+`cold_cli` holds each side's summary of the wall time and of the peak RSS
+that `os.wait4` reports, and the change/parent ratios of the medians. The
+benchmark's `setup_s` cannot show what a first solve costs, for its set-up
+makes none. Last, each side runs the tier-1 suite twice in its extracted tree
 (`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, with
 `--durations=0`), in the order parent, change, change, parent, so a drift of
 the host over the four runs weighs on both sides alike. Each run's wall time,
@@ -72,12 +77,15 @@ FAMILY_SIZES = [("dense", (16,)), ("dense", (64,)), ("dense", (128,)), ("diag", 
                 ("splu", (16, 4)), ("splu", (128, 10))]
 FAMILY_RUNS = 3
 FAMILY_REPEATS, FAMILY_CALLS = 7, 300  # each time is the best of the repeats of the calls
+# A fresh CLI run whose preconditioner solves, timed COLD_RUNS times per side (alternating)
+COLD_CLI = ["-m", "psgdkit", "run", "--problem", "xor-mlp", "--precond", "kron", "--iters", "3"]
+COLD_RUNS = 5
 # Run in a fresh interpreter with the tree's src on its path and one compute thread:
 # argv is the repeats, the calls per repeat and FAMILY_SIZES as JSON. Each state is
 # trained by 40 updates at step 0.1 on eight seeded pairs; update then takes step
 # 1e-9, so each call is admitted and the state barely moves. It prints one JSON object
-# mapping "variant shape" to the best per-call time of update and of apply, in us,
-# over the repeats.
+# mapping "variant shape" to the best per-call time of update, of apply and of
+# apply_inv, in us, over the repeats.
 FAMILY_SCRIPT = """
 import json, sys, time
 import numpy as np
@@ -107,7 +115,8 @@ for variant, shape in json.loads(sys.argv[3]):
     args = [pairs[i % 8] for i in range(calls)]
     record[f"{variant} {'x'.join(map(str, shape))}"] = {
         "update_us": best_us(lambda pair: p.update(pair, 1e-9), args),
-        "apply_us": best_us(p.apply, [pair.delta_g for pair in args])}
+        "apply_us": best_us(p.apply, [pair.delta_g for pair in args]),
+        "apply_inv_us": best_us(p.apply_inv, [pair.delta_g for pair in args])}
 print(json.dumps(record))
 """
 NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -181,18 +190,45 @@ def families(tree, repeats=FAMILY_REPEATS, calls=FAMILY_CALLS):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def compared(values):
+    """Each side's summary of its values, and the change/parent ratio of the medians.
+    values maps each side to its list of values."""
+    entry = {side: summary(v) for side, v in values.items()}
+    entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+    return entry
+
+
 def family_record(runs):
-    """Per "variant shape" and kind (update_us, apply_us): each side's summary of its
-    family runs, and the change/parent ratio of the medians. runs maps each side to
-    its list of families() records."""
-    record = {}
-    for key in runs["parent"][0]:
-        record[key] = {}
-        for kind in ("update_us", "apply_us"):
-            entry = {side: summary([r[key][kind] for r in rs]) for side, rs in runs.items()}
-            entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
-            record[key][kind] = entry
-    return record
+    """Per "variant shape" and kind (update_us, apply_us, ...): compared() of the
+    sides' family runs. runs maps each side to its list of families() records."""
+    return {key: {kind: compared({side: [r[key][kind] for r in rs]
+                                  for side, rs in runs.items()})
+                  for kind in kinds}
+            for key, kinds in runs["parent"][0].items()}
+
+
+def cold_cli(tree, out):
+    """Wall time and peak RSS (MB, from os.wait4) of one fresh COLD_CLI process run in
+    tree with its src on the path, writing its trace under out."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *COLD_CLI, "--out", out], cwd=tree,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")})
+    stderr = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall_s = time.perf_counter() - start
+    proc.stderr.close()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise RuntimeError(f"cold CLI run in {tree} failed\n{stderr.decode()}")
+    return {"wall_s": wall_s, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def cold_record(runs):
+    """Per measure (wall_s, peak_rss_mb): compared() of the sides' cold_cli runs. runs
+    maps each side to its list of cold_cli() results."""
+    return {measure: compared({side: [r[measure] for r in rs] for side, rs in runs.items()})
+            for measure in ("wall_s", "peak_rss_mb")}
 
 
 def tier1(tree):
@@ -302,13 +338,18 @@ def main(argv=None):
                                   "parent's by more than the parent's q3 - q1",
                           "families": f"FAMILY_SCRIPT in each tree, {FAMILY_RUNS} runs per side "
                                       "alternating as the pairs, after the layers: the best "
-                                      f"per-call update (step 1e-9) and apply time in us of "
-                                      f"{FAMILY_REPEATS} repeats of {FAMILY_CALLS} calls on each "
-                                      "FAMILY_SIZES state, trained by 40 updates at step 0.1",
+                                      f"per-call update (step 1e-9), apply and apply_inv time "
+                                      f"in us of {FAMILY_REPEATS} repeats of {FAMILY_CALLS} "
+                                      "calls on each FAMILY_SIZES state, trained by 40 updates "
+                                      "at step 0.1",
+                          "cold_cli": f"PYTHONPATH=src python {' '.join(COLD_CLI)} in each "
+                                      f"tree, {COLD_RUNS} fresh processes per side alternating "
+                                      "as the pairs, after the families: wall time and the "
+                                      "os.wait4 peak RSS",
                           "tier1": "PYTHONPATH=src python -m pytest -q "
                                    "--continue-on-collection-errors --durations=0, twice per "
                                    "side in the order parent, change, change, parent, after "
-                                   "the families"}
+                                   "the cold CLI runs"}
     record["workloads"] = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
@@ -370,6 +411,12 @@ def main(argv=None):
                 family_runs[side].append(families(trees[side]))
                 print(f"families {i} {side}", flush=True)
         record["families"] = family_record(family_runs)
+        cold_runs = {"parent": [], "change": []}
+        for i in range(COLD_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                cold_runs[side].append(cold_cli(trees[side], os.path.join(tmp, "cold_cli")))
+                print(f"cold CLI {i} {side}: {cold_runs[side][-1]}", flush=True)
+        record["cold_cli"] = cold_record(cold_runs)
         tier1_runs = {"parent": [], "change": []}
         for side in TIER1_ORDER:
             tier1_runs[side].append(tier1(trees[side]))
