@@ -32,7 +32,7 @@ import numpy as np
 
 from .checkpoint import save_state
 from .curvature import ProbeConfig
-from .errors import PsgdkitError
+from .errors import ContractViolationError, PsgdkitError
 from .optimizer import METHODS, RMSPROP_BETA, RMSPROP_EPS, RunConfig, run
 from .preconditioners import FAMILIES
 from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
@@ -51,10 +51,8 @@ def _quadratic(dim, quad_diag, noise, batch_size):
 
 
 # flags: the problem flags it reads, dest -> default, in trace-header order, which
-# build takes as keywords; defaults: its values for flags every problem reads;
-# minimums: the least value build accepts, dest -> minimum, of an integer flag
-# whose bound depends on the problem
-ProblemEntry = namedtuple("ProblemEntry", "flags defaults build minimums", defaults=({},))
+# build takes as keywords; defaults: its values for flags every problem reads
+ProblemEntry = namedtuple("ProblemEntry", "flags defaults build")
 PROBLEMS = {
     "quad": ProblemEntry(dict(dim=10, quad_diag="alternating", noise=0.0, batch_size=1),
                          dict(mu=0.5, precond_mu=0.01, clip="none", probe="exact"), _quadratic),
@@ -62,36 +60,26 @@ PROBLEMS = {
                                make_rosenbrock),
     "xor-mlp": ProblemEntry(dict(hidden=4),
                             dict(mu=0.5, precond_mu=0.05, clip="auto", probe="exact"),
-                            make_xor_mlp, dict(hidden=2)),
+                            make_xor_mlp),
     "addition-rnn": ProblemEntry(dict(hidden=4, seq_len=8, batch_size=1),
                                  dict(mu=0.1, precond_mu=0.01, clip="auto", probe="approx"),
-                                 make_addition_rnn, dict(hidden=1, seq_len=4)),
+                                 make_addition_rnn),
 }
 PROBLEM_FLAGS = {dest for e in PROBLEMS.values() for dest in e.flags}
+# the flag that gives a library argument, where its name is not the flag's
+FIELD_FLAGS = {"h": "--quad-diag", "noise_scale": "--noise", "clip_omega": "--clip",
+               "damping_lambda": "--damping"}
 
 
-def _flag_type(parse, expected, ok=None, requirement=""):
+def _flag_type(parse, expected):
     """An argparse type: parse(text). A ValueError becomes argparse's usage error,
-    naming the flag and `expected`; so does a value that ok rejects, naming
-    `requirement` and the value."""
+    naming the flag and `expected`. The value's range is the library's to check."""
     def convert(text):
         try:
-            value = parse(text)
+            return parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
-        if ok is not None and not ok(value):
-            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
-        return value
     return convert
-
-
-def _int_at_least(low):
-    """An argparse type: an integer of at least low."""
-    return _flag_type(int, "an integer", lambda v: v >= low, f"must be at least {low}")
-
-
-def _finite_positive(value):  # a step size's bound, given by --mu or a --run spec
-    return 0.0 < value < math.inf
 
 
 def _numbers(text):
@@ -103,33 +91,29 @@ def _parse_damping(text):
         return "none", 0.0
     for prefix, kind in (("trad:", "traditional"), ("noncvx:", "nonconvex")):
         if text.startswith(prefix):
-            lam = float(text[len(prefix):])
-            if not 0.0 <= lam < math.inf:
-                raise argparse.ArgumentTypeError(
-                    f"damping strength must be finite and nonnegative, got {lam}")
-            return kind, lam
+            return kind, float(text[len(prefix):])
     raise ValueError(text)
 
 
 def _run_spec(text):
     # the flag values a sweep --run value overrides; an empty part overrides none
     method, precond, mu = (text.split(":") + ["", ""])[:3]
-    if mu:
-        mu = float(mu)  # a malformed number is a malformed spec
-        if not _finite_positive(mu):
-            raise argparse.ArgumentTypeError(f"its mu must be finite and positive, got {mu}")
-    spec = {"method": method, "precond": precond, "mu": mu}
+    spec = {"method": method, "precond": precond, "mu": float(mu) if mu else ""}
     return {key: value for key, value in spec.items() if value != ""}
 
 
 def _resolve_problem(parser, args):
     """Fill in the chosen problem's defaults for the flags not given; exit 2 on a
-    given problem flag that the problem does not read."""
+    given problem flag that the problem does not read, and on a --dim below 1,
+    which no library argument holds."""
     entry = PROBLEMS[args.problem]
     for dest in vars(args):
         if dest in PROBLEM_FLAGS and dest not in entry.flags:
             flag = "--" + dest.replace("_", "-")
             parser.exit(2, f"psgdkit: {flag} is not read by --problem {args.problem}\n")
+    if getattr(args, "dim", 1) < 1:
+        parser.error(f"argument --dim: must be at least 1 (Hessian must not be empty), "
+                     f"got {args.dim}")
     # an explicit diagonal sets the dimension, which the header then records
     if getattr(args, "quad_diag", "alternating") != "alternating":
         dim = len(_numbers(args.quad_diag))
@@ -140,11 +124,6 @@ def _resolve_problem(parser, args):
     for dest, default in {**entry.flags, **entry.defaults}.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, default)
-    for dest, low in entry.minimums.items():
-        if getattr(args, dest) < low:
-            flag = "--" + dest.replace("_", "-")
-            parser.exit(2, f"psgdkit: argument {flag}: must be at least {low} for --problem "
-                           f"{args.problem}, got {getattr(args, dest)}\n")
 
 
 def _resolve_clip(clip, problem):
@@ -259,10 +238,22 @@ def _write_summary(path, entries):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _execute_run(args, seed, out_dir):
+def _build_run(parser, args, spec, seed):
+    """(args, problem, cfg) of one run. A library range check that names its field
+    exits 2 as a usage error on the flag that gave the value: --run if spec set it."""
     entry = PROBLEMS[args.problem]
-    problem = entry.build(**{dest: getattr(args, dest) for dest in entry.flags})
-    cfg = _make_config(args, problem, seed)
+    try:
+        problem = entry.build(**{dest: getattr(args, dest) for dest in entry.flags})
+        return args, problem, _make_config(args, problem, seed)
+    except ContractViolationError as exc:
+        if exc.field is None:
+            raise
+        flag = "--run" if exc.field in spec else FIELD_FLAGS.get(
+            exc.field, "--" + exc.field.replace("_", "-"))
+        parser.error(f"argument {flag}: {exc}")
+
+
+def _execute_run(args, problem, cfg, out_dir):
     result = run(problem, cfg, timing=args.timing)
     fields = _config_fields(args, cfg)
     bits = (fields["problem"], fields["method"], fields["precond"], f"mu{fields['mu']:g}",
@@ -281,45 +272,32 @@ def _add_run_flags(p):
         readers = ", ".join(name for name, e in PROBLEMS.items() if dest in e.flags)
         p.add_argument(flag, default=argparse.SUPPRESS, help=f"{help} ({readers})", **kwargs)
 
+    integer, number = _flag_type(int, "an integer"), _flag_type(float, "a number")
     p.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    problem_flag("--dim", "quadratic dimension",
-                 type=_flag_type(int, "an integer", lambda v: v >= 1,
-                                 "must be at least 1 (Hessian must not be empty)"))
+    problem_flag("--dim", "quadratic dimension", type=integer)
     # an empty diagonal stands for the alternating default, as the header records it
     problem_flag("--quad-diag", "explicit quadratic Hessian diagonal, by default "
                                 "alternating +1,-2,...,+-dim", metavar="D1,D2,...",
                  type=_flag_type(lambda t: t if _numbers(t) else "alternating",
-                                 "comma-separated numbers",
-                                 lambda t: t == "alternating" or all(map(math.isfinite,
-                                                                         _numbers(t))),
-                                 "Hessian must be finite"))
-    problem_flag("--noise", "quadratic gradient noise scale",
-                 type=_flag_type(float, "a number", lambda v: 0.0 <= v < math.inf,
-                                 "noise scale must be nonnegative and finite"))
-    problem_flag("--hidden", "hidden units", type=_flag_type(int, "an integer"))
-    problem_flag("--seq-len", "sequence length", type=_flag_type(int, "an integer"))
-    problem_flag("--batch-size", "mini-batch size", type=_int_at_least(1))
+                                 "comma-separated numbers"))
+    problem_flag("--noise", "quadratic gradient noise scale", type=number)
+    problem_flag("--hidden", "hidden units", type=integer)
+    problem_flag("--seq-len", "sequence length", type=integer)
+    problem_flag("--batch-size", "mini-batch size", type=integer)
     p.add_argument("--method", default="psgd", choices=list(METHODS))
     p.add_argument("--precond", default="dense", choices=list(FAMILIES))
-    p.add_argument("--splu-order", type=_int_at_least(1), default=10,
+    p.add_argument("--splu-order", type=integer, default=10,
                    help="sparse-LU order r (clamped to the problem dimension)")
     p.add_argument("--per-block", action="store_true",
                    help="one dense/diag/splu block per tensor instead of whole-theta")
-    p.add_argument("--mu", default=None,
-                   type=_flag_type(float, "a number", _finite_positive,
-                                   "must be finite and positive"),
-                   help="step size (default per problem)")
-    p.add_argument("--precond-mu", default=None,
-                   type=_flag_type(float, "a number", lambda v: 0.0 < v < 1.0,
-                                   "must lie in (0, 1)"),
+    p.add_argument("--mu", default=None, type=number, help="step size (default per problem)")
+    p.add_argument("--precond-mu", default=None, type=number,
                    help="preconditioner step size (default per problem)")
     p.add_argument("--probe", default=None, choices=["approx", "exact"],
                    help="Hessian-vector probe mode (default per problem)")
     p.add_argument("--clip", default=None,
                    type=_flag_type(lambda t: t if t in ("none", "auto") else float(t),
-                                   "none, auto or a number",
-                                   lambda v: v in ("none", "auto") or v > 0.0,
-                                   "must be none, auto or a positive number"),
+                                   "none, auto or a number"),
                    help="preconditioned gradient clip threshold: none, auto "
                         "(10*sqrt(dim)) or a number (default per problem)")
     p.add_argument("--skip", default="never", choices=["never", "log10"],
@@ -327,8 +305,8 @@ def _add_run_flags(p):
     p.add_argument("--damping", default="none",
                    type=_flag_type(_parse_damping, "none, trad:LAMBDA or noncvx:LAMBDA"),
                    help="probe damping: none, trad:LAMBDA or noncvx:LAMBDA")
-    p.add_argument("--iters", type=_int_at_least(1), default=500)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--iters", type=integer, default=500)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", default=None, help="output directory (env PSGDKIT_OUT)")
     p.add_argument("--timing", action="store_true",
                    help="record real wall_ns (breaks byte-identical traces)")
@@ -384,7 +362,7 @@ def main(argv=None) -> int:
                          dest="specs", type=_flag_type(_run_spec, "method[:variant[:mu]]"),
                          help="method[:variant[:mu]] (repeatable); defaults to the "
                               "flag-level method/variant/mu")
-    p_sweep.add_argument("--reps", type=_int_at_least(1), default=1,
+    p_sweep.add_argument("--reps", type=_flag_type(int, "an integer"), default=1,
                          help="repetitions per spec with seed offsets")
     p_sweep.set_defaults(name=None)
 
@@ -400,10 +378,11 @@ def main(argv=None) -> int:
                 parser.exit(2, f"psgdkit: config error: {exc}\n")
 
     args = parser.parse_args(argv)
-    return _dispatch(parser, args)
+    return _dispatch(sub.choices[args.command], args)
 
 
 def _dispatch(parser, args) -> int:
+    """Execute the parsed subcommand; parser is its own, for its usage errors."""
     if args.command == "verify":
         results = run_suite(args.suite)
         failed = sum(not r.ok for r in results)
@@ -414,14 +393,16 @@ def _dispatch(parser, args) -> int:
         return 1 if failed else 0
 
     # run is one spec (the flags' own) and one rep; sweep may give several of each
+    if args.reps < 1:  # no library argument holds the repetition count
+        parser.error(f"argument --reps: must be at least 1, got {args.reps}")
     _resolve_problem(parser, args)
     out_dir = args.out or os.environ.get("PSGDKIT_OUT") or "runs"
-    entries = []
     try:
-        for spec in args.specs or [{}]:
-            spec_args = argparse.Namespace(**{**vars(args), **spec})
-            for rep in range(args.reps):
-                entries.append(_execute_run(spec_args, args.seed + rep, out_dir))
+        # every run is built, and so checked, before the first writes anything
+        runs = [_build_run(parser, argparse.Namespace(**{**vars(args), **spec}), spec,
+                           args.seed + rep)
+                for spec in args.specs or [{}] for rep in range(args.reps)]
+        entries = [_execute_run(*built, out_dir) for built in runs]
     except (PsgdkitError, ValueError) as exc:
         parser.exit(2, f"psgdkit: {exc}\n")
 

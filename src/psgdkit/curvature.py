@@ -93,7 +93,8 @@ class ProbeConfig:
             raise ContractViolationError(f"unknown damping kind {self.damping!r}")
         if not 0.0 <= self.damping_lambda < math.inf:
             raise ContractViolationError(
-                f"damping strength must be finite and nonnegative, got {self.damping_lambda}")
+                f"damping strength must be finite and nonnegative, got {self.damping_lambda}",
+                field="damping_lambda")
 
     @property
     def sample_std(self) -> float:

@@ -6,7 +6,17 @@ class PsgdkitError(Exception):
 
 
 class ContractViolationError(PsgdkitError, ValueError):
-    """An argument violates an operation's contract (shape, symmetry, range)."""
+    """An argument violates an operation's contract (shape, symmetry, range).
+
+    ``field`` is the name of the argument at fault, as the raising function or
+    dataclass spells it, when a range check on that one argument failed;
+    otherwise None. The command line reads it to name the flag that gave the
+    value.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class NumericInputError(PsgdkitError, ValueError):

@@ -73,17 +73,18 @@ class RunConfig:
             raise ContractViolationError(f"unknown variant {self.precond_variant!r}")
         if self.skip_schedule not in ("never", "log10"):
             raise ContractViolationError(f"unknown skip schedule {self.skip_schedule!r}")
-        if not 0.0 < self.mu < math.inf:
-            raise ContractViolationError("step size must be finite and positive")
-        if not 0.0 < self.precond_mu < 1.0:
-            raise ContractViolationError("preconditioner step size must lie in (0, 1)")
-        if self.clip_omega is not None and not self.clip_omega > 0.0:
-            raise ContractViolationError("clip threshold must be positive")
-        _integer(self.splu_order, "splu_order")
-        if _integer(self.iters, "iters") < 1:
-            raise ContractViolationError("iters must be at least 1")
-        if _integer(self.seed, "seed") < 0:
-            raise ContractViolationError("seed must be nonnegative")
+        for name, ok, fault in (
+                ("mu", 0.0 < self.mu < math.inf, "step size must be finite and positive"),
+                ("precond_mu", 0.0 < self.precond_mu < 1.0,
+                 "preconditioner step size must lie in (0, 1)"),
+                ("clip_omega", self.clip_omega is None or self.clip_omega > 0.0,
+                 "clip threshold must be positive"),
+                ("splu_order", _integer(self.splu_order, "splu_order") >= 1,
+                 "splu_order must be at least 1"),
+                ("iters", _integer(self.iters, "iters") >= 1, "iters must be at least 1"),
+                ("seed", _integer(self.seed, "seed") >= 0, "seed must be nonnegative")):
+            if not ok:
+                raise ContractViolationError(f"{fault}, got {getattr(self, name)}", field=name)
 
 
 @dataclass(frozen=True)

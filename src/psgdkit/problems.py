@@ -76,6 +76,13 @@ def _integer(value, what: str) -> int:
         raise ContractViolationError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _at_least(value, low: int, what: str, field: str) -> None:
+    """ContractViolationError, naming field, unless value is an integer (see _integer)
+    of at least low."""
+    if _integer(value, what) < low:
+        raise ContractViolationError(f"{what} must be at least {low}, got {value}", field=field)
+
+
 def _is_word(x) -> bool:
     """True for an int in [0, 2**32), which a SeedSequence reads as one uint32 word."""
     return type(x) is int and 0 <= x < 1 << 32
@@ -165,9 +172,9 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractViolationError("Hessian must be square")
     if h.size == 0:
-        raise ContractViolationError("Hessian must not be empty")
+        raise ContractViolationError("Hessian must not be empty", field="h")
     if not np.isfinite(h).all():  # a nan would pass the symmetry test below
-        raise ContractViolationError("Hessian must be finite")
+        raise ContractViolationError("Hessian must be finite", field="h")
     if np.max(np.abs(h - h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
         raise ContractViolationError("Hessian must be symmetric")
     dim = h.shape[0]
@@ -177,9 +184,9 @@ def make_quadratic(h: np.ndarray, b: Optional[np.ndarray] = None,
     if not np.isfinite(b).all():
         raise ContractViolationError("linear term must be finite")
     if not 0.0 <= noise_scale < np.inf:
-        raise ContractViolationError("noise scale must be nonnegative and finite")
-    if _integer(batch_size, "batch size") < 1:
-        raise ContractViolationError("batch size must be at least 1")
+        raise ContractViolationError(
+            f"noise scale must be nonnegative and finite, got {noise_scale}", field="noise_scale")
+    _at_least(batch_size, 1, "batch size", "batch_size")
     layout = ParamLayout([ParamBlock("theta", (dim,))])
     upper = np.triu(np.ones((dim, dim), bool))
 
@@ -270,8 +277,7 @@ def make_xor_mlp(hidden: int) -> Problem:
     pass; loss, gradient and Hvp at one theta share one forward and backward
     pass, made once.
     """
-    if _integer(hidden, "hidden size") < 2:
-        raise ContractViolationError("need at least two hidden units")
+    _at_least(hidden, 2, "hidden size", "hidden")
     layout = ParamLayout([
         ParamBlock("w1", (hidden, 3)),
         ParamBlock("w2", (1, hidden + 1)),
@@ -345,10 +351,9 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
     Gradients come from hand-coded backprop through time; no exact Hvp is
     provided (use gradient differencing).
     """
-    if _integer(seq_len, "sequence length") < 4:
-        raise ContractViolationError("sequence length must be at least 4")
-    if _integer(hidden, "hidden size") < 1 or _integer(batch_size, "batch size") < 1:
-        raise ContractViolationError("hidden size and batch size must be positive")
+    _at_least(seq_len, 4, "sequence length", "seq_len")
+    _at_least(hidden, 1, "hidden size", "hidden")
+    _at_least(batch_size, 1, "batch size", "batch_size")
     layout = ParamLayout([
         ParamBlock("w_rec", (hidden, hidden + 3)),
         ParamBlock("w_out", (1, hidden + 1)),

@@ -1,7 +1,13 @@
+import io
+import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psgdkit.checkpoint import load_state
 from psgdkit.cli import main
@@ -142,9 +148,9 @@ class TestRun:
         assert "Hessian must not be empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, fault", [
-        (["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        (["--seed", "-1"], "argument --seed: seed must be nonnegative, got -1"),
         (["--precond", "splu", "--splu-order", "0"],
-         "argument --splu-order: must be at least 1, got 0"),
+         "argument --splu-order: splu_order must be at least 1, got 0"),
         (["--dim", "3", "--quad-diag", "1,2"], "--dim 3 differs from the 2 values of --quad-diag"),
         (["--noise", "-1"], "noise scale must be nonnegative"),
     ], ids=["negative-seed", "zero-splu-order", "dim-against-diag", "negative-noise"])
@@ -163,25 +169,26 @@ class TestRun:
          "argument --noise: noise scale must be nonnegative and finite, got -1.0"),
         (["run", "--problem", "quad", "--noise", "inf"],
          "argument --noise: noise scale must be nonnegative and finite, got inf"),
-        (["run", "--problem", "quad", "--iters", "0"], "argument --iters: must be at least 1, got 0"),
+        (["run", "--problem", "quad", "--iters", "0"],
+         "argument --iters: iters must be at least 1, got 0"),
         (["run", "--problem", "xor-mlp", "--hidden", "0"],
-         "argument --hidden: must be at least 2 for --problem xor-mlp, got 0"),
+         "argument --hidden: hidden size must be at least 2, got 0"),
         (["run", "--problem", "addition-rnn", "--hidden", "0"],
-         "argument --hidden: must be at least 1 for --problem addition-rnn, got 0"),
+         "argument --hidden: hidden size must be at least 1, got 0"),
         (["run", "--problem", "addition-rnn", "--seq-len", "0"],
-         "argument --seq-len: must be at least 4 for --problem addition-rnn, got 0"),
+         "argument --seq-len: sequence length must be at least 4, got 0"),
         (["run", "--problem", "quad", "--mu", "nan"],
-         "argument --mu: must be finite and positive, got nan"),
+         "argument --mu: step size must be finite and positive, got nan"),
         (["run", "--problem", "quad", "--precond-mu", "2"],
-         "argument --precond-mu: must lie in (0, 1), got 2.0"),
+         "argument --precond-mu: preconditioner step size must lie in (0, 1), got 2.0"),
         (["sweep", "--problem", "quad", "--run", "psgd:dense:nan"],
-         "argument --run: its mu must be finite and positive, got nan"),
+         "argument --run: step size must be finite and positive, got nan"),
         (["run", "--problem", "quad", "--clip", "0"],
-         "argument --clip: must be none, auto or a positive number, got 0.0"),
+         "argument --clip: clip threshold must be positive, got 0.0"),
         (["run", "--problem", "quad", "--damping", "trad:-1"],
          "argument --damping: damping strength must be finite and nonnegative, got -1.0"),
         (["run", "--problem", "quad", "--quad-diag", "nan,1"],
-         "argument --quad-diag: Hessian must be finite, got nan,1"),
+         "argument --quad-diag: Hessian must be finite"),
     ], ids=["negative-dim", "negative-noise", "infinite-noise", "zero-iters", "xor-zero-hidden",
             "rnn-zero-hidden", "zero-seq-len", "nan-mu", "precond-mu-above-one", "nan-run-mu",
             "zero-clip", "negative-damping", "nan-diag"])
@@ -317,6 +324,72 @@ class TestRun:
         assert not out.exists()
 
 
+def _rejected_by(parse):
+    """Short texts that parse rejects with a ValueError: a flag's malformed values."""
+    def rejected(text):
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+    return st.text(alphabet="0123456789+-.eE_ ,:xn", max_size=6).filter(rejected)
+
+
+NON_FINITE = st.sampled_from([math.inf, math.nan])
+NEGATIVE = st.floats(max_value=-5e-324)  # below 0, so -0.0 is not drawn
+EVERY_PROBLEM = ["quad", "rosenbrock", "xor-mlp", "addition-rnn"]
+MALFORMED_NUMBER = _rejected_by(float)
+MALFORMED_INTEGER = _rejected_by(int)
+# flag, the problems that read it, its out-of-range values, its malformed texts
+HOSTILE_VALUES = {
+    "mu": ("--mu", EVERY_PROBLEM, st.floats(max_value=0.0) | NON_FINITE, MALFORMED_NUMBER),
+    "precond-mu": ("--precond-mu", EVERY_PROBLEM,
+                   st.floats(max_value=0.0) | st.floats(min_value=1.0) | NON_FINITE,
+                   MALFORMED_NUMBER),
+    "noise": ("--noise", ["quad"], NEGATIVE | NON_FINITE, MALFORMED_NUMBER),
+    "clip": ("--clip", EVERY_PROBLEM, st.floats(max_value=0.0) | st.just(math.nan),
+             _rejected_by(lambda t: t if t in ("none", "auto") else float(t))),
+    "damping": ("--damping", EVERY_PROBLEM, (NEGATIVE | NON_FINITE).map(lambda v: f"trad:{v!r}"),
+                MALFORMED_NUMBER.map("trad:".__add__)),
+    "iters": ("--iters", EVERY_PROBLEM, st.integers(max_value=0), MALFORMED_INTEGER),
+    "seed": ("--seed", EVERY_PROBLEM, st.integers(max_value=-1), MALFORMED_INTEGER),
+    "splu-order": ("--splu-order", EVERY_PROBLEM, st.integers(max_value=0), MALFORMED_INTEGER),
+    "batch-size": ("--batch-size", ["quad", "addition-rnn"], st.integers(max_value=0),
+                   MALFORMED_INTEGER),
+    "xor-hidden": ("--hidden", ["xor-mlp"], st.integers(max_value=1), MALFORMED_INTEGER),
+    "rnn-hidden": ("--hidden", ["addition-rnn"], st.integers(max_value=0), MALFORMED_INTEGER),
+    "seq-len": ("--seq-len", ["addition-rnn"], st.integers(max_value=3), MALFORMED_INTEGER),
+}
+
+
+class TestHostileFlags:
+    """Each out-of-range or malformed value of a flag, given on the command line or
+    in a config file, exits 2 naming the flag and writes nothing."""
+
+    @pytest.mark.parametrize("case", list(HOSTILE_VALUES))
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_hostile_value_names_its_flag(self, case, data):
+        flag, problems, out_of_range, malformed = HOSTILE_VALUES[case]
+        problem = data.draw(st.sampled_from(problems), label="problem")
+        value = data.draw(out_of_range.map(repr) | malformed, label="value")
+        in_config = data.draw(st.booleans(), label="in_config")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "exp.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(f"{flag[2:]}={value}\n" if in_config else "")
+            out = os.path.join(tmp, "runs")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr), \
+                    pytest.raises(SystemExit) as exc:
+                run_cli(["run", "--config", cfg, "--problem", problem,
+                         *([] if in_config else [f"{flag}={value}"]), "--out", out])
+            assert exc.value.code == 2
+            assert f"argument {flag}: " in stderr.getvalue()
+            assert stdout.getvalue() == ""
+            assert not os.path.exists(out)
+
+
 class TestSweep:
     def test_specs_and_seed_offsets(self, tmp_path):
         out = tmp_path / "runs"
@@ -334,6 +407,18 @@ class TestSweep:
         ]
         summary = read(out / "summary.csv").splitlines()
         assert len(summary) == 5
+
+    def test_sweep_is_checked_before_it_writes(self, tmp_path, capsys):
+        # the second spec's fault stops the sweep before the first spec runs
+        out = tmp_path / "D"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--problem", "quad", "--run", "psgd:dense", "--run",
+                     "psgd:dense:nan", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --run: step size must be finite and positive" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("reps", ["0", "-2"])
     def test_reps_below_one_is_usage_error(self, reps, tmp_path, capsys):

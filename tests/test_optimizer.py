@@ -316,6 +316,45 @@ class TestRunConfigValidation:
                     RunConfig(**{field: bad})
         RunConfig(iters=np.int64(3), seed=np.int32(1), splu_order=np.int64(2))
 
+    @pytest.mark.parametrize("variant", ["dense", "diag", "splu"])
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_splu_order_below_one_rejected_for_every_variant(self, variant, order):
+        with pytest.raises(ContractViolationError,
+                           match=f"splu_order must be at least 1, got {order}") as exc:
+            RunConfig(precond_variant=variant, splu_order=order)
+        assert exc.value.field == "splu_order"
+
+    @pytest.mark.parametrize("build, field, message", [
+        (lambda: RunConfig(mu=-1.0), "mu", "step size must be finite and positive, got -1.0"),
+        (lambda: RunConfig(precond_mu=1.0), "precond_mu",
+         "preconditioner step size must lie in (0, 1), got 1.0"),
+        (lambda: RunConfig(clip_omega=0.0), "clip_omega",
+         "clip threshold must be positive, got 0.0"),
+        (lambda: RunConfig(splu_order=0), "splu_order", "splu_order must be at least 1, got 0"),
+        (lambda: RunConfig(iters=0), "iters", "iters must be at least 1, got 0"),
+        (lambda: RunConfig(seed=-2), "seed", "seed must be nonnegative, got -2"),
+        (lambda: ProbeConfig(damping_lambda=-0.5), "damping_lambda",
+         "damping strength must be finite and nonnegative, got -0.5"),
+        (lambda: make_quadratic(np.diag([np.nan, 1.0])), "h", "Hessian must be finite"),
+        (lambda: make_quadratic(np.eye(2), noise_scale=-1.0), "noise_scale",
+         "noise scale must be nonnegative and finite, got -1.0"),
+        (lambda: make_quadratic(np.eye(2), batch_size=0), "batch_size",
+         "batch size must be at least 1, got 0"),
+        (lambda: make_xor_mlp(1), "hidden", "hidden size must be at least 2, got 1"),
+        (lambda: make_addition_rnn(3, 2), "seq_len", "sequence length must be at least 4, got 3"),
+        (lambda: make_addition_rnn(6, 0), "hidden", "hidden size must be at least 1, got 0"),
+        (lambda: make_addition_rnn(6, 2, batch_size=0), "batch_size",
+         "batch size must be at least 1, got 0"),
+    ], ids=["mu", "precond-mu", "clip-omega", "splu-order", "iters", "seed", "damping-lambda",
+            "quad-h", "quad-noise-scale", "quad-batch-size", "xor-hidden", "rnn-seq-len",
+            "rnn-hidden", "rnn-batch-size"])
+    def test_range_fault_names_its_field(self, build, field, message):
+        # the command line maps field to the flag that gave the value
+        with pytest.raises(ContractViolationError) as exc:
+            build()
+        assert str(exc.value) == message
+        assert exc.value.field == field
+
     def test_batch_seed_stream_is_stable(self):
         assert batch_seed_for(0, 1) == batch_seed_for(0, 1)
         assert batch_seed_for(0, 1) != batch_seed_for(0, 2)
