@@ -253,8 +253,8 @@ def _build_run(parser, args, spec, seed):
         parser.error(f"argument {flag}: {exc}")
 
 
-def _execute_run(args, problem, cfg, out_dir):
-    result = run(problem, cfg, timing=args.timing)
+def _write_run(args, cfg, result, out_dir):
+    """Write a finished run's trace and --save-precond state; its summary entry."""
     fields = _config_fields(args, cfg)
     bits = (fields["problem"], fields["method"], fields["precond"], f"mu{fields['mu']:g}",
             f"seed{fields['seed']}")
@@ -398,11 +398,13 @@ def _dispatch(parser, args) -> int:
     _resolve_problem(parser, args)
     out_dir = args.out or os.environ.get("PSGDKIT_OUT") or "runs"
     try:
-        # every run is built, and so checked, before the first writes anything
+        # every run is built, and so checked, and then finished before the first
+        # write, so a run that fails leaves no file behind
         runs = [_build_run(parser, argparse.Namespace(**{**vars(args), **spec}), spec,
                            args.seed + rep)
                 for spec in args.specs or [{}] for rep in range(args.reps)]
-        entries = [_execute_run(*built, out_dir) for built in runs]
+        results = [run(problem, cfg, timing=a.timing) for a, problem, cfg in runs]
+        entries = [_write_run(a, cfg, res, out_dir) for (a, _, cfg), res in zip(runs, results)]
     except (PsgdkitError, ValueError) as exc:
         parser.exit(2, f"psgdkit: {exc}\n")
 

@@ -150,8 +150,8 @@ class Preconditioner:
     by construction and no kernel checks its factors. A family without a
     ``dim`` field is an (m, n) matrix block with ``dim = m * n``. ``apply``
     checks the vector once and runs the kernel (a direct sum's kernel runs
-    each block's kernel on its slice); ``apply_inv`` and splu's inverse
-    ``matvec`` run theirs under the one contract of ``_inverse``.
+    each block's kernel on its slice); ``apply_inv`` runs its kernel under
+    one contract for every family.
 
     ``update`` is every family's one relative-gradient step. It takes a
     TangentPair, which has proved its two vectors finite, 1-D, float and of
@@ -214,8 +214,19 @@ class Preconditioner:
         return self._apply(self._check_dim(g))
 
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        """P^{-1} v under the contract of every inverse product (see _inverse)."""
-        return self._inverse(self._apply_inv, v)
+        """P^{-1} v: ContractViolationError unless v is a vector of this dim,
+        NumericInputError unless v is finite, the kernel run without a numpy
+        warning, and NumericInputError unless its result is finite (from a
+        state at the floor, a finite v can overflow it).
+        """
+        v = self._check_dim(v)
+        if not _all_finite(v):
+            raise NumericInputError("non-finite entries in an inverse product's input")
+        with np.errstate(all="ignore"):  # a fresh one: an errstate enters once
+            x = self._apply_inv(v)
+        if not _all_finite(x):
+            raise NumericInputError("non-finite inverse product")
+        return x
 
     @classmethod
     def factor_shapes(cls, *shape) -> list:
@@ -356,22 +367,6 @@ class Preconditioner:
         if v.shape != (self.dim,):
             raise _wrong_length(self.dim, v)
         return v
-
-    def _inverse(self, product, v: np.ndarray) -> np.ndarray:
-        """product(v) for an inverse product, under one contract:
-        ContractViolationError unless v is a vector of this dim,
-        NumericInputError unless v is finite, the product run without a numpy
-        warning, and NumericInputError unless its result is finite (from a
-        state at the floor, a finite v can overflow it).
-        """
-        v = self._check_dim(v)
-        if not _all_finite(v):
-            raise NumericInputError("non-finite entries in an inverse product's input")
-        with np.errstate(all="ignore"):  # a fresh one: an errstate enters once
-            x = product(v)
-        if not _all_finite(x):
-            raise NumericInputError("non-finite inverse product")
-        return x
 
 
 class DensePrecond(Preconditioner):
@@ -595,7 +590,7 @@ class SpluPrecond(Preconditioner):
 
     # The four products of v = (v1, v2), each as the two blocks of its result.
     # Their solves are unchecked: update's norm test catches what they let
-    # through, and the public inverse products run under _inverse.
+    # through, and apply_inv checks its result.
 
     def _q(self, v1, v2):
         w1 = self.u1.dot(v1) + self.u2.dot(v2)
@@ -615,18 +610,6 @@ class SpluPrecond(Preconditioner):
         x2 = (v2 - self.u2.T.dot(w1)) / self.u3 / self.l3
         return _tri_solve_unchecked(self.l1, w1 - self.l2.T.dot(x2), lower=True,
                                     transpose=True), x2
-
-    _PRODUCTS = {"q": _q, "qt": _qt, "qinv": _qinv, "qinvt": _qinvt}
-
-    def matvec(self, v: np.ndarray, which: str) -> np.ndarray:
-        """Product with Q, Q^T, Q^{-1} or Q^{-T} (which in {q, qt, qinv, qinvt});
-        the inverses under the contract of apply_inv."""
-        product = self._PRODUCTS.get(which)
-        if product is None:
-            raise ContractViolationError(f"unknown matvec selector {which!r}")
-        if which in ("qinv", "qinvt"):
-            return self._inverse(lambda v: np.concatenate(product(self, *self._split(v))), v)
-        return np.concatenate(product(self, *self._split(self._check_dim(v))))
 
     def _apply(self, g):
         return np.concatenate(self._qt(*self._q(*self._split(g))))

@@ -9,7 +9,10 @@ seeds and sizes as parameters. The acceptance tests call these same
 functions with their own seeds, tolerances and budgets, so each experiment
 has one copy. Checks that evaluate the estimation criterion do so through
 an independent dense route (materialized Q, numpy solves) so the factored
-implementations are compared against plain algebra.
+implementations are compared against plain algebra. The family checks read
+each family's declaration: the criterion-gradient anchor steps along a
+side's own candidate, the step update takes, and the inverse check runs
+apply and apply_inv of any state.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_x
 __all__ = ["CheckResult", "SUITES", "run_suite", "fd_gradient", "gradient_selfcheck",
            "dense_fixed_point", "diag_closed_form_error", "whitening_residual",
            "positivity_violations", "pattern_closure_worst", "scan_pattern", "splu_pattern",
-           "splu_inverse_errors"]
+           "inverse_errors"]
 
 
 @dataclass(frozen=True)
@@ -118,61 +121,32 @@ def _random_state(p, rng, scale):
     p.set_factors(**values)
 
 
-def _dense_direction(p, grads, k, rng):
-    e = np.triu(rng.standard_normal((p.dim, p.dim)))
-    return (lambda s: p.q + s * e @ p.q), 2.0 * np.sum(e * grads[0])
+def _direction(p, grads, k, rng):
+    """Q along a group direction E of side k % len(p._sides) as a function of the
+    step s, and the analytic derivative 2 <E, grad> there. E holds one random
+    array per factor of the side, masked to the factor's triangle, and Q(s) is
+    the side's own candidate at step -s with E in place of the gradients."""
+    part, names, structures, candidate = p._sides[k % len(p._sides)]
+    es = [{"upper": np.triu, "lower": np.tril}.get(structure, np.asarray)(
+              rng.standard_normal(g.shape))
+          for structure, g in zip(structures, grads[part])]
+    shape = [getattr(p, field) for field in p.shape_fields]
+    factors = {name: getattr(p, name) for name, _ in p.factors}
+
+    def q_at(s):
+        stepped = dict(zip(names, candidate(p, -s, *es)))
+        return type(p)(*shape).set_factors(**{**factors, **stepped}).materialize_q()
+
+    return q_at, 2.0 * sum(np.vdot(e, g) for e, g in zip(es, grads[part]))
 
 
-def _diag_direction(p, grads, k, rng):
-    e = rng.standard_normal(p.dim)
-    return (lambda s: np.diag(p.q + s * e * p.q)), 2.0 * np.sum(e * grads[0])
-
-
-def _kron_direction(p, grads, k, rng):
-    e = np.triu(rng.standard_normal((p.m, p.m) if k % 2 == 0 else (p.n, p.n)))
-    if k % 2 == 0:
-        return (lambda s: np.kron(p.q2, p.q1 + s * e @ p.q1)), 2.0 * np.sum(e * grads[0])
-    return (lambda s: np.kron(p.q2 + s * e @ p.q2, p.q1)), 2.0 * np.sum(e * grads[1])
-
-
-def _scan_direction(p, grads, k, rng):
-    g1, gd, gc = grads
-    q2 = p.materialize_q2()
-    if k % 2 == 0:
-        e = rng.standard_normal(p.m)
-        return (lambda s: np.kron(q2, np.diag(p.q1 + s * e * p.q1))), 2.0 * np.sum(e * g1)
-    ed = rng.standard_normal(p.n)
-    ec = rng.standard_normal(p.n - 1)
-    e = np.diag(ed)
-    e[:-1, -1] = ec
-    return ((lambda s: np.kron(q2 + s * e @ q2, np.diag(p.q1))),
-            2.0 * (np.sum(ed * gd) + np.sum(ec * gc)))
-
-
-def _splu_direction(p, grads, k, rng):
-    # E L on even k (E lower, first r columns), U E on odd k (E upper, first r rows)
-    dim, r, lower = p.dim, p.r, k % 2 == 0
-    low, up = p.materialize_lu()
-    off = np.s_[r:, :r] if lower else np.s_[:r, r:]
-    e = np.zeros((dim, dim))
-    e[:r, :r] = (np.tril if lower else np.triu)(rng.standard_normal((r, r)))
-    e[off] = rng.standard_normal(e[off].shape)
-    e[r:, r:] = np.diag(rng.standard_normal(dim - r))
-    g1, g2, g3 = grads[:3] if lower else grads[3:]
-    an = 2.0 * (np.sum(e[:r, :r] * g1) + np.sum(e[off] * g2) + np.sum(np.diag(e)[r:] * g3))
-    return ((lambda s: (low + s * e @ low) @ up) if lower
-            else (lambda s: low @ (up + s * up @ e))), an
-
-
-# variant: (family, shape, scale of its random state, direction sampler). A
-# sampler(p, grads, k, rng) returns Q along a group direction E as a function
-# of the step s, and the analytic derivative 2 <E, grad> there.
+# variant: (family, shape, scale of its random state)
 _ANCHORS = {
-    "dense": (DensePrecond, (5,), 0.3, _dense_direction),
-    "diag": (DiagPrecond, (6,), 0.3, _diag_direction),
-    "kron": (KronPrecond, (3, 4), 0.2, _kron_direction),
-    "scan": (ScanPrecond, (3, 4), 0.3, _scan_direction),
-    "splu": (SpluPrecond, (8, 2), 0.2, _splu_direction),
+    "dense": (DensePrecond, (5,), 0.3),
+    "diag": (DiagPrecond, (6,), 0.3),
+    "kron": (KronPrecond, (3, 4), 0.2),
+    "scan": (ScanPrecond, (3, 4), 0.3),
+    "splu": (SpluPrecond, (8, 2), 0.2),
 }
 
 
@@ -180,17 +154,18 @@ def _anchor_worst(variant, rng, n_dirs=20, h=1e-6):
     """Worst relative mismatch of analytic vs. finite-difference derivative.
 
     The analytic side is the implementation's stored relative gradient; the
-    directional derivative along a group direction E (dQ = E Q, or dU = U E
-    for the LU upper factor) must equal twice the inner product <E, grad>.
+    directional derivative along the step its update takes with a group
+    direction E in place of the gradient (dQ = E Q, or dU = U E for the LU
+    upper factor) must equal twice the inner product <E, grad>.
     """
-    cls, shape, scale, direction = _ANCHORS[variant]
+    cls, shape, scale = _ANCHORS[variant]
     p = cls(*shape)
     _random_state(p, rng, scale)
     pairs = _random_pairs(rng, p.dim)
     grads = _mean_pair_gradients(p, pairs)
     worst = 0.0
     for k in range(n_dirs):
-        q_at, an = direction(p, grads, k, rng)
+        q_at, an = _direction(p, grads, k, rng)
         fd = (_criterion_dense(q_at(h), pairs) - _criterion_dense(q_at(-h), pairs)) / (2 * h)
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-300))
     return worst
@@ -361,38 +336,16 @@ def suite_groups(updates=10000, step=0.5):
 # inverses
 # ---------------------------------------------------------------------------
 
-def splu_inverse_errors(rng, dim, order, updates, scale=1.0):
-    """(round trip, dense agreement) of a trained splu state's block products.
-
-    The round trip is the worst deviation of Q^{-1} Q v and Q^{-T} Q^T v from
-    v; the agreement is the worst deviation of the four products from the
-    materialized Q and numpy solves.
-    """
-    p = SpluPrecond(dim, order)
-    for _ in range(updates):
-        dt = rng.standard_normal(dim)
-        p.update(TangentPair(dt, scale * rng.standard_normal(dim)), 0.3)
-    q = p.materialize_q()
-    round_trip = agreement = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(dim)
-        round_trip = max(round_trip, np.max(np.abs(p.matvec(p.matvec(v, "q"), "qinv") - v)))
-        round_trip = max(round_trip, np.max(np.abs(p.matvec(p.matvec(v, "qt"), "qinvt") - v)))
-        for which, ref in (("q", q @ v), ("qt", q.T @ v),
-                           ("qinv", np.linalg.solve(q, v)),
-                           ("qinvt", np.linalg.solve(q.T, v))):
-            agreement = max(agreement, np.max(np.abs(p.matvec(v, which) - ref)))
-    return round_trip, agreement
-
-
-def _apply_errors(p, rng):
-    """(round trip, dense agreement) of apply and apply_inv on a trained state.
+def inverse_errors(p, rng, updates=200, step=0.2, scale=1.0):
+    """(round trip, dense agreement) of apply and apply_inv on p, trained in
+    place by updates steps on pairs of normal dt and scale * normal dg.
 
     The round trip is the worst deviation of P^{-1} P v from v; the agreement
     is the worst deviation of P v and P^{-1} v from the materialized P.
     """
-    for _ in range(200):
-        p.update(TangentPair(rng.standard_normal(p.dim), rng.standard_normal(p.dim)), 0.2)
+    for _ in range(updates):
+        dt = rng.standard_normal(p.dim)
+        p.update(TangentPair(dt, scale * rng.standard_normal(p.dim)), step)
     q = p.materialize_q()
     pd = q.T @ q
     round_trip = agreement = 0.0
@@ -405,18 +358,16 @@ def _apply_errors(p, rng):
 
 
 def suite_inverses():
-    results = []
     rng = np.random.default_rng(11)
-    round_trip, _ = splu_inverse_errors(rng, 12, 3, 200)
-    results.append(_result("inverses/splu-round-trip", round_trip, 1e-10))
-    _, agreement = splu_inverse_errors(rng, 8, 2, 200)
+    round_trip, _ = inverse_errors(SpluPrecond(12, 3), rng, step=0.3)
+    results = [_result("inverses/splu-round-trip", round_trip, 1e-10)]
+    _, agreement = inverse_errors(SpluPrecond(8, 2), rng, step=0.3)
     results.append(_result("inverses/splu-dense-agreement", agreement, 1e-12))
-
-    _, agreement = _apply_errors(KronPrecond(3, 4), rng)
+    _, agreement = inverse_errors(KronPrecond(3, 4), rng)
     results.append(_result("inverses/kron-dense-agreement", agreement, 1e-10))
-    round_trip, _ = _apply_errors(ScanPrecond(3, 4), rng)
+    round_trip, _ = inverse_errors(ScanPrecond(3, 4), rng)
     results.append(_result("inverses/scan-round-trip", round_trip, 1e-10))
-    round_trip, _ = _apply_errors(DensePrecond(6), rng)
+    round_trip, _ = inverse_errors(DensePrecond(6), rng)
     results.append(_result("inverses/dense-round-trip", round_trip, 1e-10))
     return results
 

@@ -11,14 +11,14 @@ import numpy as np
 from psgdkit.cli import main as cli_main
 from psgdkit.curvature import ProbeConfig, TangentPair
 from psgdkit.optimizer import RunConfig, run
-from psgdkit.preconditioners import KronPrecond, ScanPrecond
+from psgdkit.preconditioners import KronPrecond, ScanPrecond, SpluPrecond
 from psgdkit.problems import make_xor_mlp
 from psgdkit.verify import (
     _anchor_worst,
     dense_fixed_point,
     diag_closed_form_error,
+    inverse_errors,
     positivity_violations,
-    splu_inverse_errors,
 )
 
 
@@ -96,8 +96,8 @@ def test_c05_criterion_gradient_checks():
 
 def test_c06_splu_block_inverses():
     started = time.perf_counter()
-    worst = max(splu_inverse_errors(np.random.default_rng(4), dim=12, order=3, updates=300,
-                                    scale=1.5))
+    worst = max(inverse_errors(SpluPrecond(12, 3), np.random.default_rng(4), updates=300,
+                               step=0.3, scale=1.5))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 1.0
     report(6, ok, f"worst round-trip/materialization deviation {worst:.3e}, {elapsed:.2f}s")

@@ -420,6 +420,17 @@ class TestSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_sweep_that_fails_in_a_run_writes_nothing(self, tmp_path, capsys):
+        # the first spec runs to its end; the second fails inside run, and then
+        # neither writes a trace nor the sweep a summary
+        out = tmp_path / "pp"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--problem", "addition-rnn", "--probe", "exact", "--iters", "3",
+                     "--run", "sgd", "--run", "psgd:dense", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "-2"])
     def test_reps_below_one_is_usage_error(self, reps, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -448,6 +459,23 @@ class TestSweep:
                          "xor-mlp-sgd-mu1-seed0", "xor-mlp-sgd-mu1-seed1"]
 
 
+# each suite's rows, as (name, tolerance), in order
+SUITE_ROWS = {
+    "gradcheck": [
+        ("gradient/quadratic", 1e-6), ("gradient/rosenbrock", 1e-6),
+        ("gradient/xor-mlp", 1e-6), ("gradient/addition-rnn", 1e-5),
+        ("criterion-gradient/dense", 1e-5), ("criterion-gradient/diag", 1e-5),
+        ("criterion-gradient/kron", 1e-5), ("criterion-gradient/scan", 1e-5),
+        ("criterion-gradient/splu", 1e-5),
+    ],
+    "inverses": [
+        ("inverses/splu-round-trip", 1e-10), ("inverses/splu-dense-agreement", 1e-12),
+        ("inverses/kron-dense-agreement", 1e-10), ("inverses/scan-round-trip", 1e-10),
+        ("inverses/dense-round-trip", 1e-10),
+    ],
+}
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["inverses", "gradcheck"])
     def test_suites_pass(self, suite, capsys):
@@ -455,6 +483,12 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "FAIL" not in printed
         assert "checks passed" in printed
+
+    @pytest.mark.parametrize("suite", SUITE_ROWS)
+    def test_suite_rows(self, suite):
+        results = SUITES[suite]()
+        assert [(r.name, r.tolerance) for r in results] == SUITE_ROWS[suite]
+        assert all(r.ok for r in results)
 
     def test_groups_suite_short(self):
         results = suite_groups(updates=200)

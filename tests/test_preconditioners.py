@@ -29,7 +29,14 @@ from psgdkit.preconditioners import (
     make_preconditioner,
 )
 from psgdkit.problems import ParamBlock, ParamLayout, make_xor_mlp
-from psgdkit.verify import pattern_closure_worst, scan_pattern, splu_pattern, whitening_residual
+from psgdkit.verify import (
+    _anchor_worst,
+    _random_state,
+    pattern_closure_worst,
+    scan_pattern,
+    splu_pattern,
+    whitening_residual,
+)
 
 
 def fresh_variants():
@@ -400,8 +407,8 @@ class TestSpluMatvec:
     def test_fresh_identity(self):
         p = SpluPrecond(7, 3)
         v = np.arange(7.0)
-        for which in ("q", "qt", "qinv", "qinvt"):
-            np.testing.assert_allclose(p.matvec(v, which), v)
+        for product in (p.apply, p.apply_inv):
+            np.testing.assert_allclose(product(v), v)
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -410,10 +417,8 @@ class TestSpluMatvec:
             p.update(random_pair(rng, 12, scale=rng.uniform(0.3, 2.0)), 0.3)
         for _ in range(10):
             v = rng.standard_normal(12)
-            np.testing.assert_allclose(
-                p.matvec(p.matvec(v, "q"), "qinv"), v, atol=1e-10)
-            np.testing.assert_allclose(
-                p.matvec(p.matvec(v, "qt"), "qinvt"), v, atol=1e-10)
+            np.testing.assert_allclose(p.apply_inv(p.apply(v)), v, atol=1e-10)
+            np.testing.assert_allclose(p.apply(p.apply_inv(v)), v, atol=1e-10)
 
     def test_dense_materialization_agreement(self):
         rng = np.random.default_rng(5)
@@ -423,16 +428,8 @@ class TestSpluMatvec:
         q = p.materialize_q()
         for _ in range(10):
             v = rng.standard_normal(8)
-            np.testing.assert_allclose(p.matvec(v, "q"), q @ v, atol=1e-12)
-            np.testing.assert_allclose(p.matvec(v, "qt"), q.T @ v, atol=1e-12)
-            np.testing.assert_allclose(p.matvec(v, "qinv"),
-                                       np.linalg.solve(q, v), atol=1e-12)
-            np.testing.assert_allclose(p.matvec(v, "qinvt"),
-                                       np.linalg.solve(q.T, v), atol=1e-12)
-
-    def test_bad_selector(self):
-        with pytest.raises(ContractViolationError):
-            SpluPrecond(4, 2).matvec(np.ones(4), "p")
+            np.testing.assert_allclose(p.apply(v), q.T @ (q @ v), atol=1e-12)
+            np.testing.assert_allclose(p.apply_inv(v), np.linalg.solve(q.T @ q, v), atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_inverse_products_reject_non_finite(self, bad):
@@ -442,39 +439,28 @@ class TestSpluMatvec:
             p.update(random_pair(rng, 5), 0.3)
         v = rng.standard_normal(5)
         v[4] = bad
-        for call in (lambda: p.matvec(v, "qinv"), lambda: p.matvec(v, "qinvt"),
-                     lambda: p.apply_inv(v)):
-            with pytest.raises(NumericInputError, match="inverse product's input"):
-                call()
+        with pytest.raises(NumericInputError, match="inverse product's input"):
+            p.apply_inv(v)
 
-    # splu's inverse matvec shares apply_inv's contract, tested here for all
+    # apply_inv has one contract for every family, tested here for all
     @pytest.mark.parametrize("make", FLOOR_STATES.values(), ids=FLOOR_STATES.keys())
     def test_inverse_product_that_overflows_raises(self, make):
-        # P^{-1} v divides v[0] = 1e10 by 1e-300, splu's Q^{-1} and Q^{-T}
-        # 1e200 by 1e-150; a nan in v is refused first. Neither may warn
-        # (pytest turns a warning into an error).
+        # P^{-1} v divides v[0] = 1e10 by 1e-300; a nan in v is refused first.
+        # Neither may warn (pytest turns a warning into an error).
         p = make()
-        big = np.array([1e10, 1.0])[:p.dim]
-        calls = [(p.apply_inv, big)]
-        if isinstance(p, SpluPrecond):
-            calls += [(lambda v, w=which: p.matvec(v, w), 1e190 * big)
-                      for which in ("qinv", "qinvt")]
-        for call, v in calls:
-            with pytest.raises(NumericInputError):
-                call(v)
-            with pytest.raises(NumericInputError, match="inverse product's input"):
-                call(np.array([np.nan, 1.0])[:p.dim])
-            assert np.isfinite(call(np.ones(p.dim))).all()
+        with pytest.raises(NumericInputError):
+            p.apply_inv(np.array([1e10, 1.0])[:p.dim])
+        with pytest.raises(NumericInputError, match="inverse product's input"):
+            p.apply_inv(np.array([np.nan, 1.0])[:p.dim])
+        assert np.isfinite(p.apply_inv(np.ones(p.dim))).all()
 
-    @pytest.mark.parametrize("method, inner, outer", [("apply", "q", "qt"),
-                                                      ("apply_inv", "qinvt", "qinv")])
-    def test_apply_checks_input_and_state(self, method, inner, outer):
+    @pytest.mark.parametrize("method", ["apply", "apply_inv"])
+    def test_apply_checks_input_and_state(self, method):
         rng = np.random.default_rng(6)
         p = SpluPrecond(6, 2)
         for _ in range(50):
             p.update(random_pair(rng, 6, scale=rng.uniform(0.3, 2.0)), 0.3)
         v = rng.standard_normal(6)
-        assert getattr(p, method)(v).tobytes() == p.matvec(p.matvec(v, inner), outer).tobytes()
         with pytest.raises(ContractViolationError):
             getattr(p, method)(np.ones(5))
         before = getattr(p, method)(v)
@@ -503,22 +489,50 @@ class TestScanQ2Matvec:
         np.testing.assert_allclose(p.materialize_q2() @ np.array([1.0, 1.0]), [5.0, 1.0])
 
     def test_matches_dense_factor(self):
-        # the structured products of apply and apply_inv, against the dense Q,
-        # at the shapes where Q2 has no last column above its diagonal (n == 1),
-        # only that column (m == 1), and both
+        # the structured products of apply and apply_inv of every family, against
+        # the dense Q: scan where Q2 has no last column above its diagonal
+        # (n == 1), only that column (m == 1), and both; splu at order 1, below
+        # its dim and at its dim; and a direct sum
         rng = np.random.default_rng(6)
-        for m, n in ((1, 1), (1, 7), (7, 1), (6, 9)):
-            p = ScanPrecond(m, n)
+        states = [ScanPrecond(1, 1), ScanPrecond(1, 7), ScanPrecond(7, 1), ScanPrecond(6, 9),
+                  DensePrecond(6), DiagPrecond(6), KronPrecond(3, 4), KronPrecond(1, 5),
+                  SpluPrecond(7, 1), SpluPrecond(7, 3), SpluPrecond(7, 7),
+                  DirectSumPrecond([("a", KronPrecond(2, 3)), ("b", SpluPrecond(5, 2))])]
+        for p in states:
+            blocks = [b for _, b in p.blocks] if isinstance(p, DirectSumPrecond) else [p]
             for _ in range(5):
-                p.set_factors(q1=0.5 + rng.random(m), d2=0.5 + rng.random(n),
-                              c2=0.5 * rng.standard_normal(n - 1))
+                for block in blocks:
+                    _random_state(block, rng, 0.3)
                 q = p.materialize_q()
-                g, v = rng.standard_normal(m * n), rng.standard_normal(m * n)
+                g, v = rng.standard_normal(p.dim), rng.standard_normal(p.dim)
                 expect_g = q.T @ (q @ g)
                 expect_v = np.linalg.solve(q.T @ q, v)
                 assert np.linalg.norm(p.apply(g) - expect_g) <= 1e-12 * np.linalg.norm(expect_g)
                 assert (np.linalg.norm(p.apply_inv(v) - expect_v)
                         <= 1e-12 * np.linalg.norm(expect_v))
+
+
+# A side candidate that steps along the wrong side: Q - mu Q G for kron's q1,
+# and U1 - mu G U1 for splu's u1, by its side's index.
+WRONG_SIDES = {
+    "kron": (0, lambda p, mu, g: (p.q1 - mu * p.q1.dot(g),)),
+    "splu": (1, lambda p, mu, g1, g2, g3: ((p.u1 - mu * g1.dot(p.u1),)
+                                           + SpluPrecond._u_candidates(p, mu, g1, g2, g3)[1:])),
+}
+
+
+class TestCriterionAnchor:
+    @pytest.mark.parametrize("variant", WRONG_SIDES)
+    def test_anchor_catches_a_wrong_step(self, variant, monkeypatch):
+        # the anchor steps along each side's own candidate, so it fails the
+        # family once a candidate no longer steps along its gradient
+        cls = FAMILIES[variant]
+        assert _anchor_worst(variant, np.random.default_rng(2024)) <= 1e-5
+        index, wrong = WRONG_SIDES[variant]
+        sides = list(cls._sides)
+        sides[index] = sides[index][:3] + (wrong,)
+        monkeypatch.setattr(cls, "_sides", sides)
+        assert _anchor_worst(variant, np.random.default_rng(2024)) > 1e-5
 
 
 class TestDirectSum:
