@@ -7,7 +7,6 @@ must stay strictly positive (that is what keeps the factors on their group).
 
 import math
 import os
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,24 +44,6 @@ def _all_finite(a: np.ndarray) -> bool:
     # inf or a nan); only a sum that overflows needs the entries scanned.
     # np.vdot, unlike ndarray.dot, reports no overflow in numpy's error state.
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
-
-
-@lru_cache(maxsize=64)
-def _strict_lower_mask(n: int) -> np.ndarray:
-    mask = np.tri(n, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-def _zero_strict_lower(m: np.ndarray) -> np.ndarray:
-    """Zero the strictly-lower triangle, in place, of a square float64 array the
-    caller owns; no check. Used to restrict a symmetric relative gradient to the
-    Lie algebra of the upper-triangular group before a multiplicative update.
-    """
-    n = m.shape[0]
-    if n > 1:
-        np.putmask(m, _strict_lower_mask(n), 0.0)
-    return m
 
 
 def tri_solve(t: np.ndarray, b: np.ndarray, lower: bool = False,

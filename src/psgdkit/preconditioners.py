@@ -17,7 +17,7 @@ pair (Q1, Q2) for an (M, N) block acts on vec(G) as vec(Q1 G Q2^T).
 """
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,13 +29,7 @@ from .errors import (
     DegenerateStateError,
     NumericInputError,
 )
-from .linalg import (
-    _all_finite,
-    _strict_lower_mask,
-    _tri_solve_unchecked,
-    _zero_strict_lower,
-    tri_solve,
-)
+from .linalg import _all_finite, _tri_solve_unchecked, tri_solve
 
 __all__ = [
     "DensePrecond",
@@ -61,6 +55,35 @@ _quiet = np.errstate(all="ignore")
 # The identity state of a factor of each structure, given its shape.
 _IDENTITY = {"upper": lambda s: np.eye(s[0]), "lower": lambda s: np.eye(s[0]),
              "positive": np.ones, "free": np.zeros}
+
+
+# The entries a factor of each structure may not hold, given its side. They lie
+# outside its group and outside the group's algebra, where a relative gradient
+# must lie for a step to stay on the group: so update projects each gradient
+# by this, set_factors refuses a factor holding one and verify draws by it.
+_OUTSIDE = {"upper": lambda n: np.tri(n, k=-1, dtype=bool),
+            "lower": lambda n: np.tri(n, k=-1, dtype=bool).T, "positive": None, "free": None}
+
+
+@lru_cache(maxsize=128)
+def _outside(structure: str, n: int):
+    """_OUTSIDE of a factor of the structure and side n as a read-only mask, or
+    None when the factor may hold every entry."""
+    if _OUTSIDE[structure] is None or n == 1:
+        return None
+    mask = np.ascontiguousarray(_OUTSIDE[structure](n))
+    mask.flags.writeable = False
+    return mask
+
+
+def _project(structure: str, g: np.ndarray) -> np.ndarray:
+    """g with the entries a factor of the structure may not hold zeroed in place,
+    which copyto does through a view too (splu's blocks)."""
+    outside = _outside(structure, len(g))
+    if outside is not None:
+        np.copyto(g, 0.0, where=outside)
+    return g
+
 
 # The kernels call ndarray.dot rather than @, ufunc reductions rather than
 # ndarray.sum, and take a vector's minimum as v[v.argmin()] (nan when an entry
@@ -102,7 +125,9 @@ def _step(name: str, structure: str, p, mu: float, g: np.ndarray) -> tuple:
         return (q - mu * g * q,)
     if q.shape[0] == 1:
         return (np.array([[q[0, 0] - mu * (g[0, 0] * q[0, 0])]]),)
-    return (q - mu * g.dot(q),)
+    c = g.dot(q)  # q - mu g q, formed in place: no other n x n temporary
+    c *= mu
+    return (np.subtract(q, c, out=c),)
 
 
 def _wrong_length(dim: int, v: np.ndarray) -> ContractViolationError:
@@ -134,10 +159,13 @@ class Preconditioner:
 
     A family is its declaration, ``_apply``, ``_apply_inv``,
     ``_pair_gradient`` and its sides. ``_apply`` and ``_apply_inv`` act on a
-    float vector of its dim, ``_pair_gradient(dt, dg)`` gives one gradient
-    per factor in factor order, and a side's candidate method takes the step
-    and its factors' gradients and returns their candidates. A one-factor
-    side's candidate follows from the factor's structure (``_step``).
+    float vector of its dim, ``_pair_gradient(dt, dg)`` gives one writable
+    relative gradient per factor in factor order, unprojected, and a side's
+    candidate method takes the step and its factors' gradients and returns
+    their candidates. A one-factor side's candidate follows from the
+    factor's structure (``_step``). Which entries a factor of each structure
+    may not hold is declared once (``_OUTSIDE``: the strict lower triangle of
+    an upper factor, the strict upper one of a lower factor, none else).
     ``FAMILIES`` lists the families by variant name.
     The constructor (the identity state), ``factor_shapes`` (each shape field
     checked to be at least 1, nothing allocated), ``set_factors``,
@@ -157,7 +185,9 @@ class Preconditioner:
     TangentPair, which has proved its two vectors finite, 1-D, float and of
     equal length, and checks the step and the pair's length. Then, under
     ``_quiet``, so numpy's error state adds no warning or FloatingPointError,
-    it computes the pair gradient and the max norm of each side. One policy:
+    it computes the pair gradient, projects each factor's gradient onto its
+    support (``_OUTSIDE``), which is the algebra of its group, and takes the
+    max norm of each side. One policy:
     a norm that is not finite (a gradient that overflows from finite inputs)
     raises NumericInputError before any factor is assigned. Each side with a
     nonzero norm forms its candidates with the step normalized by that norm.
@@ -203,6 +233,8 @@ class Preconditioner:
             cls._sides.append((slice(i, i + len(names)), names, [structures[n] for n in names],
                                candidate or partial(_step, names[0], structures[names[0]])))
             i += len(names)
+        # (index, structure) of each factor whose gradient update projects
+        cls._projected = [(i, s) for i, (_, s) in enumerate(cls.factors) if _OUTSIDE[s]]
 
     def __setstate__(self, state):
         # copy.deepcopy and pickle rebuild each array writable and unchecked
@@ -246,6 +278,8 @@ class Preconditioner:
         if len(dt) != self.dim:  # the pair's two vectors have one length
             raise _wrong_length(self.dim, dt)
         grads = self._pair_gradient(dt, pair.delta_g)
+        for i, structure in self._projected:
+            _project(structure, grads[i])
         norms = []
         for g in grads:  # argmax picks a nan first; item gives a Python float
             a = np.abs(g)
@@ -262,8 +296,8 @@ class Preconditioner:
         # - "upper", "lower" (q - mu g q, splu's u1 - mu u1 g): an entry of g q
         #   sums n <= k - 2 products of at most nrm hi, so a candidate entry is
         #   at most hi (1 + n step (1 + n u)) (1 + u) <= hi (1 + k step + delta).
-        #   g is triangular as q is, so the diagonal of g q is g_ii q_ii alone
-        #   (the other products are exact zeros): a candidate's diagonal entry
+        #   g is projected triangular as q is, so the diagonal of g q is g_ii q_ii
+        #   alone (the other products are exact zeros): a candidate's diagonal entry
         #   is at least q_ii (1 - step (1 + u)^3) (1 - u) >= lo (1 - step - delta).
         # - "positive" (q - mu g q entrywise): the same with n = 1.
         # - "free" (scan's c2, splu's l2 and u2): an entry sums two products
@@ -301,7 +335,7 @@ class Preconditioner:
         hold real numbers or a wrong shape, NumericInputError for a non-finite
         entry, DegenerateStateError for a diagonal entry below the floor (so
         for a zero or negative one) and ContractViolationError for an entry
-        outside a triangle.
+        the factor's structure may not hold (``_OUTSIDE``).
         """
         structures = dict(self.factors)
         family = type(self).__name__
@@ -325,10 +359,10 @@ class Preconditioner:
                 raise fault(f"non-finite entries in factor {name}" if fault is NumericInputError
                             else f"{family} factor diagonal collapsed: "
                                  f"entry below {_REJECT_FLOOR:g} in factor {name}")
-            if structure == "upper" and a[_strict_lower_mask(shape[0])].any():
-                raise ContractViolationError(f"entries below the upper triangle of factor {name}")
-            if structure == "lower" and a.T[_strict_lower_mask(shape[0])].any():
-                raise ContractViolationError(f"entries above the lower triangle of factor {name}")
+            outside = _outside(structure, shape[0])
+            if outside is not None and a[outside].any():
+                raise ContractViolationError(
+                    f"entries outside the {structure} triangle of factor {name}")
             checked[name] = _frozen(a)
         vars(self).update(checked)
         if checked:  # a direct sum, which has no factors, carries no bound
@@ -390,7 +424,9 @@ class DensePrecond(Preconditioner):
     def _pair_gradient(self, dt, dg):
         a = self.q.dot(dg)
         b = _tri_solve_unchecked(self.q, dt, transpose=True)
-        return (_zero_strict_lower(a[:, None] * a - b[:, None] * b),)
+        g = a[:, None] * a  # a a^T - b b^T, formed in place
+        g -= b[:, None] * b
+        return (g,)
 
     def materialize_q(self):
         return self.q.copy()
@@ -479,9 +515,7 @@ class KronPrecond(Preconditioner):
         bt = dt * (1.0 / q1[0, 0]) if m == 1 < n else _tri_solve_unchecked(q1, dt, transpose=True)
         bt = (bt * (1.0 / q2[0, 0]) if n == 1 < m
               else _tri_solve_unchecked(q2, bt.T, transpose=True).T)
-        g1 = _zero_strict_lower(a.dot(a.T) - bt.dot(bt.T))
-        g2 = _zero_strict_lower(a.T.dot(a) - bt.T.dot(bt))
-        return g1, g2
+        return a.dot(a.T) - bt.dot(bt.T), a.T.dot(a) - bt.T.dot(bt)
 
     def materialize_q(self):
         return np.kron(self.q2, self.q1)
@@ -637,10 +671,11 @@ class SpluPrecond(Preconditioner):
         """(gl1, gl2, gl3, gu1, gu2, gu3): the gradients of l1, l2, l3, u1, u2 and u3.
 
         With a = Q dg and b = Q^{-T} dt, so P dg = Q^T a and P^{-1} dt = Q^{-1} b,
-        the L side is the projection of a a^T - b b^T onto {first r columns,
-        diagonal} and the U side that of P dg dg^T - dt (P^{-1} dt)^T onto
-        {first r rows, diagonal}. Each side's r columns or rows come from one
-        outer-product pair over the full vectors.
+        the L side is a a^T - b b^T on {first r columns, diagonal} and the U
+        side P dg dg^T - dt (P^{-1} dt)^T on {first r rows, diagonal}; update
+        projects gl1 onto its lower triangle and gu1 onto its upper one. Each
+        side's r columns or rows come from one outer-product pair over the
+        full vectors.
         """
         g1, g2 = self._split(dg)
         x1, x2 = self._split(dt)
@@ -649,12 +684,9 @@ class SpluPrecond(Preconditioner):
         pg1, pg2 = self._qt(qg1, qg2)
         ipx1, ipx2 = self._qinv(iqtx1, iqtx2)
         r = self.r
-        strict_lower = _strict_lower_mask(r)  # copyto writes through a view; putmask copies it
         gl = (np.concatenate((qg1, qg2))[:, None] * qg1
               - np.concatenate((iqtx1, iqtx2))[:, None] * iqtx1)
-        np.copyto(gl[:r].T, 0.0, where=strict_lower)  # gl1 is the lower part
         gu = pg1[:, None] * dg - x1[:, None] * np.concatenate((ipx1, ipx2))
-        np.copyto(gu[:, :r], 0.0, where=strict_lower)  # gu1 the upper part
         return (gl[:r], gl[r:], qg2 * qg2 - iqtx2 * iqtx2,
                 gu[:, :r], gu[:, r:], pg2 * g2 - x2 * ipx2)
 

@@ -4,15 +4,17 @@ Each suite returns a list of CheckResult rows (name, measured value,
 tolerance, pass flag). The CLI renders them and sets the exit status; the
 test suite asserts on them directly. The experiments behind the rows
 (fixed points, the closed-form diagonal, positivity over adversarial
-updates, pattern closure, splu inverses) are functions that take their
-seeds and sizes as parameters. The acceptance tests call these same
-functions with their own seeds, tolerances and budgets, so each experiment
-has one copy. Checks that evaluate the estimation criterion do so through
-an independent dense route (materialized Q, numpy solves) so the factored
+updates, pattern closure, inverses) are functions that take their seeds
+and sizes as parameters. The acceptance tests call these same functions
+with their own seeds, tolerances and budgets, so each experiment has one
+copy. Checks that evaluate the estimation criterion do so through an
+independent dense route (materialized Q, numpy solves) so the factored
 implementations are compared against plain algebra. The family checks read
-each family's declaration: the criterion-gradient anchor steps along a
-side's own candidate, the step update takes, and the inverse check runs
-apply and apply_inv of any state.
+each family's declaration: random states and group directions are drawn on
+each factor's declared support, the criterion-gradient anchor steps along a
+side's own candidate, the step update takes, the closure check takes each
+family's pattern from the support of its own materialized factors, and the
+inverse check runs apply and apply_inv of any state.
 """
 
 from dataclasses import dataclass
@@ -27,14 +29,14 @@ from .preconditioners import (
     KronPrecond,
     ScanPrecond,
     SpluPrecond,
+    _project,
     closed_form_diagonal,
 )
 from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "fd_gradient", "gradient_selfcheck",
            "dense_fixed_point", "diag_closed_form_error", "whitening_residual",
-           "positivity_violations", "pattern_closure_worst", "scan_pattern", "splu_pattern",
-           "inverse_errors"]
+           "positivity_violations", "pattern_closure_worst", "inverse_errors"]
 
 
 @dataclass(frozen=True)
@@ -110,25 +112,23 @@ def _random_state(p, rng, scale):
     values = {}
     for name, structure in p.factors:
         shape = getattr(p, name).shape
-        if structure in ("upper", "lower"):
-            tri = np.triu if structure == "upper" else np.tril
-            values[name] = (tri(scale * rng.standard_normal(shape))
-                            + np.diag(1.0 + scale * rng.random(shape[0])))
-        elif structure == "positive":
+        if structure == "positive":
             values[name] = 0.5 + rng.random(shape)
-        else:
-            values[name] = scale * rng.standard_normal(shape)
+            continue
+        values[name] = _project(structure, scale * rng.standard_normal(shape))
+        if structure != "free":
+            np.fill_diagonal(values[name], 1.0 + scale * rng.random(shape[0]))
     p.set_factors(**values)
 
 
 def _direction(p, grads, k, rng):
     """Q along a group direction E of side k % len(p._sides) as a function of the
     step s, and the analytic derivative 2 <E, grad> there. E holds one random
-    array per factor of the side, masked to the factor's triangle, and Q(s) is
-    the side's own candidate at step -s with E in place of the gradients."""
+    array per factor of the side on the factor's support, so <E, grad> reads
+    only the gradient's projection, and Q(s) is the side's own candidate at
+    step -s with E in place of the gradients."""
     part, names, structures, candidate = p._sides[k % len(p._sides)]
-    es = [{"upper": np.triu, "lower": np.tril}.get(structure, np.asarray)(
-              rng.standard_normal(g.shape))
+    es = [_project(structure, rng.standard_normal(g.shape))
           for structure, g in zip(structures, grads[part])]
     shape = [getattr(p, field) for field in p.shape_fields]
     factors = {name: getattr(p, name) for name, _ in p.factors}
@@ -288,47 +288,41 @@ def positivity_violations(rng, updates, step):
     return counts
 
 
-def scan_pattern(n):
-    """Nonzero pattern of the scan normalization factor: diagonal and last column."""
-    allowed = np.eye(n, dtype=bool)
-    allowed[:-1, -1] = True
-    return allowed
-
-
-def splu_pattern(n, r, lower):
-    """Nonzero pattern of a sparse-LU factor: the diagonal plus the first r
-    columns of the lower triangle, or the first r rows of the upper one."""
-    idx = np.arange(n)
-    if lower:
-        return np.eye(n, dtype=bool) | ((idx[:, None] >= idx) & (idx[None, :] < r))
-    return np.eye(n, dtype=bool) | ((idx[:, None] <= idx) & (idx[:, None] < r))
-
-
-def pattern_closure_worst(allowed, rng):
-    """Largest entry outside ``allowed`` in products of two random matrices with
-    that pattern and a positive diagonal; 0 when the pattern is a group."""
-    n = allowed.shape[0]
+def pattern_closure_worst(p, factors, rng, scale=0.5, draws=50):
+    """Largest entry outside the support of a group factor in the product of
+    that factor from two random states of p, over draws pairs; 0 when the
+    support is closed under products, as the group needs. factors(p) gives
+    the state's group factors as dense matrices, and the support of each is
+    its nonzero entries on one more random state, drawn first."""
+    _random_state(p, rng, scale)
+    outside = [f == 0.0 for f in factors(p)]
     worst = 0.0
-    for _ in range(50):
-        mats = []
-        for _ in range(2):
-            m = np.zeros((n, n))
-            m[allowed] = rng.standard_normal(np.count_nonzero(allowed))
-            np.fill_diagonal(m, 0.5 + rng.random(n))
-            mats.append(m)
-        worst = max(worst, np.max(np.abs((mats[0] @ mats[1])[~allowed])))
+    for _ in range(draws):
+        _random_state(p, rng, scale)
+        first = factors(p)
+        _random_state(p, rng, scale)
+        for out, a, b in zip(outside, first, factors(p)):
+            worst = max(worst, np.max(np.abs((a @ b)[out]), initial=0.0))
     return worst
+
+
+# row: (family, shape, its group factors of a state as dense matrices)
+_CLOSURE = {
+    "dense": (DensePrecond, (6,), lambda p: (p.q,)),
+    "kron": (KronPrecond, (3, 4), lambda p: (p.q1, p.q2)),
+    "scan": (ScanPrecond, (2, 6), lambda p: (p.materialize_q2(),)),
+    "splu-L": (SpluPrecond, (6, 2), lambda p: p.materialize_lu()[:1]),
+    "splu-U": (SpluPrecond, (6, 2), lambda p: p.materialize_lu()[1:]),
+}
 
 
 def suite_groups(updates=10000, step=0.5):
     counts = positivity_violations(np.random.default_rng(7), updates, step)
     results = [_result(f"groups/positivity-{name}", c, 0) for name, c in counts.items()]
     rng = np.random.default_rng(8)
-    for name, allowed in (("scan", scan_pattern(6)),
-                          ("splu-L", splu_pattern(6, 2, lower=True)),
-                          ("splu-U", splu_pattern(6, 2, lower=False))):
+    for name, (cls, shape, factors) in _CLOSURE.items():
         results.append(_result(f"groups/{name}-pattern-closure",
-                               pattern_closure_worst(allowed, rng), 0.0))
+                               pattern_closure_worst(cls(*shape), factors, rng), 0.0))
     return results
 
 

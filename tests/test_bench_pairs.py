@@ -93,7 +93,9 @@ def test_family_record_of_this_checkout():
     record = bench_pairs.families(os.path.dirname(os.path.dirname(_PATH)), repeats=1, calls=2)
     assert list(record) == [f"{v} {'x'.join(map(str, shape))}"
                             for v, shape in bench_pairs.FAMILY_SIZES]
-    assert all(set(r) == {"update_us", "apply_us", "apply_inv_us"} and min(r.values()) > 0.0
+    times = {"update_us", "apply_us", "apply_inv_us"}
+    assert all(set(r) == times | {"update_minflt"} for r in record.values())
+    assert all(min(r[kind] for kind in times) > 0.0 and r["update_minflt"] >= 0.0
                for r in record.values())
 
 
@@ -106,6 +108,17 @@ def test_family_record_summarizes_each_side():
     assert record["update_us"]["change_over_parent"] == pytest.approx(0.8)
     assert record["apply_us"]["change_over_parent"] == 1.0
     assert set(record) == {"update_us", "apply_us"}
+
+
+def test_family_record_of_a_count_the_parent_reads_zero():
+    # update_minflt counts faults: a parent median of 0 gives no ratio
+    def record(parent, change):
+        runs = {"parent": [{"dense 128": {"update_minflt": f}} for f in parent],
+                "change": [{"dense 128": {"update_minflt": f}} for f in change]}
+        return bench_pairs.family_record(runs)["dense 128"]["update_minflt"]
+
+    assert record((0.0, 0.0, 0.5), (0.0, 0.0, 0.0))["change_over_parent"] is None
+    assert record((40.0, 45.0, 42.0), (14.0, 14.0, 0.0))["change_over_parent"] == 1 / 3
 
 
 def test_cold_cli_of_this_checkout(tmp_path):

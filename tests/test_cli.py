@@ -495,6 +495,7 @@ class TestVerify:
         assert [r.name for r in results] == [
             "groups/positivity-dense", "groups/positivity-diag", "groups/positivity-kron",
             "groups/positivity-scan", "groups/positivity-splu", "groups/positivity-direct-sum",
+            "groups/dense-pattern-closure", "groups/kron-pattern-closure",
             "groups/scan-pattern-closure", "groups/splu-L-pattern-closure",
             "groups/splu-U-pattern-closure",
         ]

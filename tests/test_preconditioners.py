@@ -30,11 +30,11 @@ from psgdkit.preconditioners import (
 )
 from psgdkit.problems import ParamBlock, ParamLayout, make_xor_mlp
 from psgdkit.verify import (
+    _ANCHORS,
+    _CLOSURE,
     _anchor_worst,
     _random_state,
     pattern_closure_worst,
-    scan_pattern,
-    splu_pattern,
     whitening_residual,
 )
 
@@ -886,20 +886,85 @@ class TestFixedPointMoments:
         assert whitening_residual(seed=11) <= 0.10
 
 
+def assert_support_kept(row, seed):
+    """A state of the closure row's family trained by 20 updates holds nothing
+    outside the support of a random state's group factors, and that support is
+    closed under products."""
+    cls, shape, factors = _CLOSURE[row]
+    rng = np.random.default_rng(seed)
+    p = cls(*shape)
+    _random_state(p, rng, 0.5)
+    outside = [f == 0.0 for f in factors(p)]
+    assert all(out.any() for out in outside)
+    p = cls(*shape)
+    for _ in range(20):
+        p.update(random_pair(rng, p.dim), 0.3)
+    assert all(np.all(f[out] == 0.0) for out, f in zip(outside, factors(p)))
+    assert pattern_closure_worst(cls(*shape), factors, rng) == 0.0
+
+
 class TestPatternClosure:
     def test_scan_q2_pattern_closed_under_product(self):
-        rng = np.random.default_rng(13)
-        p = ScanPrecond(2, 6).set_factors(d2=0.5 + rng.random(6), c2=rng.standard_normal(5))
-        assert np.all(p.materialize_q2()[~scan_pattern(6)] == 0.0)
-        assert pattern_closure_worst(scan_pattern(6), rng) == 0.0
+        assert_support_kept("scan", 13)
 
     @pytest.mark.parametrize("lower", [True, False])
     def test_splu_patterns_closed_under_product(self, lower):
-        rng = np.random.default_rng(14)
-        allowed = splu_pattern(7, 2, lower)
-        p = SpluPrecond(7, 2)
-        for _ in range(20):
-            p.update(random_pair(rng, 7), 0.3)
-        factor = p.materialize_lu()[0 if lower else 1]
-        assert np.all(factor[~allowed] == 0.0)
-        assert pattern_closure_worst(allowed, rng) == 0.0
+        assert_support_kept("splu-L" if lower else "splu-U", 14)
+
+    @pytest.mark.parametrize("row", ["dense", "kron"])
+    def test_triangles_closed_under_product(self, row):
+        assert_support_kept(row, 15)
+
+    def test_closure_catches_a_pattern_that_is_not_a_group(self):
+        # the diagonal and the first superdiagonal: a product fills the second
+        band = pattern_closure_worst(DensePrecond(5), lambda p: (np.tril(p.q, 1),),
+                                     np.random.default_rng(16))
+        assert band > 0.0
+
+
+TRIANGULAR = [(DensePrecond, (5,)), (KronPrecond, (3, 4)), (SpluPrecond, (7, 3))]
+
+
+class TestSupport:
+    @pytest.mark.parametrize("cls, shape", TRIANGULAR, ids=lambda v: getattr(v, "__name__", ""))
+    def test_update_projects_each_gradient_onto_its_support(self, cls, shape, monkeypatch):
+        # a gradient entry outside a triangular factor's support reaches no
+        # factor: the update is byte for byte the one from the clean gradient
+        p, rng = cls(*shape), np.random.default_rng(17)
+        _random_state(p, rng, 0.5)
+        pairs = [random_pair(rng, p.dim) for _ in range(5)]
+        clean, polluted = copy.deepcopy(p), copy.deepcopy(p)
+        for pair in pairs:
+            clean.update(pair, 0.2)
+        pair_gradient = cls._pair_gradient
+
+        def with_outside_entries(self, dt, dg):
+            grads = pair_gradient(self, dt, dg)
+            for g, (_, structure) in zip(grads, self.factors):
+                if structure in ("upper", "lower"):
+                    g[(-1, 0) if structure == "upper" else (0, -1)] += 1.0
+            return grads
+
+        monkeypatch.setattr(cls, "_pair_gradient", with_outside_entries)
+        for pair in pairs:
+            polluted.update(pair, 0.2)
+        for name, structure in p.factors:
+            a = getattr(polluted, name)
+            if structure in ("upper", "lower"):
+                outside = np.tri(len(a), k=-1, dtype=bool)
+                assert np.all((a if structure == "upper" else a.T)[outside] == 0.0)
+            assert a.tobytes() == getattr(clean, name).tobytes()
+
+    @pytest.mark.parametrize("variant, shape",
+                             [(v, shape) for v, (_, shape, _) in _ANCHORS.items()]
+                             + [("kron", (1, 5))])
+    def test_random_state_diagonal(self, variant, shape):
+        # verify's random states pass set_factors at scale 0.5, with every
+        # triangular diagonal in 1 + 0.5 [0, 1)
+        p, rng = FAMILIES[variant](*shape), np.random.default_rng(18)
+        for _ in range(200):
+            _random_state(p, rng, 0.5)
+            for name, structure in p.factors:
+                if structure in ("upper", "lower"):
+                    d = getattr(p, name).diagonal()
+                    assert np.all((1.0 <= d) & (d < 1.5))

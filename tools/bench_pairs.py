@@ -29,10 +29,11 @@ the pairs; `correct` covers these runs too. The workload's `layers` map each
 per-layer metric to its unit, each side's per-run values with their median
 and quartiles, and `change_lower`, the number of runs i whose change value is
 below the parent's. Then each side times every family's `update`, `apply` and
-`apply_inv` at the sizes of FAMILY_SIZES in a fresh interpreter run in its
-extracted tree (FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs;
-`families` holds, per size and kind, each side's summary and the change/parent
-ratio of the medians. Then each side runs COLD_CLI, a fresh CLI process whose
+`apply_inv` at the sizes of FAMILY_SIZES, and counts the minor page faults of
+its timed `update` calls, in a fresh interpreter run in its extracted tree
+(FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs; `families`
+holds, per size and kind, each side's summary and the change/parent ratio of
+the medians. Then each side runs COLD_CLI, a fresh CLI process whose
 run solves, COLD_RUNS times in its extracted tree, alternating as the pairs;
 `cold_cli` holds each side's summary of the wall time and of the peak RSS
 that `os.wait4` reports, and the change/parent ratios of the medians. The
@@ -85,9 +86,10 @@ COLD_RUNS = 5
 # trained by 40 updates at step 0.1 on eight seeded pairs; update then takes step
 # 1e-9, so each call is admitted and the state barely moves. It prints one JSON object
 # mapping "variant shape" to the best per-call time of update, of apply and of
-# apply_inv, in us, over the repeats.
+# apply_inv, in us, over the repeats, and to update_minflt, the minor page faults
+# (ru_minflt) per timed update call over all the repeats.
 FAMILY_SCRIPT = """
-import json, sys, time
+import json, resource, sys, time
 import numpy as np
 from psgdkit.curvature import TangentPair
 from psgdkit.preconditioners import FAMILIES
@@ -113,8 +115,11 @@ for variant, shape in json.loads(sys.argv[3]):
     for i in range(40):
         p.update(pairs[i % 8], 0.1)
     args = [pairs[i % 8] for i in range(calls)]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    update_us = best_us(lambda pair: p.update(pair, 1e-9), args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     record[f"{variant} {'x'.join(map(str, shape))}"] = {
-        "update_us": best_us(lambda pair: p.update(pair, 1e-9), args),
+        "update_us": update_us, "update_minflt": faults / (repeats * calls),
         "apply_us": best_us(p.apply, [pair.delta_g for pair in args]),
         "apply_inv_us": best_us(p.apply_inv, [pair.delta_g for pair in args])}
 print(json.dumps(record))
@@ -191,10 +196,11 @@ def families(tree, repeats=FAMILY_REPEATS, calls=FAMILY_CALLS):
 
 
 def compared(values):
-    """Each side's summary of its values, and the change/parent ratio of the medians.
-    values maps each side to its list of values."""
+    """Each side's summary of its values, and the change/parent ratio of the medians
+    (None when the parent's median is 0). values maps each side to its list of values."""
     entry = {side: summary(v) for side, v in values.items()}
-    entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+    parent = entry["parent"]["median"]
+    entry["change_over_parent"] = entry["change"]["median"] / parent if parent else None
     return entry
 
 
@@ -341,7 +347,8 @@ def main(argv=None):
                                       f"per-call update (step 1e-9), apply and apply_inv time "
                                       f"in us of {FAMILY_REPEATS} repeats of {FAMILY_CALLS} "
                                       "calls on each FAMILY_SIZES state, trained by 40 updates "
-                                      "at step 0.1",
+                                      "at step 0.1, and update_minflt, the minor page faults "
+                                      "per timed update call over all repeats",
                           "cold_cli": f"PYTHONPATH=src python {' '.join(COLD_CLI)} in each "
                                       f"tree, {COLD_RUNS} fresh processes per side alternating "
                                       "as the pairs, after the families: wall time and the "
