@@ -21,12 +21,17 @@ def _first_trtrs(*args):
     # families and the baselines never solve. It loads scipy's LAPACK extension
     # alone, not scipy.linalg, whose import is most of a fresh process's start-up
     # time and memory. Loaded under its full name, the extension is the one object
-    # an `import scipy.linalg` shares, in either order.
+    # an `import scipy.linalg` shares, in either order. find_spec only locates the
+    # scipy package: its __init__ never runs, which assumes scipy's
+    # _distributor_init does nothing the extension needs (a standard scipy's only
+    # tries an absent _distributor_init_local).
     global _trtrs
-    import scipy
     from importlib.machinery import PathFinder
-    from importlib.util import module_from_spec
-    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    from importlib.util import find_spec, module_from_spec
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    where = os.path.join(os.path.dirname(scipy.origin), "linalg")
     spec = PathFinder.find_spec("scipy.linalg._flapack", [where])
     if spec is None:
         raise ImportError(f"scipy's LAPACK extension _flapack was not found in {where}")

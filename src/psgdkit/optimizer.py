@@ -87,7 +87,7 @@ class RunConfig:
                 raise ContractViolationError(f"{fault}, got {getattr(self, name)}", field=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     iter: int
     train_loss: float

@@ -105,9 +105,20 @@ def test_family_record_summarizes_each_side():
     record = bench_pairs.family_record(runs)["dense 16"]
     assert record["update_us"]["parent"]["median"] == 11.0
     assert record["update_us"]["change"]["median"] == 8.8
-    assert record["update_us"]["change_over_parent"] == pytest.approx(0.8)
-    assert record["apply_us"]["change_over_parent"] == 1.0
+    # per pair: 9/10, 8/12 and 8.8/11, whose median is 0.8
+    assert record["update_us"]["change_over_parent"]["median"] == pytest.approx(0.8)
+    assert record["apply_us"]["change_over_parent"] == bench_pairs.summary([1.0, 1.0, 1.0])
     assert set(record) == {"update_us", "apply_us"}
+
+
+def test_family_record_takes_the_ratio_of_each_pair():
+    # run i of the change over run i of the parent, then summarized: a slow process
+    # on either side moves one pair's ratio, not a whole side's median
+    runs = {"parent": [{"dense 16": {"update_us": u}} for u in (10.0, 26.0, 16.0)],
+            "change": [{"dense 16": {"update_us": u}} for u in (20.0, 13.0, 16.0)]}
+    ratio = bench_pairs.family_record(runs)["dense 16"]["update_us"]["change_over_parent"]
+    assert ratio == bench_pairs.summary([2.0, 0.5, 1.0])
+    assert (ratio["q1"], ratio["median"], ratio["q3"]) == (0.5, 1.0, 2.0)
 
 
 def test_family_record_of_a_count_the_parent_reads_zero():
@@ -118,7 +129,7 @@ def test_family_record_of_a_count_the_parent_reads_zero():
         return bench_pairs.family_record(runs)["dense 128"]["update_minflt"]
 
     assert record((0.0, 0.0, 0.5), (0.0, 0.0, 0.0))["change_over_parent"] is None
-    assert record((40.0, 45.0, 42.0), (14.0, 14.0, 0.0))["change_over_parent"] == 1 / 3
+    assert record((40.0, 45.0, 42.0), (14.0, 14.0, 0.0))["change_over_parent"]["median"] == 14 / 45
 
 
 def test_cold_cli_of_this_checkout(tmp_path):
@@ -135,5 +146,5 @@ def test_cold_record_summarizes_each_side():
             "change": [{"wall_s": w, "peak_rss_mb": 40.6} for w in (0.3, 0.35, 0.325)]}
     record = bench_pairs.cold_record(runs)
     assert record["wall_s"]["parent"]["median"] == 0.65
-    assert record["wall_s"]["change_over_parent"] == pytest.approx(0.5)
-    assert record["peak_rss_mb"]["change_over_parent"] == pytest.approx(0.7)
+    assert record["wall_s"]["change_over_parent"]["median"] == pytest.approx(0.5)
+    assert record["peak_rss_mb"]["change_over_parent"]["median"] == pytest.approx(0.7)

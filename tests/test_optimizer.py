@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from psgdkit.errors import ContractViolationError
 from psgdkit.optimizer import (
     METHODS,
     RunConfig,
+    TraceRow,
     batch_seed_for,
     run,
     skip_admits,
@@ -291,6 +293,34 @@ class TestRunLoop:
         cfg = quad_config(method=method, iters=5)
         assert all(r.wall_ns > 0 for r in run(prob, cfg, timing=True).rows)
         assert all(r.wall_ns == 0 for r in run(prob, cfg).rows)
+
+
+class TestTraceRow:
+    # a run keeps one row per iteration, so a row holds its six fields in slots
+    # and carries no instance dict
+    def rows(self):
+        prob = make_quadratic(np.diag([1.0, 2.0]), noise_scale=0.1)
+        return run(prob, quad_config(iters=3), timing=True).rows
+
+    def test_has_no_instance_dict(self):
+        row = self.rows()[0]
+        assert not hasattr(row, "__dict__")
+        assert TraceRow.__slots__ == tuple(f.name for f in dataclasses.fields(TraceRow))
+
+    def test_round_trips_equal(self):
+        for row in self.rows():
+            for copied in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row),
+                           dataclasses.replace(row)):
+                assert type(copied) is TraceRow and copied == row and copied is not row
+        row = self.rows()[-1]
+        moved = dataclasses.replace(row, clipped=True)
+        assert moved.clipped and moved.iter == row.iter and moved.wall_ns == row.wall_ns
+
+    def test_fields_are_frozen(self):
+        row = self.rows()[0]
+        for name, value in (("train_loss", 0.0), ("wall_ns", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(row, name, value)
 
 
 class TestRunConfigValidation:

@@ -49,6 +49,13 @@ class TestQuadratic:
             acc += prob.bind_batch(seed).grad(theta)
         np.testing.assert_allclose(acc / n, h @ theta + b, atol=0.01 * np.linalg.norm(h @ theta + b) + 2e-3)
 
+    def test_loss_halves_theta_before_the_product(self):
+        # b.th + (0.5 th).(H th), grouped as `0.5 * th @ (h @ th)` parses: near the
+        # float64 limit the loss stays finite where th.(H th) alone overflows
+        h, theta = -np.eye(1), np.array([1.5e154])
+        loss = make_quadratic(h).bind_batch(0).loss(theta)
+        assert loss == float(0.5 * theta @ (h @ theta)) > -np.inf
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractViolationError):
             make_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -257,6 +264,7 @@ class TestBatchStreams:
         ev = make_quadratic(h, b, noise_scale=0.1, batch_size=batch_size).bind_batch(seed)
         h_hat, b_hat = quadratic_reference(h, b, 0.1, batch_size, seed)
         theta, v = np.random.default_rng(9).standard_normal((2, 3))
+        assert ev.loss(theta) == float(b_hat @ theta + 0.5 * theta @ (h_hat @ theta))
         assert ev.grad(theta).tobytes() == (h_hat @ theta + b_hat).tobytes()
         assert ev.hvp(theta, v).tobytes() == (h_hat @ v).tobytes()
 

@@ -18,8 +18,8 @@ JSON object) and writes, for both revisions, the commit, the hash of its
 code rather than blanks, comments or docstrings, and `src_code_lines_by_file`,
 the same count per file) and the environment, and per
 workload and end-to-end metric the per-pair values with their median and
-quartiles. The change/parent ratio of
-each pair is recorded as well, and so are `change_better`, the pairs the
+quartiles. The change/parent ratio of each pair is recorded as well, with its
+median and quartiles (see `compared`), and so are `change_better`, the pairs the
 change reads better in the metric's `better` direction, the metric's
 `verdict` against its `bound` (see `verdict`) and whether it shows a `gain`
 (see `gain`). After the pairs, each side runs
@@ -32,11 +32,14 @@ below the parent's. Then each side times every family's `update`, `apply` and
 `apply_inv` at the sizes of FAMILY_SIZES, and counts the minor page faults of
 its timed `update` calls, in a fresh interpreter run in its extracted tree
 (FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs; `families`
-holds, per size and kind, each side's summary and the change/parent ratio of
-the medians. Then each side runs COLD_CLI, a fresh CLI process whose
+holds, per size and kind, each side's summary and that of the change/parent
+ratio of each pair of runs. A fresh FAMILY_SCRIPT process on a shared host
+can run wholly fast or wholly slow, so a ratio of two medians of a few runs
+moves with how many of them land slow; the pairs' ratios and their quartiles
+show it. Then each side runs COLD_CLI, a fresh CLI process whose
 run solves, COLD_RUNS times in its extracted tree, alternating as the pairs;
 `cold_cli` holds each side's summary of the wall time and of the peak RSS
-that `os.wait4` reports, and the change/parent ratios of the medians. The
+that `os.wait4` reports, and that of their change/parent ratios per pair. The
 benchmark's `setup_s` cannot show what a first solve costs, for its set-up
 makes none. Last, each side runs the tier-1 suite twice in its extracted tree
 (`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, with
@@ -76,7 +79,7 @@ FAMILY_SIZES = [("dense", (16,)), ("dense", (64,)), ("dense", (128,)), ("diag", 
                 ("kron", (4, 3)), ("kron", (6, 9)), ("kron", (16, 17)),
                 ("scan", (4, 3)), ("scan", (6, 9)), ("scan", (16, 17)),
                 ("splu", (16, 4)), ("splu", (128, 10))]
-FAMILY_RUNS = 3
+FAMILY_RUNS = 9
 FAMILY_REPEATS, FAMILY_CALLS = 7, 300  # each time is the best of the repeats of the calls
 # A fresh CLI run whose preconditioner solves, timed COLD_RUNS times per side (alternating)
 COLD_CLI = ["-m", "psgdkit", "run", "--problem", "xor-mlp", "--precond", "kron", "--iters", "3"]
@@ -196,11 +199,13 @@ def families(tree, repeats=FAMILY_REPEATS, calls=FAMILY_CALLS):
 
 
 def compared(values):
-    """Each side's summary of its values, and the change/parent ratio of the medians
-    (None when the parent's median is 0). values maps each side to its list of values."""
+    """Each side's summary of its values, and the summary of the change/parent ratio of
+    each pair, run i of the change over run i of the parent (None when a parent value is
+    0). values maps each side to its list of values, in run order."""
     entry = {side: summary(v) for side, v in values.items()}
-    parent = entry["parent"]["median"]
-    entry["change_over_parent"] = entry["change"]["median"] / parent if parent else None
+    pairs = list(zip(values["parent"], values["change"]))
+    entry["change_over_parent"] = (summary([c / p for p, c in pairs])
+                                   if all(p for p, _ in pairs) else None)
     return entry
 
 
@@ -348,11 +353,12 @@ def main(argv=None):
                                       f"in us of {FAMILY_REPEATS} repeats of {FAMILY_CALLS} "
                                       "calls on each FAMILY_SIZES state, trained by 40 updates "
                                       "at step 0.1, and update_minflt, the minor page faults "
-                                      "per timed update call over all repeats",
+                                      "per timed update call over all repeats; each kind's "
+                                      "change_over_parent summarizes the per-pair ratios",
                           "cold_cli": f"PYTHONPATH=src python {' '.join(COLD_CLI)} in each "
                                       f"tree, {COLD_RUNS} fresh processes per side alternating "
                                       "as the pairs, after the families: wall time and the "
-                                      "os.wait4 peak RSS",
+                                      "os.wait4 peak RSS, with the per-pair ratios",
                           "tier1": "PYTHONPATH=src python -m pytest -q "
                                    "--continue-on-collection-errors --durations=0, twice per "
                                    "side in the order parent, change, change, parent, after "
@@ -403,11 +409,8 @@ def main(argv=None):
                                                               per_side["change"]))}
             for metric in spec["end_to_end"]:
                 name = metric["name"]
-                per_side = {side: [r["metrics"][name]["value"] for r in rs]
-                            for side, rs in runs.items()}
-                ratios = [c / p for p, c in zip(per_side["parent"], per_side["change"])]
-                entry[name] = {side: summary(v) for side, v in per_side.items()}
-                entry[name]["change_over_parent"] = summary(ratios)
+                entry[name] = compared({side: [r["metrics"][name]["value"] for r in rs]
+                                        for side, rs in runs.items()})
                 entry[name]["change_better"], entry[name]["verdict"] = verdict(metric,
                                                                                entry[name])
                 entry[name]["gain"] = gain(metric, entry[name])
