@@ -157,3 +157,19 @@ def test_missing_lapack_extension_names_the_directory_searched(tmp_path):
                          env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), SRC])},
                          check=True)
     assert str(tmp_path / "scipy" / "linalg") in out.stdout
+
+
+def test_missing_scipy_surfaces_at_the_first_solve():
+    # with scipy unimportable, psgdkit still imports; the first solve raises
+    # ModuleNotFoundError naming scipy
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import numpy as np\n"
+              "from psgdkit.linalg import tri_solve\n"
+              "try:\n"
+              "    tri_solve(np.eye(2), np.ones(2))\n"
+              "except ModuleNotFoundError as exc:\n"
+              "    print(exc.name)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    assert out.stdout.split() == ["scipy"]

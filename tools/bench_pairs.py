@@ -81,9 +81,11 @@ FAMILY_SIZES = [("dense", (16,)), ("dense", (64,)), ("dense", (128,)), ("diag", 
                 ("splu", (16, 4)), ("splu", (128, 10))]
 FAMILY_RUNS = 9
 FAMILY_REPEATS, FAMILY_CALLS = 7, 300  # each time is the best of the repeats of the calls
-# A fresh CLI run whose preconditioner solves, timed COLD_RUNS times per side (alternating)
+# A fresh CLI run whose preconditioner solves, timed COLD_RUNS times per side (alternating).
+# A first solve's loading is a few per cent of such a run's wall time, under the spread
+# of a handful of runs on a shared host.
 COLD_CLI = ["-m", "psgdkit", "run", "--problem", "xor-mlp", "--precond", "kron", "--iters", "3"]
-COLD_RUNS = 5
+COLD_RUNS = 15
 # Run in a fresh interpreter with the tree's src on its path and one compute thread:
 # argv is the repeats, the calls per repeat and FAMILY_SIZES as JSON. Each state is
 # trained by 40 updates at step 0.1 on eight seeded pairs; update then takes step
