@@ -33,10 +33,10 @@ below the parent's. Then each side times every family's `update`, `apply` and
 its timed `update` calls, in a fresh interpreter run in its extracted tree
 (FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs; `families`
 holds, per size and kind, each side's summary and that of the change/parent
-ratio of each pair of runs. A fresh FAMILY_SCRIPT process on a shared host
-can run wholly fast or wholly slow, so a ratio of two medians of a few runs
-moves with how many of them land slow; the pairs' ratios and their quartiles
-show it. Then each side runs COLD_CLI, a fresh CLI process whose
+ratio of each pair of runs. On a shared host a FAMILY_SCRIPT process's
+timings can run about twice as slow for seconds at a time, so a ratio of two
+medians of a few runs moves with how many of them land slow; the pairs'
+ratios and their quartiles show it. Then each side runs COLD_CLI, a fresh CLI process whose
 run solves, COLD_RUNS times in its extracted tree, alternating as the pairs;
 `cold_cli` holds each side's summary of the wall time and of the peak RSS
 that `os.wait4` reports, and that of their change/parent ratios per pair. The
