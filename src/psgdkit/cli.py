@@ -6,9 +6,9 @@ Subcommands:
     verify  run a verification suite (gradcheck, fixedpoint, groups, inverses)
 
 Every run writes ``<name>.csv`` with one comment header line recording the
-full configuration, the column header
-``iter,train_loss,grad_norm,precond_grad_norm,clipped,wall_ns``, and one raw
-row per iteration. A ``summary.csv`` collects final/best losses per run;
+full configuration, a column header naming ``TraceRow``'s fields in declared
+order, and one raw row per iteration. A ``summary.csv`` holds one row of
+SUMMARY_COLUMNS per run: its configuration and final/best losses;
 loss smoothing (exponential moving average, factor 0.99) is applied only in
 the summary, never to the trace. wall_ns is 0 unless --timing is given, so
 identical invocations produce byte-identical files.
@@ -27,13 +27,16 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
+from dataclasses import fields as dataclass_fields
+from itertools import takewhile
+from operator import attrgetter
 
 import numpy as np
 
 from .checkpoint import save_state
 from .curvature import ProbeConfig
 from .errors import ContractViolationError, PsgdkitError
-from .optimizer import METHODS, RMSPROP_BETA, RMSPROP_EPS, RunConfig, run
+from .optimizer import METHODS, RMSPROP_BETA, RMSPROP_EPS, RunConfig, TraceRow, run
 from .preconditioners import FAMILIES
 from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
 from .verify import SUITES, run_suite
@@ -93,6 +96,16 @@ def _parse_damping(text):
         if text.startswith(prefix):
             return kind, float(text[len(prefix):])
     raise ValueError(text)
+
+
+def _run_name(text):
+    # a run name is its trace's file name in the output directory, beside summary.csv,
+    # and the first field of its summary row; an empty one stands for the name the
+    # configuration gives
+    unsafe = {"/", os.sep, os.altsep, ",", "\n", "\r", "\0"}
+    if text in (".", "..", "summary") or unsafe & set(text):
+        raise ValueError(text)
+    return text
 
 
 def _run_spec(text):
@@ -180,13 +193,14 @@ def _config_fields(args, cfg):
     }
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
+    """Write lines, each ended by a newline, to path through a temporary file."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)  # so a run rejected before its first write leaves none
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -194,75 +208,84 @@ def _atomic_write(path, text):
         raise
 
 
+# The trace's columns are TraceRow's fields in declared order. A row writes the repr of
+# each value converted by its field's declared type: float, or int for int and bool.
+# _trace_lines is built from the fields once, around one f-string per row,
+# f"{int(r.iter)!r},{float(r.train_loss)!r},...", since a run writes a row per
+# iteration and that formats them as fast as an f-string written out by hand.
+_TRACE_FIELDS = dataclass_fields(TraceRow)
+_TRACE_CONVERT = {float: "float", int: "int", bool: "int"}
+_trace_lines = eval("lambda rows: [f'%s' for r in rows]" % ",".join(
+    "{%s(r.%s)!r}" % (_TRACE_CONVERT[f.type], f.name) for f in _TRACE_FIELDS))
+
+
 def _write_trace(path, fields, rows):
-    lines = ["# psgdkit " + " ".join(f"{k}={v}" for k, v in fields.items()),
-             "iter,train_loss,grad_norm,precond_grad_norm,clipped,wall_ns"]
-    for r in rows:
-        lines.append(f"{r.iter},{float(r.train_loss)!r},{float(r.grad_norm)!r},"
-                     f"{float(r.precond_grad_norm)!r},{int(r.clipped)},{int(r.wall_ns)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["# psgdkit " + " ".join(f"{k}={v}" for k, v in fields.items()),
+                         ",".join(f.name for f in _TRACE_FIELDS), *_trace_lines(rows)])
 
 
 def _smoothed_final(losses):
     s = None
-    for value in losses:
-        if not math.isfinite(value):
-            break
+    for value in takewhile(math.isfinite, losses):
         s = value if s is None else SMOOTHING * s + (1.0 - SMOOTHING) * value
     return float("nan") if s is None else s
 
 
-def _summarize(name, fields, result):
-    losses = [r.train_loss for r in result.rows]
-    finite = [v for v in losses if math.isfinite(v)]
-    return {
-        "name": name,
-        "problem": fields["problem"],
-        "method": fields["method"],
-        "precond": fields["precond"],
-        "mu": f"{fields['mu']:g}",
-        "seed": fields["seed"],
-        "iters_run": len(result.rows),
-        "final_loss": repr(float(losses[-1])) if losses else "nan",
-        "best_loss": repr(float(min(finite))) if finite else "nan",
-        "final_loss_smoothed": repr(_smoothed_final(losses)),
-        "diverged": int(result.diverged),
-    }
+_LOSS = attrgetter("train_loss")
+
+# summary.csv's columns in order: name, value for a Run and its RunResult, and whether
+# the run's stdout line reports it after the first column, the run name
+SUMMARY_COLUMNS = (
+    ("name", lambda r, res: r.name, False),
+    ("problem", lambda r, res: r.fields["problem"], False),
+    ("method", lambda r, res: r.fields["method"], False),
+    ("precond", lambda r, res: r.fields["precond"], False),
+    ("mu", lambda r, res: f"{r.fields['mu']:g}", False),
+    ("seed", lambda r, res: r.fields["seed"], False),
+    ("iters_run", lambda r, res: len(res.rows), False),
+    ("final_loss", lambda r, res: repr(float(res.rows[-1].train_loss)), True),
+    ("best_loss", lambda r, res: repr(float(min(filter(math.isfinite, map(_LOSS, res.rows)),
+                                                default=math.nan))), True),
+    ("final_loss_smoothed", lambda r, res: repr(_smoothed_final(map(_LOSS, res.rows))), False),
+    ("diverged", lambda r, res: int(res.diverged), True),
+)
 
 
 def _write_summary(path, entries):
-    # the columns are _summarize's keys; a run or sweep summarizes at least one run
-    lines = [",".join(entries[0])]
-    for e in entries:
-        lines.append(",".join(str(value) for value in e.values()))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, [",".join(column for column, _, _ in SUMMARY_COLUMNS),
+                         *(",".join(map(str, entry)) for entry in entries)])
+
+
+# One run of a run or sweep, built and checked: its namespace, problem, RunConfig,
+# trace header fields and name.
+Run = namedtuple("Run", "args problem cfg fields name")
 
 
 def _build_run(parser, args, spec, seed):
-    """(args, problem, cfg) of one run. A library range check that names its field
-    exits 2 as a usage error on the flag that gave the value: --run if spec set it."""
+    """The Run of one spec and seed. A library range check that names its field exits 2
+    as a usage error on the flag that gave the value: --run if spec set it."""
     entry = PROBLEMS[args.problem]
     try:
         problem = entry.build(**{dest: getattr(args, dest) for dest in entry.flags})
-        return args, problem, _make_config(args, problem, seed)
+        cfg = _make_config(args, problem, seed)
     except ContractViolationError as exc:
         if exc.field is None:
             raise
         flag = "--run" if exc.field in spec else FIELD_FLAGS.get(
             exc.field, "--" + exc.field.replace("_", "-"))
         parser.error(f"argument {flag}: {exc}")
-
-
-def _write_run(args, cfg, result, out_dir):
-    """Write a finished run's trace and --save-precond state; its summary entry."""
     fields = _config_fields(args, cfg)
     bits = (fields["problem"], fields["method"], fields["precond"], f"mu{fields['mu']:g}",
             f"seed{fields['seed']}")
-    name = args.name or "-".join(bit for bit in bits if bit != "-")
-    _write_trace(os.path.join(out_dir, name + ".csv"), fields, result.rows)
-    if args.save_precond and cfg.method == "psgd":
-        save_state(result.state, args.save_precond)
-    return _summarize(name, fields, result)
+    return Run(args, problem, cfg, fields, args.name or "-".join(b for b in bits if b != "-"))
+
+
+def _write_run(r, result, out_dir):
+    """Write a finished run's trace and --save-precond state; its summary entry."""
+    _write_trace(os.path.join(out_dir, r.name + ".csv"), r.fields, result.rows)
+    if r.args.save_precond and r.cfg.method == "psgd":
+        save_state(result.state, r.args.save_precond)
+    return tuple(value(r, result) for _, value, _ in SUMMARY_COLUMNS)
 
 
 def _add_run_flags(p):
@@ -352,7 +375,9 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", parents=[config], help="execute one training run")
     _add_run_flags(p_run)
-    p_run.add_argument("--name", default=None, help="override the run name")
+    p_run.add_argument("--name", default=None, help="override the run name",
+                       type=_flag_type(_run_name, "a file name other than ., .. or summary "
+                                                  "holding no /, comma, line break or NUL"))
     p_run.set_defaults(specs=None, reps=1)
 
     p_sweep = sub.add_parser("sweep", parents=[config],
@@ -403,15 +428,20 @@ def _dispatch(parser, args) -> int:
         runs = [_build_run(parser, argparse.Namespace(**{**vars(args), **spec}), spec,
                            args.seed + rep)
                 for spec in args.specs or [{}] for rep in range(args.reps)]
-        results = [run(problem, cfg, timing=a.timing) for a, problem, cfg in runs]
-        entries = [_write_run(a, cfg, res, out_dir) for (a, _, cfg), res in zip(runs, results)]
+        names = [r.name for r in runs]
+        clash = next((name for name in names if names.count(name) > 1), None)
+        if clash is not None:  # mu is named by :g, so distinct specs may share a name
+            parser.exit(2, f"psgdkit: two runs would write "
+                           f"{os.path.join(out_dir, clash + '.csv')}\n")
+        results = [run(r.problem, r.cfg, timing=r.args.timing) for r in runs]
+        entries = [_write_run(r, res, out_dir) for r, res in zip(runs, results)]
     except (PsgdkitError, ValueError) as exc:
         parser.exit(2, f"psgdkit: {exc}\n")
 
     _write_summary(os.path.join(out_dir, "summary.csv"), entries)
-    for e in entries:
-        print(f"{e['name']}: final_loss={e['final_loss']} best_loss={e['best_loss']} "
-              f"diverged={e['diverged']}")
+    for entry in entries:
+        print(f"{entry[0]}: " + " ".join(f"{column}={value}" for (column, _, shown), value
+                                         in zip(SUMMARY_COLUMNS, entry) if shown))
     return 0
 
 

@@ -1,5 +1,5 @@
-"""The verdict, gain, family-record and cold-CLI rules of tools/bench_pairs.py, on hand-built
-entries."""
+"""The verdict, gain, family-record, cold-CLI and bit-check rules of tools/bench_pairs.py, on
+hand-built entries."""
 
 import importlib.util
 import os
@@ -148,3 +148,79 @@ def test_cold_record_summarizes_each_side():
     assert record["wall_s"]["parent"]["median"] == 0.65
     assert record["wall_s"]["change_over_parent"]["median"] == pytest.approx(0.5)
     assert record["peak_rss_mb"]["change_over_parent"]["median"] == pytest.approx(0.7)
+
+
+def bit_result(**changes):
+    result = {"exit": 0, "stdout": b"run: final_loss=0.5\n", "stderr": b"",
+              "files": {"runs/summary.csv": b"name\nrun\n", "runs/run.csv": b"iter\n1\n"}}
+    return {**result, **changes}
+
+
+def test_bit_compare_of_identical_runs():
+    assert bench_pairs.bit_compare(bit_result(), bit_result()) == {
+        "exit": True, "stdout": True, "stderr": True, "files": True, "identical": True}
+
+
+@pytest.mark.parametrize("output, value", [
+    ("exit", 2), ("stdout", b"run: final_loss=0.25\n"), ("stderr", b"warning\n"),
+    ("files", {"runs/summary.csv": b"name\nrun\n", "runs/run.csv": b"iter\n2\n"}),
+    ("files", {"runs/summary.csv": b"name\nrun\n"}),
+    ("files", {"runs/summary.csv": b"name\nrun\n", "runs/run.csv": b"iter\n1\n",
+               "state.pcs": b""}),
+], ids=["exit", "stdout", "stderr", "file-bytes", "file-missing", "file-added"])
+def test_bit_compare_names_the_output_that_differs(output, value):
+    entry = bench_pairs.bit_compare(bit_result(), bit_result(**{output: value}))
+    assert entry == {**dict.fromkeys(bench_pairs.BIT_OUTPUTS, True), output: False,
+                     "identical": False}
+
+
+def test_bit_cli_list():
+    # at least 12 invocations, none timed, each with relative paths the same on both sides
+    assert len(bench_pairs.BIT_CLI) >= 12
+    for argv in bench_pairs.BIT_CLI:
+        assert "--timing" not in argv
+        for flag in ("--out", "--save-precond", "--config"):
+            if flag in argv:
+                assert not os.path.isabs(argv[argv.index(flag) + 1])
+
+
+# a stand-in for `python -m psgdkit`: it echoes its argv and the config file it is given,
+# writes runs/argv.txt and a state file, and exits 3
+STUB_MAIN = """
+import os, sys
+os.makedirs("runs", exist_ok=True)
+with open(os.path.join("runs", "argv.txt"), "w") as fh:
+    fh.write(" ".join(sys.argv[1:]) + MARK)
+with open("state.pcs", "w") as fh:
+    fh.write(open(sys.argv[-1]).read() if "--config" in sys.argv else "")
+print("ran", sys.argv[1])
+sys.exit(3)
+"""
+
+
+def stub_tree(root, mark):
+    pkg = root / "src" / "psgdkit"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "__main__.py").write_text(f"MARK = {mark!r}\n" + STUB_MAIN)
+    return str(root)
+
+
+def test_bits_of_stub_trees(tmp_path, monkeypatch):
+    # each side runs every invocation from a fresh directory of its own, with the config
+    # file written there; only written files are compared, and one differing byte in one
+    # file makes that invocation, and the block, not identical
+    monkeypatch.setattr(bench_pairs, "BIT_CLI", [["run", "--config", "exp.cfg"], ["sweep"]])
+    same = {side: stub_tree(tmp_path / side, "") for side in ("parent", "change")}
+    record = bench_pairs.bits(same, str(tmp_path / "same"))
+    assert record["identical"] is True
+    assert [e["parent_exit"] for e in record["invocations"]] == [3, 3]
+    assert sorted(os.listdir(tmp_path / "same" / "bits-change" / "0")) == [
+        "exp.cfg", "runs", "state.pcs"]
+    assert (tmp_path / "same" / "bits-parent" / "0" / "state.pcs").read_text() == \
+        bench_pairs.BIT_CONFIG
+    trees = {"parent": same["parent"], "change": stub_tree(tmp_path / "other", "!")}
+    record = bench_pairs.bits(trees, str(tmp_path / "differ"))
+    assert record["identical"] is False
+    assert [(e["files"], e["stdout"], e["identical"]) for e in record["invocations"]] == [
+        (False, True, False), (False, True, False)]

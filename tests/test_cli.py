@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import math
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psgdkit.checkpoint import load_state
-from psgdkit.cli import main
+from psgdkit.cli import SUMMARY_COLUMNS, _write_trace, main
+from psgdkit.optimizer import TraceRow
 from psgdkit.preconditioners import DensePrecond
 from psgdkit.verify import SUITES, suite_groups
 
 CSV_HEADER = "iter,train_loss,grad_norm,precond_grad_norm,clipped,wall_ns"
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def read(path):
@@ -126,6 +130,36 @@ class TestRun:
         header = read(out / "c.csv").splitlines()[0]
         for token in ("quad_diag=1,-3", "per_block=1", "splu_order=1"):
             assert token in header
+
+    @pytest.mark.parametrize("argv", [
+        ["--name", name] for name in (".", "..", "../escaped", "a/b", "a,b", "a\nb", "a\rb",
+                                      "a\0b", "summary")] + [
+        ["--config", f"name={name}"] for name in (".", "..", "../escaped", "a,b", "a\0b")],
+        ids=["dot", "dotdot", "parent", "slash", "comma", "newline", "return", "nul", "summary",
+             "config-dot", "config-dotdot", "config-parent", "config-comma", "config-nul"])
+    def test_unsafe_name_is_usage_error(self, argv, tmp_path, capsys):
+        # the name is the trace's file name and the summary row's first field: one that
+        # leaves the output directory, would be overwritten by summary.csv or splits the
+        # row exits 2 before any output
+        if argv[0] == "--config":
+            (tmp_path / "exp.cfg").write_text(argv[1] + "\n")
+            argv = ["--config", str(tmp_path / "exp.cfg")]
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "rosenbrock", "--iters", "2", "--out", str(out), *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("argument --name: expected a file name other than ., .. or summary holding "
+                "no /, comma, line break or NUL, got ") in err
+        assert sorted(os.listdir(tmp_path)) == (["exp.cfg"] if "--config" in argv else [])
+
+    def test_empty_name_is_the_configured_name(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run_cli(["run", "--problem", "rosenbrock", "--iters", "2", "--name", "",
+                        "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["rosenbrock-psgd-dense-mu0.5-seed0.csv",
+                                           "summary.csv"]
+        assert capsys.readouterr().out.startswith("rosenbrock-psgd-dense-mu0.5-seed0: ")
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -390,6 +424,24 @@ class TestHostileFlags:
             assert not os.path.exists(out)
 
 
+def test_readme_states_the_declared_columns():
+    # the README's trace format section writes out both headers for readers
+    with open(README) as fh:
+        section = fh.read().split("### Trace format", 1)[1]
+    fenced = re.search(r"```\n(.*)\n```", section).group(1)
+    assert fenced.split(",") == [f.name for f in dataclasses.fields(TraceRow)]
+    listed = re.search(r"`summary.csv` has columns\s+`([^`]*)`", section).group(1)
+    assert "".join(listed.split()).split(",") == [column for column, _, _ in SUMMARY_COLUMNS]
+
+
+def test_trace_values_are_written_by_their_declared_types(tmp_path):
+    # a float field as repr(float(v)), an int or bool field as int(v), whatever the
+    # value's own type
+    row = TraceRow(np.int64(7), np.float64(0.1), 2, np.float32(0.5), np.True_, np.int64(3))
+    _write_trace(str(tmp_path / "t.csv"), {"problem": "quad"}, [row])
+    assert read(tmp_path / "t.csv") == f"# psgdkit problem=quad\n{CSV_HEADER}\n7,0.1,2.0,0.5,1,3\n"
+
+
 class TestSweep:
     def test_specs_and_seed_offsets(self, tmp_path):
         out = tmp_path / "runs"
@@ -429,6 +481,24 @@ class TestSweep:
                      "--run", "sgd", "--run", "psgd:dense", "--out", str(out)])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("specs, trace", [
+        (["psgd:dense:0.1", "psgd:dense:0.1000001"], "rosenbrock-psgd-dense-mu0.1-seed0.csv"),
+        (["sgd::0.5", "sgd::0.5"], "rosenbrock-sgd-mu0.5-seed0.csv"),
+    ], ids=["mu-digits", "identical"])
+    def test_runs_that_share_a_trace_name_are_refused(self, specs, trace, tmp_path, capsys):
+        # a trace is named by mu's :g form, so a second run would overwrite the first
+        out = tmp_path / "runs"
+        argv = ["sweep", "--problem", "rosenbrock", "--iters", "2", "--out", str(out)]
+        for spec in specs:
+            argv += ["--run", spec]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"psgdkit: two runs would write {os.path.join(str(out), trace)}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("reps", ["0", "-2"])

@@ -7,7 +7,10 @@ Run from the repository root:
 It extracts the parent revision and the change with `git archive` into
 temporary directories. The change is a snapshot of this checkout's tracked
 files (`git stash create`, or HEAD when nothing changed; stage new files
-first), so edits made while it runs are not measured. It then runs
+first), so edits made while it runs are not measured. First, `bits` runs each
+BIT_CLI invocation in both trees and records, per invocation and over all of
+them, whether the two sides' exit codes, stdout, stderr and written files are
+identical. It then runs
 `benchmarks/run.py --trace 0` for `run_seconds` of `BENCHMARK.json` on each of
 its workloads, for the parent and the change in ten alternating pairs: pair i
 uses seed `--first-seed + i` for both sides, and the side that runs first
@@ -129,6 +132,52 @@ for variant, shape in json.loads(sys.argv[3]):
         "apply_inv_us": best_us(p.apply_inv, [pair.delta_g for pair in args])}
 print(json.dumps(record))
 """
+# CLI invocations whose exit code, stdout, stderr and written files must be identical at
+# the parent and the change; none passes --timing. Each runs as `python -m psgdkit` with
+# one compute thread in a fresh directory of its own per side, so the relative --out,
+# --save-precond and --config paths are the same on both sides; a --config file holds
+# BIT_CONFIG. The first is quad-cli's argv (benchmarks/workloads.py) at 300 iterations, and
+# QUAD_CLI_DIAG is its --quad-diag as that argv writes it.
+QUAD_CLI_DIAG = ("0.1,0.13593563908785256,0.18478497974222907,0.251188643150958,"
+                 "0.34145488738336016,0.46415888336127786,0.6309573444801932,"
+                 "0.8576958985908941,1.1659144011798317,1.5848931924611134,"
+                 "2.1544346900318834,2.9286445646252357,3.981071705534973,5.411695265464638,"
+                 "7.3564225445964135,10.0")
+BIT_CONFIG = "problem=xor-mlp\niters=40\nrun=psgd:kron:0.5\nrun=sgd::1.0\nreps=2\n"
+BIT_CLI = [
+    ["sweep", "--problem", "quad", "--dim", "16", "--quad-diag", QUAD_CLI_DIAG, "--noise",
+     "0.01", "--splu-order", "4", "--iters", "300", "--seed", "3", "--out", "runs",
+     "--save-precond", "final.pcs", "--run", "psgd:dense", "--run", "psgd:diag", "--run",
+     "psgd:splu"],
+    ["sweep", "--problem", "quad", "--noise", "0.1", "--iters", "60", "--reps", "2", "--run",
+     "psgd:dense", "--run", "psgd:diag", "--run", "psgd:splu", "--save-precond", "state.pcs",
+     "--out", "runs"],
+    # two runs that diverge
+    ["run", "--problem", "quad", "--precond", "dense", "--mu", "3", "--noise", "0.3", "--iters",
+     "200", "--out", "runs"],
+    ["run", "--problem", "quad", "--precond", "diag", "--mu", "10", "--iters", "100", "--out",
+     "runs"],
+    ["run", "--problem", "xor-mlp", "--precond", "kron", "--iters", "100", "--save-precond",
+     "state.pcs", "--out", "runs"],
+    ["run", "--problem", "xor-mlp", "--precond", "splu", "--per-block", "--iters", "100",
+     "--out", "runs"],
+    ["run", "--problem", "addition-rnn", "--precond", "scan", "--skip", "log10", "--iters",
+     "120", "--out", "runs"],
+    ["run", "--problem", "addition-rnn", "--precond", "kron", "--iters", "60", "--out", "runs"],
+    ["run", "--problem", "rosenbrock", "--iters", "200", "--out", "runs"],
+    ["run", "--problem", "quad", "--noise", "0.1", "--batch-size", "3", "--precond", "splu",
+     "--splu-order", "1", "--clip", "auto", "--damping", "trad:0.1", "--iters", "80", "--out",
+     "runs"],
+    ["sweep", "--config", "exp.cfg", "--out", "runs"],
+    ["sweep", "--problem", "xor-mlp", "--iters", "50", "--run", "sgd::1.0", "--run",
+     "rmsprop::0.01", "--run", "esgd::0.1", "--reps", "2", "--out", "runs"],
+    ["run", "--problem", "quad", "--quad-diag", "2,8", "--method", "sgd", "--mu", "0.1",
+     "--iters", "3", "--name", "golden", "--out", "runs"],
+    # no exact Hessian-vector product: exits 2 and writes no output directory
+    ["sweep", "--problem", "addition-rnn", "--probe", "exact", "--iters", "3", "--run", "sgd",
+     "--run", "psgd:dense", "--out", "runs"],
+]
+BIT_OUTPUTS = ("exit", "stdout", "stderr", "files")
 NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER)
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -244,6 +293,48 @@ def cold_record(runs):
             for measure in ("wall_s", "peak_rss_mb")}
 
 
+def bit_run(tree, cwd, argv):
+    """Exit code, stdout, stderr and written files (path relative to cwd -> bytes) of one
+    BIT_CLI invocation run in tree from cwd, a directory it creates."""
+    os.makedirs(cwd)
+    if "--config" in argv:
+        with open(os.path.join(cwd, argv[argv.index("--config") + 1]), "w") as fh:
+            fh.write(BIT_CONFIG)
+    given = set(os.listdir(cwd))
+    out = subprocess.run([sys.executable, "-m", "psgdkit", *argv], cwd=cwd, capture_output=True,
+                         env={**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
+                              "PYTHONPATH": os.path.join(tree, "src")})
+    files = {}
+    for root, _, names in os.walk(cwd):
+        for name in names:
+            path = os.path.relpath(os.path.join(root, name), cwd)
+            if path not in given:
+                with open(os.path.join(cwd, path), "rb") as fh:
+                    files[path] = fh.read()
+    return {"exit": out.returncode, "stdout": out.stdout, "stderr": out.stderr, "files": files}
+
+
+def bit_compare(parent, change):
+    """Whether two bit_run results agree in each of BIT_OUTPUTS (the files by their
+    names and bytes), and `identical` when they agree in all of them."""
+    entry = {output: parent[output] == change[output] for output in BIT_OUTPUTS}
+    entry["identical"] = all(entry.values())
+    return entry
+
+
+def bits(trees, tmp):
+    """Each BIT_CLI invocation's argv, the parent's exit code and the bit_compare of its
+    runs in the trees (side -> tree), each side from its own directories under tmp, with
+    `identical` over all of them."""
+    invocations = []
+    for i, argv in enumerate(BIT_CLI):
+        runs = {side: bit_run(tree, os.path.join(tmp, f"bits-{side}", str(i)), argv)
+                for side, tree in trees.items()}
+        invocations.append({"argv": argv, "parent_exit": runs["parent"]["exit"],
+                            **bit_compare(runs["parent"], runs["change"])})
+    return {"identical": all(e["identical"] for e in invocations), "invocations": invocations}
+
+
 def tier1(tree):
     """Wall time, last output line, exit code and timed call durations of tier-1 in tree."""
     pythonpath = os.pathsep.join(p for p in ("src", os.environ.get("PYTHONPATH")) if p)
@@ -331,6 +422,11 @@ def main(argv=None):
                           "pairs": PAIRS, "seconds": seconds,
                           "seeds": [args.first_seed + i for i in range(PAIRS)],
                           "order": "alternating; parent first in even pairs",
+                          "bits": f"each of the {len(BIT_CLI)} BIT_CLI invocations as "
+                                  "PYTHONPATH=src python -m psgdkit in each tree, one compute "
+                                  "thread, from a fresh directory per side and invocation, "
+                                  "before the pairs: whether the exit code, stdout, stderr "
+                                  "and the names and bytes of the written files are identical",
                           "layers": f"python3 benchmarks/run.py --trace 1, {TRACED} runs per "
                                     "side on the first seeds, alternating as the pairs, after "
                                     "the pairs",
@@ -375,6 +471,8 @@ def main(argv=None):
             by_file = src_code_lines_by_file(trees[side])
             record[side]["src_code_lines"] = sum(by_file.values())
             record[side]["src_code_lines_by_file"] = by_file
+        record["bits"] = bits(trees, tmp)
+        print(f"bits: identical={record['bits']['identical']}", flush=True)
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i in range(PAIRS):
