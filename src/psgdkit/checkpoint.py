@@ -22,7 +22,9 @@ Direct sums nest at most ``MAX_NESTING`` deep, in saving and in loading.
 """
 
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -130,9 +132,26 @@ def state_from_bytes(data: bytes) -> Preconditioner:
     return p
 
 
+def _atomic_write(path, data: bytes) -> None:
+    """Write data to path through a temporary file in its directory, which
+    os.replace then renames: a write that fails leaves path as it was."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    except OSError as exc:  # which names the temporary file: name path
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_state(p: Preconditioner, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(state_to_bytes(p))
+    """Write p's record to path (see _atomic_write)."""
+    _atomic_write(path, state_to_bytes(p))
 
 
 def load_state(path) -> Preconditioner:

@@ -25,7 +25,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from collections import namedtuple
 from dataclasses import fields as dataclass_fields
 from itertools import takewhile
@@ -33,7 +32,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .checkpoint import save_state
+from .checkpoint import _atomic_write, save_state
 from .curvature import ProbeConfig
 from .errors import ContractViolationError, PsgdkitError
 from .optimizer import METHODS, RMSPROP_BETA, RMSPROP_EPS, RunConfig, TraceRow, run
@@ -109,10 +108,10 @@ def _run_name(text):
 
 
 def _run_spec(text):
-    # the flag values a sweep --run value overrides; an empty part overrides none
-    method, precond, mu = (text.split(":") + ["", ""])[:3]
-    spec = {"method": method, "precond": precond, "mu": float(mu) if mu else ""}
-    return {key: value for key, value in spec.items() if value != ""}
+    # the flag values a sweep --run value overrides; an empty part overrides none, and a
+    # fourth part stays in mu, which then does not parse
+    parts = zip(("method", "precond", "mu"), text.split(":", 2))
+    return {key: float(value) if key == "mu" else value for key, value in parts if value}
 
 
 def _resolve_problem(parser, args):
@@ -193,19 +192,9 @@ def _config_fields(args, cfg):
     }
 
 
-def _atomic_write(path, lines):
-    """Write lines, each ended by a newline, to path through a temporary file."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)  # so a run rejected before its first write leaves none
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_lines(path, lines):
+    """Write lines, each ended by a newline, to path as UTF-8 (see _atomic_write)."""
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # The trace's columns are TraceRow's fields in declared order. A row writes the repr of
@@ -220,8 +209,8 @@ _trace_lines = eval("lambda rows: [f'%s' for r in rows]" % ",".join(
 
 
 def _write_trace(path, fields, rows):
-    _atomic_write(path, ["# psgdkit " + " ".join(f"{k}={v}" for k, v in fields.items()),
-                         ",".join(f.name for f in _TRACE_FIELDS), *_trace_lines(rows)])
+    _write_lines(path, ["# psgdkit " + " ".join(f"{k}={v}" for k, v in fields.items()),
+                        ",".join(f.name for f in _TRACE_FIELDS), *_trace_lines(rows)])
 
 
 def _smoothed_final(losses):
@@ -252,8 +241,8 @@ SUMMARY_COLUMNS = (
 
 
 def _write_summary(path, entries):
-    _atomic_write(path, [",".join(column for column, _, _ in SUMMARY_COLUMNS),
-                         *(",".join(map(str, entry)) for entry in entries)])
+    _write_lines(path, [",".join(column for column, _, _ in SUMMARY_COLUMNS),
+                        *(",".join(map(str, entry)) for entry in entries)])
 
 
 # One run of a run or sweep, built and checked: its namespace, problem, RunConfig,
@@ -434,11 +423,13 @@ def _dispatch(parser, args) -> int:
             parser.exit(2, f"psgdkit: two runs would write "
                            f"{os.path.join(out_dir, clash + '.csv')}\n")
         results = [run(r.problem, r.cfg, timing=r.args.timing) for r in runs]
+        # made only now, so a run rejected before its first write leaves no directory
+        os.makedirs(out_dir, exist_ok=True)
         entries = [_write_run(r, res, out_dir) for r, res in zip(runs, results)]
-    except (PsgdkitError, ValueError) as exc:
+        _write_summary(os.path.join(out_dir, "summary.csv"), entries)
+    except (PsgdkitError, ValueError, OSError) as exc:  # an OSError names its path
         parser.exit(2, f"psgdkit: {exc}\n")
 
-    _write_summary(os.path.join(out_dir, "summary.csv"), entries)
     for entry in entries:
         print(f"{entry[0]}: " + " ".join(f"{column}={value}" for (column, _, shown), value
                                          in zip(SUMMARY_COLUMNS, entry) if shown))

@@ -42,8 +42,6 @@ __all__ = [
     "step",
 ]
 
-METHODS = ("psgd", "sgd", "rmsprop", "esgd")
-
 # The RMSProp baseline's decay of the squared-gradient average, and the
 # constant added to its root before dividing.
 RMSPROP_BETA = 0.9
@@ -190,6 +188,7 @@ def _esgd(theta, ev, g, state, cfg, t, rng):
 
 
 _DIRECTIONS = {"psgd": _psgd, "sgd": _sgd, "rmsprop": _rmsprop, "esgd": _esgd}
+METHODS = tuple(_DIRECTIONS)
 
 
 def step(theta, problem: Problem, state, cfg: RunConfig, t: int, rng, timing: bool = False):

@@ -32,6 +32,7 @@ from .preconditioners import (
     _project,
     closed_form_diagonal,
 )
+from .preconditioners import _extent, _invariant_fault
 from .problems import make_addition_rnn, make_quadratic, make_rosenbrock, make_xor_mlp
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "fd_gradient", "gradient_selfcheck",
@@ -266,7 +267,9 @@ def suite_fixedpoint():
 # ---------------------------------------------------------------------------
 
 def positivity_violations(rng, updates, step):
-    """Updates after which a family's smallest factor diagonal is not positive,
+    """Updates after which a factor of a family state (a direct sum's blocks
+    included) breaks the group invariant that set_factors enforces
+    (_invariant_fault: a non-finite entry, or a diagonal entry below the floor),
     per family, over adversarially scaled random pairs."""
     variants = [
         ("dense", DensePrecond(8)),
@@ -278,13 +281,13 @@ def positivity_violations(rng, updates, step):
     ]
     counts = {}
     for name, p in variants:
-        counts[name] = 0
+        counts[name], states = 0, getattr(p, "_states", [p])
         for _ in range(updates):
             dt = rng.standard_normal(p.dim)
             dg = rng.standard_normal(p.dim) * rng.uniform(0.1, 3.0)
             p.update(TangentPair(dt, dg), step)
-            if not p.min_diag() > 0.0:  # a nan diagonal counts
-                counts[name] += 1
+            counts[name] += any(_invariant_fault(*_extent(structure, getattr(s, factor)))
+                                for s in states for factor, structure in s.factors)
     return counts
 
 

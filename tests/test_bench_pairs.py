@@ -88,15 +88,18 @@ def test_unresolved_when_the_parent_spreads_beyond_the_bound():
 
 
 def test_family_record_of_this_checkout():
-    # one short run of the family script in this checkout: every size reports
-    # a positive update, apply and apply_inv time
-    record = bench_pairs.families(os.path.dirname(os.path.dirname(_PATH)), repeats=1, calls=2)
-    assert list(record) == [f"{v} {'x'.join(map(str, shape))}"
-                            for v, shape in bench_pairs.FAMILY_SIZES]
-    times = {"update_us", "apply_us", "apply_inv_us"}
-    assert all(set(r) == times | {"update_minflt"} for r in record.values())
-    assert all(min(r[kind] for kind in times) > 0.0 and r["update_minflt"] >= 0.0
-               for r in record.values())
+    # one short run of the family script with this checkout on both sides, loaded
+    # twice in one process: every size reports a positive time of each kind for each side
+    checkout = os.path.dirname(os.path.dirname(_PATH))
+    both = bench_pairs.families({"change": checkout, "parent": checkout}, repeats=1, calls=2)
+    assert list(both) == ["change", "parent"]
+    times = {"update_us", "fallback_us", "apply_us", "apply_inv_us", "load_us"}
+    for record in both.values():
+        assert list(record) == [f"{v} {'x'.join(map(str, shape))}"
+                                for v, shape in bench_pairs.FAMILY_SIZES]
+        assert all(set(r) == times | {"update_minflt"} for r in record.values())
+        assert all(min(r[kind] for kind in times) > 0.0 and r["update_minflt"] >= 0.0
+                   for r in record.values())
 
 
 def test_family_record_summarizes_each_side():

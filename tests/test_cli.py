@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psgdkit.checkpoint import load_state
+from psgdkit.checkpoint import load_state, save_state, state_to_bytes
 from psgdkit.cli import SUMMARY_COLUMNS, _write_trace, main
 from psgdkit.optimizer import TraceRow
 from psgdkit.preconditioners import DensePrecond
@@ -95,6 +95,44 @@ class TestRun:
         assert isinstance(p, DensePrecond)
         assert p.dim == 10
         assert not np.array_equal(p.q, np.eye(10))  # it actually learned
+
+    def test_out_naming_a_file_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        out.write_text("kept\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "rosenbrock", "--iters", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"psgdkit: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "kept\n"
+
+    def test_save_precond_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        # the trace, written before the state, remains; the summary is not written
+        out, state_path = tmp_path / "runs", tmp_path / "missing" / "state.pcs"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "rosenbrock", "--iters", "3", "--name", "r", "--out",
+                     str(out), "--save-precond", str(state_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"psgdkit: [Errno 2] No such file or directory: '{state_path}'\n")
+        assert sorted(os.listdir(out)) == ["r.csv"]
+        assert not state_path.parent.exists()
+
+    def test_failed_save_leaves_the_saved_state(self, tmp_path, monkeypatch):
+        # a save writes a temporary file and renames it: when that fails, the
+        # state saved before is whole and no temporary file remains
+        path = tmp_path / "state.pcs"
+        save_state(DensePrecond(3), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device", str(dst))
+
+        monkeypatch.setattr(os, "replace", fail)
+        trained = DensePrecond(3).set_factors(q=np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(OSError, match="No space left"):
+            save_state(trained, path)
+        assert path.read_bytes() == before == state_to_bytes(DensePrecond(3))
+        assert os.listdir(tmp_path) == ["state.pcs"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSGDKIT_OUT", str(tmp_path / "envruns"))
@@ -341,12 +379,14 @@ class TestRun:
         (["run", "--damping", "trad:x"], "", "--damping"),
         (["run", "--clip", "abc"], "", "--clip"),
         (["sweep", "--run", "psgd:kron:abc"], "", "--run"),
+        (["sweep", "--run", "psgd:dense:0.1:junk"], "", "--run"),
+        (["sweep", "--run", "psgd:dense:0.1:"], "", "--run"),
         (["run"], "quad_diag=1,x\n", "--quad-diag"),
         (["sweep"], "run=sgd::fast\n", "--run"),
         (["run", "--hidden", "x"], "", "--hidden"),
         (["run", "--seq-len", "2.5"], "", "--seq-len"),
-    ], ids=["quad-diag", "damping", "clip", "run", "quad-diag-config", "run-config", "hidden",
-            "seq-len"])
+    ], ids=["quad-diag", "damping", "clip", "run", "run-fourth-part", "run-trailing-colon",
+            "quad-diag-config", "run-config", "hidden", "seq-len"])
     def test_malformed_value_names_its_flag(self, argv, config, flag, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config)

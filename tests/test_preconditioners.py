@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from psgdkit.checkpoint import state_from_bytes, state_to_bytes
 from psgdkit.curvature import TangentPair
@@ -24,6 +27,8 @@ from psgdkit.preconditioners import (
     Preconditioner,
     ScanPrecond,
     SpluPrecond,
+    _extent,
+    _invariant_fault,
     closed_form_diagonal,
     estimation_criterion,
     make_preconditioner,
@@ -35,6 +40,7 @@ from psgdkit.verify import (
     _anchor_worst,
     _random_state,
     pattern_closure_worst,
+    positivity_violations,
     whitening_residual,
 )
 
@@ -762,6 +768,58 @@ class TestSetFactors:
                 with pytest.raises(error, match=message):
                     p.set_factors(**call)
                 assert [getattr(p, name).tobytes() for name, _ in cls.factors] == before
+
+
+def reference_fault(structure, a):
+    """The group invariant written out: every entry finite, then every diagonal
+    entry (a triangle's main diagonal, each entry of a positive vector, none of
+    a free factor) at least 1e-150."""
+    if not all(math.isfinite(x) for x in a.ravel().tolist()):
+        return NumericInputError
+    diagonal = {"upper": lambda: [a[i, i] for i in range(len(a))],
+                "lower": lambda: [a[i, i] for i in range(len(a))],
+                "positive": lambda: a.tolist(), "free": lambda: []}[structure]()
+    return None if all(x >= 1e-150 for x in diagonal) else DegenerateStateError
+
+
+FLOOR = 1e-150
+EDGE_ENTRIES = [math.nan, math.inf, -math.inf, 1e200, -1e200, 5e-324, -5e-324, 2.2e-308, 0.0,
+                -0.0, 1.0, -1.0, FLOOR, np.nextafter(FLOOR, 0.0), np.nextafter(FLOOR, 1.0), -FLOOR]
+ENTRY = st.sampled_from(EDGE_ENTRIES) | st.floats()
+
+
+@st.composite
+def factor_arrays(draw):
+    """(structure, array) of any structure: a triangle's square array of side 0 to 4 or
+    a vector of length 0 to 5, so 1-element and empty arrays come up often."""
+    structure = draw(st.sampled_from(["upper", "lower", "positive", "free"]))
+    n = draw(st.integers(0, 4 if structure in ("upper", "lower") else 5))
+    shape = (n, n) if structure in ("upper", "lower") else (n,)
+    return structure, draw(arrays(float, shape, elements=ENTRY))
+
+
+class TestInvariant:
+    @given(factor_arrays())
+    def test_admission_is_the_written_out_invariant(self, drawn):
+        structure, a = drawn
+        hi, lo = _extent(structure, a)
+        assert _invariant_fault(hi, lo) is reference_fault(structure, a)
+        if reference_fault(structure, a) is not NumericInputError:
+            # a finite factor's extent is its exact bound
+            diagonal = a.diagonal() if a.ndim == 2 else a if structure == "positive" else a[:0]
+            assert hi == max(map(abs, a.ravel().tolist()), default=0.0)
+            assert lo == min(diagonal.tolist(), default=math.inf)
+
+    def test_positivity_counts_a_positive_diagonal_entry_below_the_floor(self, monkeypatch):
+        # a stubbed diag update that leaves 1e-160, positive but below the floor,
+        # on the diagonal: counted for diag and for the direct sum that holds one
+        def update(self, pair, step):
+            self.q = np.concatenate([[1e-160], np.ones(self.dim - 1)])
+
+        monkeypatch.setattr(DiagPrecond, "update", update)
+        counts = positivity_violations(np.random.default_rng(0), updates=3, step=0.5)
+        assert counts == {"dense": 0, "diag": 3, "kron": 0, "scan": 0, "splu": 0,
+                          "direct-sum": 3}
 
 
 class TestParamCount:

@@ -31,15 +31,16 @@ change reads better in the metric's `better` direction, the metric's
 the pairs; `correct` covers these runs too. The workload's `layers` map each
 per-layer metric to its unit, each side's per-run values with their median
 and quartiles, and `change_lower`, the number of runs i whose change value is
-below the parent's. Then each side times every family's `update`, `apply` and
-`apply_inv` at the sizes of FAMILY_SIZES, and counts the minor page faults of
-its timed `update` calls, in a fresh interpreter run in its extracted tree
-(FAMILY_SCRIPT), FAMILY_RUNS times, alternating as the pairs; `families`
-holds, per size and kind, each side's summary and that of the change/parent
-ratio of each pair of runs. On a shared host a FAMILY_SCRIPT process's
-timings can run about twice as slow for seconds at a time, so a ratio of two
-medians of a few runs moves with how many of them land slow; the pairs'
-ratios and their quartiles show it. Then each side runs COLD_CLI, a fresh CLI process whose
+below the parent's. Then both sides time every family's `update` (proven and
+fallback), `apply`, `apply_inv` and state loading at the sizes of FAMILY_SIZES,
+and count the minor page faults of their timed `update` calls, in one fresh
+interpreter that loads both extracted trees (FAMILY_SCRIPT), FAMILY_RUNS times,
+the side that runs first alternating as the pairs; `families` holds, per size
+and kind, each side's summary and that of the change/parent ratio of each
+pair of runs. On a shared host a process's timings can run about twice as
+slow for seconds at a time, so the script runs the two sides one after the
+other for each state, kind and repeat, and both share each slow phase; the
+pairs' ratios and their quartiles show what spread remains. Then each side runs COLD_CLI, a fresh CLI process whose
 run solves, COLD_RUNS times in its extracted tree, alternating as the pairs;
 `cold_cli` holds each side's summary of the wall time and of the peak RSS
 that `os.wait4` reports, and that of their change/parent ratios per pair. The
@@ -89,47 +90,80 @@ FAMILY_REPEATS, FAMILY_CALLS = 7, 300  # each time is the best of the repeats of
 # of a handful of runs on a shared host.
 COLD_CLI = ["-m", "psgdkit", "run", "--problem", "xor-mlp", "--precond", "kron", "--iters", "3"]
 COLD_RUNS = 15
-# Run in a fresh interpreter with the tree's src on its path and one compute thread:
-# argv is the repeats, the calls per repeat and FAMILY_SIZES as JSON. Each state is
-# trained by 40 updates at step 0.1 on eight seeded pairs; update then takes step
-# 1e-9, so each call is admitted and the state barely moves. It prints one JSON object
-# mapping "variant shape" to the best per-call time of update, of apply and of
-# apply_inv, in us, over the repeats, and to update_minflt, the minor page faults
-# (ru_minflt) per timed update call over all the repeats.
+# Run in a fresh interpreter with one compute thread: argv is the repeats, the calls per
+# repeat, FAMILY_SIZES as JSON and a JSON object mapping each side, the one that runs first
+# first, to its tree's src/psgdkit. The process loads both trees' psgdkit, each under a
+# package name of its own, so that both sides share each slow phase of a shared host. Each
+# side's state of each size is trained by 40 updates at step 0.1 on eight seeded pairs, and
+# for each state, kind and repeat the two sides run one after the other, the side that
+# runs first alternating. The kinds: update at step 1e-9, so each call is admitted by the
+# proven bound and the state barely moves; fallback, update at step 1e-9 on a copy whose
+# first factor entry set_factors puts at 1e120, above the bound's range, so every call
+# scans; apply; apply_inv; and load, state_from_bytes of the trained state's record. It
+# prints one JSON object mapping each side to "variant shape" to each kind's best per-call
+# time in us over the repeats, and to update_minflt, the minor page faults (ru_minflt) per
+# timed update call over all the repeats.
 FAMILY_SCRIPT = """
-import json, resource, sys, time
+import copy, importlib.util, json, resource, sys, time
 import numpy as np
-from psgdkit.curvature import TangentPair
-from psgdkit.preconditioners import FAMILIES
 repeats, calls = int(sys.argv[1]), int(sys.argv[2])
 
 
-def best_us(fn, args):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for a in args:
-            fn(a)
-        best = min(best, (time.perf_counter() - start) / len(args))
-    return best * 1e6
+def load(side, path):
+    name = "psgdkit_" + side
+    spec = importlib.util.spec_from_file_location(name, path + "/__init__.py",
+                                                  submodule_search_locations=[path])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
-record = {}
-for variant, shape in json.loads(sys.argv[3]):
-    p = FAMILIES[variant](*shape)
+def kinds(psgdkit, variant, shape):
+    p = psgdkit.preconditioners.FAMILIES[variant](*shape)
     rng = np.random.default_rng(0)
-    pairs = [TangentPair(rng.standard_normal(p.dim), rng.standard_normal(p.dim))
+    pairs = [psgdkit.curvature.TangentPair(rng.standard_normal(p.dim), rng.standard_normal(p.dim))
              for _ in range(8)]
     for i in range(40):
         p.update(pairs[i % 8], 0.1)
     args = [pairs[i % 8] for i in range(calls)]
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    update_us = best_us(lambda pair: p.update(pair, 1e-9), args)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    record[f"{variant} {'x'.join(map(str, shape))}"] = {
-        "update_us": update_us, "update_minflt": faults / (repeats * calls),
-        "apply_us": best_us(p.apply, [pair.delta_g for pair in args]),
-        "apply_inv_us": best_us(p.apply_inv, [pair.delta_g for pair in args])}
+    name = p.factors[0][0]
+    big = getattr(p, name).copy()
+    big.flat[0] = 1e120
+    fallback = copy.deepcopy(p).set_factors(**{name: big})
+    vectors = [pair.delta_g for pair in args]
+    blobs = [psgdkit.checkpoint.state_to_bytes(p)] * calls
+    return {"update_us": (lambda pair: p.update(pair, 1e-9), args),
+            "fallback_us": (lambda pair: fallback.update(pair, 1e-9), args),
+            "apply_us": (p.apply, vectors), "apply_inv_us": (p.apply_inv, vectors),
+            "load_us": (psgdkit.checkpoint.state_from_bytes, blobs)}
+
+
+def per_call_us(fn, args):
+    start = time.perf_counter()
+    for a in args:
+        fn(a)
+    return (time.perf_counter() - start) / len(args) * 1e6
+
+
+packages = {side: load(side, path) for side, path in json.loads(sys.argv[4]).items()}
+sides, turn = list(packages), 0
+record = {side: {} for side in sides}
+for variant, shape in json.loads(sys.argv[3]):
+    key = f"{variant} {'x'.join(map(str, shape))}"
+    timed = {side: kinds(psgdkit, variant, shape) for side, psgdkit in packages.items()}
+    for kind in timed[sides[0]]:
+        best, faults = dict.fromkeys(sides, float("inf")), dict.fromkeys(sides, 0)
+        for _ in range(repeats):
+            turn += 1
+            for side in sides if turn % 2 else sides[::-1]:
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                best[side] = min(best[side], per_call_us(*timed[side][kind]))
+                faults[side] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        for side in sides:
+            entry = record[side].setdefault(key, {})
+            entry[kind] = best[side]
+            if kind == "update_us":
+                entry["update_minflt"] = faults[side] / (repeats * calls)
 print(json.dumps(record))
 """
 # CLI invocations whose exit code, stdout, stderr and written files must be identical at
@@ -238,14 +272,15 @@ def bench(tree, workload, seed, seconds, trace=0):
     return {k: env[k] for k in ENVIRONMENT if k in env}, json.loads(lines[-1])
 
 
-def families(tree, repeats=FAMILY_REPEATS, calls=FAMILY_CALLS):
-    """FAMILY_SCRIPT's record of each FAMILY_SIZES state, run in tree."""
+def families(trees, repeats=FAMILY_REPEATS, calls=FAMILY_CALLS):
+    """Per side, FAMILY_SCRIPT's record of each FAMILY_SIZES state, from one process that
+    loads the trees (side -> tree, the side that runs first first)."""
+    packages = {side: os.path.join(tree, "src", "psgdkit") for side, tree in trees.items()}
     out = subprocess.run([sys.executable, "-c", FAMILY_SCRIPT, str(repeats), str(calls),
-                          json.dumps(FAMILY_SIZES)], cwd=tree, capture_output=True, text=True,
-                         env={**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
-                              "PYTHONPATH": os.path.join(tree, "src")})
+                          json.dumps(FAMILY_SIZES), json.dumps(packages)], capture_output=True,
+                         text=True, env={**os.environ, **dict.fromkeys(THREAD_VARS, "1")})
     if out.returncode:
-        raise RuntimeError(f"family record in {tree} failed\n{out.stderr}")
+        raise RuntimeError(f"family record of {packages} failed\n{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -445,13 +480,17 @@ def main(argv=None):
                                   f"change reads better in at least {GAIN_PAIRS} of the "
                                   f"{PAIRS} pairs and its median is better than the "
                                   "parent's by more than the parent's q3 - q1",
-                          "families": f"FAMILY_SCRIPT in each tree, {FAMILY_RUNS} runs per side "
-                                      "alternating as the pairs, after the layers: the best "
-                                      f"per-call update (step 1e-9), apply and apply_inv time "
-                                      f"in us of {FAMILY_REPEATS} repeats of {FAMILY_CALLS} "
-                                      "calls on each FAMILY_SIZES state, trained by 40 updates "
-                                      "at step 0.1, and update_minflt, the minor page faults "
-                                      "per timed update call over all repeats; each kind's "
+                          "families": f"FAMILY_SCRIPT, {FAMILY_RUNS} processes that each load "
+                                      "both trees, after the layers, the side that runs first "
+                                      "alternating per process and per state, kind and "
+                                      "repeat: the best per-call update (step 1e-9), fallback "
+                                      "(update at step 1e-9 after set_factors puts the first "
+                                      "factor entry at 1e120, so every call scans), apply, "
+                                      "apply_inv and load (state_from_bytes) time in us of "
+                                      f"{FAMILY_REPEATS} repeats of {FAMILY_CALLS} calls on "
+                                      "each FAMILY_SIZES state, trained by 40 updates at step "
+                                      "0.1, and update_minflt, the minor page faults per timed "
+                                      "update call over all repeats; each kind's "
                                       "change_over_parent summarizes the per-pair ratios",
                           "cold_cli": f"PYTHONPATH=src python {' '.join(COLD_CLI)} in each "
                                       f"tree, {COLD_RUNS} fresh processes per side alternating "
@@ -517,9 +556,10 @@ def main(argv=None):
             record["workloads"][workload] = entry
         family_runs = {"parent": [], "change": []}
         for i in range(FAMILY_RUNS):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                family_runs[side].append(families(trees[side]))
-                print(f"families {i} {side}", flush=True)
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side, times in families({side: trees[side] for side in order}).items():
+                family_runs[side].append(times)
+            print(f"families {i}", flush=True)
         record["families"] = family_record(family_runs)
         cold_runs = {"parent": [], "change": []}
         for i in range(COLD_RUNS):
