@@ -27,7 +27,6 @@ from .errors import (
     NumericInputError,
     PsgdkitError,
 )
-from .linalg import tri_solve
 from .optimizer import (
     RunConfig,
     RunResult,

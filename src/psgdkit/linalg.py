@@ -10,9 +10,8 @@ import os
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericInputError
-
-__all__ = ["tri_solve"]
+# Internal kernels: the preconditioners are the public entry points.
+__all__ = []
 
 
 def _first_trtrs(*args):
@@ -53,33 +52,13 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def tri_solve(t: np.ndarray, b: np.ndarray, lower: bool = False,
               transpose: bool = False) -> np.ndarray:
-    """Solve T x = b (or T^T x = b) for a triangular T with positive diagonal.
+    """Solve T x = b (or T^T x = b) for a triangular T; no argument is checked.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides. This is the
-    checked entry point; code that has already validated its factor calls
-    :func:`_tri_solve_unchecked`, which returns the same bits.
-    """
-    t = np.asarray(t, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ContractViolationError(f"triangular factor must be square, got {t.shape}")
-    if b.shape[0] != t.shape[0]:
-        raise ContractViolationError(
-            f"dimension mismatch: factor is {t.shape[0]}, rhs has leading {b.shape[0]}")
-    if not (np.isfinite(t).all() and np.isfinite(b).all()):
-        raise NumericInputError("non-finite entries in triangular solve input")
-    if np.any(np.diag(t) <= 0.0):
-        raise ContractViolationError("triangular factor requires a strictly positive diagonal")
-    if b.size == 0:
-        return np.empty_like(b)
-    return _tri_solve_unchecked(t, b, lower, transpose)
-
-
-def _tri_solve_unchecked(t: np.ndarray, b: np.ndarray, lower: bool = False,
-                         transpose: bool = False) -> np.ndarray:
-    """``tri_solve`` for a float64 factor with a positive diagonal and a non-empty
-    float64 right-hand side; no argument is checked. Non-finite entries are
-    allowed and give non-finite output, which the caller's norm test must catch.
+    The caller guarantees the precondition: ``t`` is a square float64 factor with a
+    positive diagonal, as every state ``set_factors`` admits holds, and ``b`` a
+    non-empty float64 vector or matrix of stacked right-hand sides whose leading
+    dimension is ``t``'s. Non-finite entries are allowed and give non-finite
+    output, which the caller's norm test or finiteness check must catch.
 
     Arguments reach LAPACK as scipy.linalg.solve_triangular passes them: a
     factor that is not Fortran-ordered is solved as the transposed system of

@@ -29,7 +29,7 @@ from .errors import (
     DegenerateStateError,
     NumericInputError,
 )
-from .linalg import _all_finite, _tri_solve_unchecked, tri_solve
+from .linalg import _all_finite, tri_solve
 
 __all__ = [
     "DensePrecond",
@@ -437,7 +437,7 @@ class DensePrecond(Preconditioner):
 
     def _pair_gradient(self, dt, dg):
         a = self.q.dot(dg)
-        b = _tri_solve_unchecked(self.q, dt, transpose=True)
+        b = tri_solve(self.q, dt, transpose=True)
         g = a[:, None] * a  # a a^T - b b^T, formed in place
         g -= b[:, None] * b
         return (g,)
@@ -526,9 +526,9 @@ class KronPrecond(Preconditioner):
         # bt = Q1^{-T} dT Q2^{-1}. OpenBLAS solves a 1x1 system with several
         # right-hand sides (not one) by multiplying with the pivot's reciprocal,
         # so a 1 x n or m x 1 block does that itself, for the same bits.
-        bt = dt * (1.0 / q1[0, 0]) if m == 1 < n else _tri_solve_unchecked(q1, dt, transpose=True)
+        bt = dt * (1.0 / q1[0, 0]) if m == 1 < n else tri_solve(q1, dt, transpose=True)
         bt = (bt * (1.0 / q2[0, 0]) if n == 1 < m
-              else _tri_solve_unchecked(q2, bt.T, transpose=True).T)
+              else tri_solve(q2, bt.T, transpose=True).T)
         return a.dot(a.T) - bt.dot(bt.T), a.T.dot(a) - bt.T.dot(bt)
 
     def materialize_q(self):
@@ -641,8 +641,6 @@ class SpluPrecond(Preconditioner):
         return v[: self.r], v[self.r:]
 
     # The four products of v = (v1, v2), each as the two blocks of its result.
-    # Their solves are unchecked: update's norm test catches what they let
-    # through, and apply_inv checks its result.
 
     def _q(self, v1, v2):
         w1 = self.u1.dot(v1) + self.u2.dot(v2)
@@ -653,15 +651,14 @@ class SpluPrecond(Preconditioner):
         return self.u1.T.dot(w1), self.u2.T.dot(w1) + self.u3 * (self.l3 * v2)
 
     def _qinv(self, v1, v2):
-        y1 = _tri_solve_unchecked(self.l1, v1, lower=True)
+        y1 = tri_solve(self.l1, v1, lower=True)
         x2 = (v2 - self.l2.dot(y1)) / self.l3 / self.u3
-        return _tri_solve_unchecked(self.u1, y1 - self.u2.dot(x2)), x2
+        return tri_solve(self.u1, y1 - self.u2.dot(x2)), x2
 
     def _qinvt(self, v1, v2):
-        w1 = _tri_solve_unchecked(self.u1, v1, transpose=True)
+        w1 = tri_solve(self.u1, v1, transpose=True)
         x2 = (v2 - self.u2.T.dot(w1)) / self.u3 / self.l3
-        return _tri_solve_unchecked(self.l1, w1 - self.l2.T.dot(x2), lower=True,
-                                    transpose=True), x2
+        return tri_solve(self.l1, w1 - self.l2.T.dot(x2), lower=True, transpose=True), x2
 
     def _apply(self, g):
         return np.concatenate(self._qt(*self._q(*self._split(g))))

@@ -451,11 +451,14 @@ class TestSpluMatvec:
     # apply_inv has one contract for every family, tested here for all
     @pytest.mark.parametrize("make", FLOOR_STATES.values(), ids=FLOOR_STATES.keys())
     def test_inverse_product_that_overflows_raises(self, make):
-        # P^{-1} v divides v[0] = 1e10 by 1e-300; a nan in v is refused first.
-        # Neither may warn (pytest turns a warning into an error).
+        # P^{-1} v divides v[0] = 1e10 by 1e-300, and v[0] = 1e300 overflows a
+        # triangular family's first solve already; a nan in v is refused first.
+        # The overflow reads the same for every family, and neither may warn
+        # (pytest turns a warning into an error).
         p = make()
-        with pytest.raises(NumericInputError):
-            p.apply_inv(np.array([1e10, 1.0])[:p.dim])
+        for big in (1e10, 1e300):
+            with pytest.raises(NumericInputError, match="non-finite inverse product"):
+                p.apply_inv(np.array([big, 1.0])[:p.dim])
         with pytest.raises(NumericInputError, match="inverse product's input"):
             p.apply_inv(np.array([np.nan, 1.0])[:p.dim])
         assert np.isfinite(p.apply_inv(np.ones(p.dim))).all()

@@ -35,3 +35,26 @@ def test_install_patches_and_restores_every_attribute():
         after = dict(vars(owner))
         assert after.keys() == saved.keys(), owner.__name__
         assert all(after[name] is value for name, value in saved.items()), owner.__name__
+
+
+def test_every_triangular_solve_is_timed():
+    # the tracer's linalg.tri_solve span patches preconditioners.tri_solve, the one
+    # solve: each triangular family's update and inverse product adds calls to it
+    rng = np.random.default_rng(3)
+    dense = preconditioners.DensePrecond(5)
+    kron = preconditioners.KronPrecond(4, 3)
+    splu = preconditioners.SpluPrecond(6, 2)
+
+    def update(p):
+        p.update(TangentPair(rng.standard_normal(p.dim), rng.standard_normal(p.dim)), 0.1)
+
+    actions = {"dense update": lambda: update(dense), "kron update": lambda: update(kron),
+               "splu update": lambda: update(splu),
+               "dense apply_inv": lambda: dense.apply_inv(np.ones(5)),
+               "kron apply_inv": lambda: kron.apply_inv(np.ones(12))}
+    t = tracer.Tracer()
+    with t.install():
+        for action, act in actions.items():
+            before = t.by_name().get("linalg.tri_solve", (0, 0))[0]
+            act()
+            assert t.by_name().get("linalg.tri_solve", (0, 0))[0] > before, action

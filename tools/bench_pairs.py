@@ -99,10 +99,13 @@ COLD_RUNS = 15
 # runs first alternating. The kinds: update at step 1e-9, so each call is admitted by the
 # proven bound and the state barely moves; fallback, update at step 1e-9 on a copy whose
 # first factor entry set_factors puts at 1e120, above the bound's range, so every call
-# scans; apply; apply_inv; and load, state_from_bytes of the trained state's record. It
-# prints one JSON object mapping each side to "variant shape" to each kind's best per-call
-# time in us over the repeats, and to update_minflt, the minor page faults (ru_minflt) per
-# timed update call over all the repeats.
+# scans; apply and apply_inv, each repeat on a fresh copy of the state, so that no one
+# placement of its factors in memory sets every repeat's time; and load, state_from_bytes
+# of the trained state's record. Each kind maps to a function that makes the callable to
+# time for one repeat, and to its arguments. It prints one JSON object mapping each side
+# to "variant shape" to each kind's best per-call time in us over the repeats, and to
+# update_minflt, the minor page faults (ru_minflt) per timed update call over all the
+# repeats.
 FAMILY_SCRIPT = """
 import copy, importlib.util, json, resource, sys, time
 import numpy as np
@@ -132,13 +135,15 @@ def kinds(psgdkit, variant, shape):
     fallback = copy.deepcopy(p).set_factors(**{name: big})
     vectors = [pair.delta_g for pair in args]
     blobs = [psgdkit.checkpoint.state_to_bytes(p)] * calls
-    return {"update_us": (lambda pair: p.update(pair, 1e-9), args),
-            "fallback_us": (lambda pair: fallback.update(pair, 1e-9), args),
-            "apply_us": (p.apply, vectors), "apply_inv_us": (p.apply_inv, vectors),
-            "load_us": (psgdkit.checkpoint.state_from_bytes, blobs)}
+    return {"update_us": (lambda: lambda pair: p.update(pair, 1e-9), args),
+            "fallback_us": (lambda: lambda pair: fallback.update(pair, 1e-9), args),
+            "apply_us": (lambda: copy.deepcopy(p).apply, vectors),
+            "apply_inv_us": (lambda: copy.deepcopy(p).apply_inv, vectors),
+            "load_us": (lambda: psgdkit.checkpoint.state_from_bytes, blobs)}
 
 
-def per_call_us(fn, args):
+def per_call_us(make, args):
+    fn = make()
     start = time.perf_counter()
     for a in args:
         fn(a)
@@ -210,6 +215,8 @@ BIT_CLI = [
     # no exact Hessian-vector product: exits 2 and writes no output directory
     ["sweep", "--problem", "addition-rnn", "--probe", "exact", "--iters", "3", "--run", "sgd",
      "--run", "psgd:dense", "--out", "runs"],
+    # apply_inv, which no run or sweep calls
+    ["verify", "inverses"],
 ]
 BIT_OUTPUTS = ("exit", "stdout", "stderr", "files")
 NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
