@@ -1,5 +1,15 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "CapabilityError",
+    "ContractViolationError",
+    "DegenerateCurvatureError",
+    "DegenerateStateError",
+    "NumericEvaluationError",
+    "NumericInputError",
+    "PsgdkitError",
+]
+
 
 class PsgdkitError(Exception):
     """Base class for all toolkit errors."""

@@ -50,7 +50,7 @@ __all__ = [
 _REJECT_FLOOR = 1e-150
 # The margin delta of a state's bound (see update) for the rounding of one step.
 _MARGIN = 4e-15
-# Error state of update, whose norm test and admission rule catch what it hides.
+# Error state of update and apply_inv, whose checks catch what it hides.
 _quiet = np.errstate(all="ignore")
 # The identity state of a factor of each structure, given its shape.
 _IDENTITY = {"upper": lambda s: np.eye(s[0]), "lower": lambda s: np.eye(s[0]),
@@ -258,6 +258,7 @@ class Preconditioner:
         """P g; ContractViolationError unless g is a vector of this dim."""
         return self._apply(self._check_dim(g))
 
+    @_quiet
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
         """P^{-1} v: ContractViolationError unless v is a vector of this dim,
         NumericInputError unless v is finite, the kernel run without a numpy
@@ -267,8 +268,7 @@ class Preconditioner:
         v = self._check_dim(v)
         if not _all_finite(v):
             raise NumericInputError("non-finite entries in an inverse product's input")
-        with np.errstate(all="ignore"):  # a fresh one: an errstate enters once
-            x = self._apply_inv(v)
+        x = self._apply_inv(v)
         if not _all_finite(x):
             raise NumericInputError("non-finite inverse product")
         return x
@@ -523,12 +523,8 @@ class KronPrecond(Preconditioner):
         m, n, q1, q2 = self.m, self.n, self.q1, self.q2
         dt, dg = dt.reshape(n, m).T, dg.reshape(n, m).T
         a = q1.dot(dg).dot(q2.T)
-        # bt = Q1^{-T} dT Q2^{-1}. OpenBLAS solves a 1x1 system with several
-        # right-hand sides (not one) by multiplying with the pivot's reciprocal,
-        # so a 1 x n or m x 1 block does that itself, for the same bits.
-        bt = dt * (1.0 / q1[0, 0]) if m == 1 < n else tri_solve(q1, dt, transpose=True)
-        bt = (bt * (1.0 / q2[0, 0]) if n == 1 < m
-              else tri_solve(q2, bt.T, transpose=True).T)
+        # bt = Q1^{-T} dT Q2^{-1}
+        bt = tri_solve(q2, tri_solve(q1, dt, transpose=True).T, transpose=True).T
         return a.dot(a.T) - bt.dot(bt.T), a.T.dot(a) - bt.T.dot(bt)
 
     def materialize_q(self):

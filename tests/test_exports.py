@@ -1,6 +1,7 @@
 """Every name a psgdkit module lists in ``__all__`` exists, so star imports work,
-and no run imports scipy.linalg, or even the scipy package: a run's first
-triangular solve loads LAPACK's routine from scipy's LAPACK extension alone."""
+the package exports exactly its library modules' ``__all__``, and no run imports
+scipy.linalg, or even the scipy package: a run's first triangular solve loads
+LAPACK's routine from scipy's LAPACK extension alone."""
 
 import importlib
 import json
@@ -8,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -25,6 +27,16 @@ def test_all_names_exist(name):
     mod = importlib.import_module(f"psgdkit.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"psgdkit.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_exports_each_library_modules_all():
+    # the package's public names, apart from its submodules and version, are
+    # exactly what its library modules declare
+    library = ["checkpoint", "curvature", "errors", "optimizer", "preconditioners", "problems"]
+    declared = {n for m in library for n in importlib.import_module(f"psgdkit.{m}").__all__}
+    public = {n for n, v in vars(psgdkit).items()
+              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == declared
 
 
 # Runs, in one fresh interpreter, the CLI invocations in argv[3:] (3 iterations each)

@@ -103,10 +103,10 @@ class TestTriSolve:
                 assert x.tobytes() == ref.tobytes()
 
     def test_one_by_one_solve_multiplies_by_the_reciprocal(self):
-        # KronPrecond's 1 x n and m x 1 blocks skip LAPACK for their 1x1
-        # factor and multiply by the pivot's reciprocal instead. That is what
-        # the solve returns, bit for bit, with two or more right-hand sides;
-        # with one it divides, so a 1 x 1 block keeps the LAPACK call.
+        # Pins the LAPACK fact that KronPrecond's single solve path relies on for
+        # the bits of its 1 x n and m x 1 blocks: with two or more right-hand
+        # sides, a 1x1 solve multiplies by the pivot's reciprocal; with one it
+        # divides.
         rng = np.random.default_rng(10)
         for draw in range(2000):
             t = np.array([[10.0 ** rng.uniform(-8.0, 8.0)]])

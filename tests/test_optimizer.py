@@ -457,8 +457,9 @@ def _golden_cases():
         f"quad-psgd-{variant}": (quad, RunConfig(
             method="psgd", precond_variant=variant, splu_order=4, mu=0.5, precond_mu=0.01,
             probe=ProbeConfig(mode="exact"), iters=300, seed=0))
-        # scan on the quadratic's one vector tensor is the n == 1 block, whose c2 is empty
-        for variant in ("dense", "diag", "splu", "scan")
+        # scan on the quadratic's one vector tensor is the n == 1 block, whose c2 is
+        # empty; kron's is the m x 1 block
+        for variant in ("dense", "diag", "splu", "scan", "kron")
     }
     # splu of order 1, so l1 and u1 are 1x1; a seed above 2**32 takes batch_seed_for's
     # and the batch generator's int path rather than their uint32 words
@@ -507,6 +508,7 @@ GOLDEN_TRAJECTORIES = {
     "quad-psgd-diag": "d2643282af47adf3cdef7f93b37249ce0638ff14ddd615639ec2591618e1cece",
     "quad-psgd-splu": "f7a9d189cdfc969dd9ae3ddd2470136ea8bbbe1bb746ef68af2ac127e10bf7ec",
     "quad-psgd-scan": "835ecabde4f4d1efbde5cf7b2d2bebaa07769e72781a386182cd548d53a88daf",
+    "quad-psgd-kron": "71d589dc5baf53b52b44df4bac7a7f951228b160b0dd9fd242d5de269e7b7a11",
     "quad-psgd-splu-r1": "73d861e2d3d2c691f03ba885db80e1c2eb7b763668e88bbadf5eaa630cc929ff",
     "rosenbrock-psgd-dense": "2d67c6194074da9797df2f66889f110c07d1eb9e0e95033934d855d712e7b833",
     "xor-sgd": "e455b3059d45025dcb4669d658d6b24e50b4c9743ada915fad4b693674daa7fd",

@@ -204,6 +204,9 @@ BIT_CLI = [
      "120", "--out", "runs"],
     ["run", "--problem", "addition-rnn", "--precond", "kron", "--iters", "60", "--out", "runs"],
     ["run", "--problem", "rosenbrock", "--iters", "200", "--out", "runs"],
+    # a 2 x 1 kron block and its saved state
+    ["run", "--problem", "rosenbrock", "--precond", "kron", "--iters", "200", "--save-precond",
+     "state.pcs", "--out", "runs"],
     ["run", "--problem", "quad", "--noise", "0.1", "--batch-size", "3", "--precond", "splu",
      "--splu-order", "1", "--clip", "auto", "--damping", "trad:0.1", "--iters", "80", "--out",
      "runs"],
