@@ -35,11 +35,15 @@ __all__ = ["load_state", "save_state", "state_from_bytes", "state_to_bytes"]
 
 _MAGIC = b"PCS1"
 MAX_NESTING = 32  # direct sums inside direct sums, counting the outermost
+_MAX_NAME = 0xFFFF  # bytes of a block name, whose length the record holds as a uint16
 _BY_TAG = {cls.tag: cls for cls in (*FAMILIES.values(), DirectSumPrecond)}
 
 
 def state_to_bytes(p: Preconditioner) -> bytes:
-    """The record of a state, written as it is: its values are not checked."""
+    """The record of a state, written as it is: its values are not checked.
+    ContractViolationError for a direct sum nested more than MAX_NESTING deep
+    or a block name the record cannot hold (not UTF-8-encodable, or over
+    65,535 bytes encoded)."""
     return _record(p, 0)
 
 
@@ -61,8 +65,16 @@ def _record(p: Preconditioner, depth: int) -> bytes:
     if cls is DirectSumPrecond:
         _nesting_check(depth)
         out.append(struct.pack("<I", len(p.blocks)))
-        for name, block in p.blocks:
-            encoded = name.encode("utf-8")
+        for i, (name, block) in enumerate(p.blocks):
+            try:
+                encoded = name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ContractViolationError(
+                    f"direct sum block {i} name {name!r} is not UTF-8 encodable") from None
+            if len(encoded) > _MAX_NAME:
+                raise ContractViolationError(
+                    f"direct sum block {i} name is {len(encoded)} UTF-8 bytes, "
+                    f"over the record's {_MAX_NAME}")
             out.append(struct.pack("<H", len(encoded)))
             out.append(encoded)
             out.append(_record(block, depth + 1))

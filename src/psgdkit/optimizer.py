@@ -23,7 +23,6 @@ from .curvature import (
 from .errors import (
     ContractViolationError,
     DegenerateCurvatureError,
-    DegenerateStateError,
     NumericEvaluationError,
     NumericInputError,
     PsgdkitError,
@@ -236,8 +235,7 @@ def run(problem: Problem, cfg: RunConfig, timing: bool = False) -> RunResult:
             except RunDiverged as stop:
                 rows.append(stop.row)
                 return RunResult(rows, theta, state, True)
-            except (NumericEvaluationError, NumericInputError,
-                    DegenerateCurvatureError, DegenerateStateError):
+            except (NumericEvaluationError, NumericInputError, DegenerateCurvatureError):
                 # numeric failure inside a step (e.g. exploded factors after the
                 # curvature vanished); record a diagnostic row and stop the run
                 rows.append(TraceRow(t, float("nan"), float("nan"), float("nan"), False, 0))

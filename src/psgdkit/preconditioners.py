@@ -30,6 +30,7 @@ from .errors import (
     NumericInputError,
 )
 from .linalg import _all_finite, tri_solve
+from .problems import _integer
 
 __all__ = [
     "DensePrecond",
@@ -275,12 +276,18 @@ class Preconditioner:
 
     @classmethod
     def factor_shapes(cls, *shape) -> list:
-        """The factors' shapes; ContractViolationError for rejected shape fields."""
+        """The factors' shapes; ContractViolationError for rejected shape fields:
+        each is read as an integer (see problems._integer) of at least 1."""
+        if len(shape) != len(cls.shape_fields):
+            raise ContractViolationError(
+                f"{cls.__name__} takes {len(cls.shape_fields)} shape fields, got {len(shape)}")
+        fields = []
         for field, value in zip(cls.shape_fields, shape):
-            if value < 1:
-                raise ContractViolationError(
-                    f"{cls.__name__} dimension {field} must be at least 1, got {value}")
-        return cls._factor_shapes(*shape)
+            what = f"{cls.__name__} dimension {field}"
+            if (value := _integer(value, what)) < 1:
+                raise ContractViolationError(f"{what} must be at least 1, got {value}")
+            fields.append(value)
+        return cls._factor_shapes(*fields)
 
     @_quiet
     def update(self, pair: TangentPair, step: float) -> None:
@@ -727,6 +734,12 @@ class DirectSumPrecond(Preconditioner):
         blocks = list(blocks)
         if not blocks:
             raise ContractViolationError("direct sum needs at least one block")
+        for i, entry in enumerate(blocks):
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], Preconditioner)):
+                raise ContractViolationError(
+                    f"direct sum block {i} must be a (str name, Preconditioner) pair, "
+                    f"got {entry!r}")
         self.blocks = blocks
         # the family states under the sum, those of nested sums included
         self._states = [s for _, p in blocks

@@ -1,5 +1,5 @@
-"""The verdict, gain, family-record, cold-CLI and bit-check rules of tools/bench_pairs.py, on
-hand-built entries."""
+"""The run-order, protocol, verdict, gain, record-comparison, cold-CLI and bit-check rules of
+tools/bench_pairs.py, on hand-built entries."""
 
 import importlib.util
 import os
@@ -25,6 +25,28 @@ def judged(spec, parent, change):
     entry["change_better"], entry["verdict"] = bench_pairs.verdict(spec, entry)
     entry["gain"] = bench_pairs.gain(spec, entry)
     return entry
+
+
+def test_run_order_alternates_from_the_parent():
+    assert bench_pairs.run_order(0) == ("parent", "change")
+    assert bench_pairs.run_order(1) == ("change", "parent")
+    # two pairs: parent, change, change, parent, as the tier-1 runs go
+    assert [s for i in range(2) for s in bench_pairs.run_order(i)] == [
+        "parent", "change", "change", "parent"]
+    runs = bench_pairs.alternating(3, lambda side, i: (side, i))
+    assert runs == {"parent": [("parent", 0), ("parent", 1), ("parent", 2)],
+                    "change": [("change", 0), ("change", 1), ("change", 2)]}
+
+
+def test_protocol_states_each_block():
+    # the record's blocks (bits, workloads, families, cold_cli), each workload's layers,
+    # each side's tier1 and code size, and the rules that judge them; main adds the run's
+    # pair count, seconds and seeds
+    assert {"revisions", "code_size", "order", "bits", "command", "workloads", "layers",
+            "layer_claim", "verdict", "gain", "families", "cold_cli", "tier1"} == set(
+        bench_pairs.PROTOCOL)
+    assert all(isinstance(v, str) and v for v in bench_pairs.PROTOCOL.values())
+    assert f"each of the {len(bench_pairs.BIT_CLI)} BIT_CLI" in bench_pairs.PROTOCOL["bits"]
 
 
 def test_parent_quartiles():
@@ -105,7 +127,7 @@ def test_family_record_of_this_checkout():
 def test_family_record_summarizes_each_side():
     runs = {"parent": [{"dense 16": {"update_us": u, "apply_us": 2.0}} for u in (10.0, 12.0, 11.0)],
             "change": [{"dense 16": {"update_us": u, "apply_us": 2.0}} for u in (9.0, 8.0, 8.8)]}
-    record = bench_pairs.family_record(runs)["dense 16"]
+    record = bench_pairs.compared_records(runs)["dense 16"]
     assert record["update_us"]["parent"]["median"] == 11.0
     assert record["update_us"]["change"]["median"] == 8.8
     # per pair: 9/10, 8/12 and 8.8/11, whose median is 0.8
@@ -119,7 +141,7 @@ def test_family_record_takes_the_ratio_of_each_pair():
     # on either side moves one pair's ratio, not a whole side's median
     runs = {"parent": [{"dense 16": {"update_us": u}} for u in (10.0, 26.0, 16.0)],
             "change": [{"dense 16": {"update_us": u}} for u in (20.0, 13.0, 16.0)]}
-    ratio = bench_pairs.family_record(runs)["dense 16"]["update_us"]["change_over_parent"]
+    ratio = bench_pairs.compared_records(runs)["dense 16"]["update_us"]["change_over_parent"]
     assert ratio == bench_pairs.summary([2.0, 0.5, 1.0])
     assert (ratio["q1"], ratio["median"], ratio["q3"]) == (0.5, 1.0, 2.0)
 
@@ -129,7 +151,7 @@ def test_family_record_of_a_count_the_parent_reads_zero():
     def record(parent, change):
         runs = {"parent": [{"dense 128": {"update_minflt": f}} for f in parent],
                 "change": [{"dense 128": {"update_minflt": f}} for f in change]}
-        return bench_pairs.family_record(runs)["dense 128"]["update_minflt"]
+        return bench_pairs.compared_records(runs)["dense 128"]["update_minflt"]
 
     assert record((0.0, 0.0, 0.5), (0.0, 0.0, 0.0))["change_over_parent"] is None
     assert record((40.0, 45.0, 42.0), (14.0, 14.0, 0.0))["change_over_parent"]["median"] == 14 / 45
@@ -147,7 +169,7 @@ def test_cold_cli_of_this_checkout(tmp_path):
 def test_cold_record_summarizes_each_side():
     runs = {"parent": [{"wall_s": w, "peak_rss_mb": 58.0} for w in (0.6, 0.7, 0.65)],
             "change": [{"wall_s": w, "peak_rss_mb": 40.6} for w in (0.3, 0.35, 0.325)]}
-    record = bench_pairs.cold_record(runs)
+    record = bench_pairs.compared_records(runs)
     assert record["wall_s"]["parent"]["median"] == 0.65
     assert record["wall_s"]["change_over_parent"]["median"] == pytest.approx(0.5)
     assert record["peak_rss_mb"]["change_over_parent"]["median"] == pytest.approx(0.7)

@@ -106,6 +106,22 @@ def test_nesting_bound_holds_for_save_and_load():
         state_to_bytes(nested(MAX_NESTING + 1))
 
 
+@pytest.mark.parametrize("name, match", [
+    ("\ud800", "direct sum block 1 name '\\\\ud800' is not UTF-8 encodable"),
+    ("x" * 70_000, "direct sum block 1 name is 70000 UTF-8 bytes, over the record's 65535"),
+    ("\u00e9" * 32_768, "direct sum block 1 name is 65536 UTF-8 bytes"),
+], ids=["surrogate", "70000-chars", "65536-bytes"])
+def test_block_name_the_record_cannot_hold_refused_on_save(name, match):
+    p = DirectSumPrecond([("a", DiagPrecond(1)), (name, DiagPrecond(1))])
+    with pytest.raises(ContractViolationError, match=match):
+        state_to_bytes(p)
+
+
+def test_block_name_of_65535_bytes_round_trips():
+    p = DirectSumPrecond([("x" * 65_535, DiagPrecond(1))])
+    assert states_equal(state_from_bytes(state_to_bytes(p)), p)
+
+
 # sha256 of state_to_bytes(trained(maker())); the record format and every
 # update trajectory must keep these exact bytes
 GOLDEN = {

@@ -483,6 +483,13 @@ def _golden_cases():
             method="psgd", precond_variant="kron", mu=0.5, precond_mu=0.05,
             clip_omega=10.0 * math.sqrt(xor.dim), probe=ProbeConfig(mode="exact"),
             iters=200, seed=0)),
+        # the paper's two damping modes on the xor-psgd-kron settings
+        **{f"xor-psgd-kron-{short}": (xor, RunConfig(
+            method="psgd", precond_variant="kron", mu=0.5, precond_mu=0.05,
+            clip_omega=10.0 * math.sqrt(xor.dim),
+            probe=ProbeConfig(mode="exact", damping=damping, damping_lambda=0.1),
+            iters=200, seed=0))
+           for short, damping in (("trad", "traditional"), ("noncvx", "nonconvex"))},
         "xor3-psgd-kron": (xor3, RunConfig(
             method="psgd", precond_variant="kron", mu=0.5, precond_mu=0.05,
             clip_omega=10.0 * math.sqrt(xor3.dim), probe=ProbeConfig(mode="exact"),
@@ -517,6 +524,8 @@ GOLDEN_TRAJECTORIES = {
     "rnn-psgd-scan": "e7e1e1791e8f57c707ceb0255714654f0cac1c161862fb31a2ecdfa1dcc60951",
     "rnn-esgd": "12236b5071ef69fa9bb72e05a3b6897a11517292aca929286b9e6366d25a3ec5",
     "xor-psgd-kron": "7a15f53e8ea62ecd2bcedfba44a7379ee487c7ab4574013ee0a6c1fd00634b6e",
+    "xor-psgd-kron-trad": "2a78946a736478fbca843963673e32c00b7696eae00c65e89ce1d4c7f6bb21f5",
+    "xor-psgd-kron-noncvx": "7f5a88a8f44dab6f3fddfc2ce46a8d051b3b903139040a7433f4dec400e20df5",
     "xor3-psgd-kron": "a8a2621f3aeaf8799e02f40f7c92964b6d5b752a6036a1cece0c064da45fdd7a",
     "xor7-esgd": "773ea2b41d279f94efbb3eafb388455e6a4225d78ad4c23d8868d56f5b1859a6",
     "xor-psgd-dense-approx": "2d5342e613ae0d0b08a2c43a075fa049c29df83c095c5fa332d5370de9cad3c7",

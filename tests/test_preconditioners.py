@@ -545,6 +545,13 @@ class TestCriterionAnchor:
 
 
 class TestDirectSum:
+    @pytest.mark.parametrize("entry", [
+        ("a", "nope"), ("a", DiagPrecond(1), "extra"), (1, DiagPrecond(1)), "ab"],
+        ids=["not-a-state", "three-items", "int-name", "not-a-pair"])
+    def test_entry_that_is_not_a_name_state_pair_rejected(self, entry):
+        with pytest.raises(ContractViolationError, match="direct sum block 1 must be a"):
+            DirectSumPrecond([("ok", DiagPrecond(1)), entry])
+
     def test_all_zero_block_probe_rejected(self):
         p = DirectSumPrecond([("a", DiagPrecond(2)), ("b", DiagPrecond(3))])
         pair = TangentPair(np.array([0.0, 0.0, 1.0, 2.0, 3.0]), np.ones(5))
@@ -699,6 +706,27 @@ class TestDeclaration:
                 with pytest.raises(ContractViolationError,
                                    match=f"{cls.__name__} dimension {field} must be at least 1"):
                     make(*bad)
+
+    @pytest.mark.parametrize("make, family, field", [
+        (lambda: DensePrecond(2.5), "DensePrecond", "dim"),
+        (lambda: DiagPrecond(np.float64(3.0)), "DiagPrecond", "dim"),
+        (lambda: SpluPrecond(10, 2.5), "SpluPrecond", "r"),
+        (lambda: DensePrecond(True), "DensePrecond", "dim"),
+        (lambda: KronPrecond(2, "3"), "KronPrecond", "n"),
+    ], ids=["float", "numpy-float", "splu-order-float", "bool", "str"])
+    def test_non_integer_shape_field_rejected(self, make, family, field):
+        with pytest.raises(ContractViolationError,
+                           match=f"{family} dimension {field} must be an integer"):
+            make()
+
+    def test_numpy_integer_shape_field_builds(self):
+        p = DensePrecond(np.int64(3))
+        assert p.dim == 3 and p.q.shape == (3, 3)
+
+    def test_shape_field_count_checked(self):
+        for shape in ((), (2, 3)):
+            with pytest.raises(ContractViolationError, match="takes 1 shape fields"):
+                DensePrecond(*shape)
 
     def test_splu_order_above_dim_rejected(self):
         for make in (SpluPrecond, SpluPrecond.factor_shapes):

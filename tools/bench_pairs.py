@@ -4,58 +4,9 @@ Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH.json
 
-It extracts the parent revision and the change with `git archive` into
-temporary directories. The change is a snapshot of this checkout's tracked
-files (`git stash create`, or HEAD when nothing changed; stage new files
-first), so edits made while it runs are not measured. First, `bits` runs each
-BIT_CLI invocation in both trees and records, per invocation and over all of
-them, whether the two sides' exit codes, stdout, stderr and written files are
-identical. It then runs
-`benchmarks/run.py --trace 0` for `run_seconds` of `BENCHMARK.json` on each of
-its workloads, for the parent and the change in ten alternating pairs: pair i
-uses seed `--first-seed + i` for both sides, and the side that runs first
-alternates from pair to pair. It reads each command's last output line (one
-JSON object) and writes, for both revisions, the commit, the hash of its
-`src/` tree, its code size (`src_lines`, the `wc -l` total of
-`src/psgdkit/*.py`, `src_code_lines`, the lines of those files that hold
-code rather than blanks, comments or docstrings, and `src_code_lines_by_file`,
-the same count per file) and the environment, and per
-workload and end-to-end metric the per-pair values with their median and
-quartiles. The change/parent ratio of each pair is recorded as well, with its
-median and quartiles (see `compared`), and so are `change_better`, the pairs the
-change reads better in the metric's `better` direction, the metric's
-`verdict` against its `bound` (see `verdict`) and whether it shows a `gain`
-(see `gain`). After the pairs, each side runs
-`benchmarks/run.py --trace 1` five times per workload, run i on seed
-`--first-seed + i` for both sides, the side that runs first alternating as in
-the pairs; `correct` covers these runs too. The workload's `layers` map each
-per-layer metric to its unit, each side's per-run values with their median
-and quartiles, and `change_lower`, the number of runs i whose change value is
-below the parent's. Then both sides time every family's `update` (proven and
-fallback), `apply`, `apply_inv` and state loading at the sizes of FAMILY_SIZES,
-and count the minor page faults of their timed `update` calls, in one fresh
-interpreter that loads both extracted trees (FAMILY_SCRIPT), FAMILY_RUNS times,
-the side that runs first alternating as the pairs; `families` holds, per size
-and kind, each side's summary and that of the change/parent ratio of each
-pair of runs. On a shared host a process's timings can run about twice as
-slow for seconds at a time, so the script runs the two sides one after the
-other for each state, kind and repeat, and both share each slow phase; the
-pairs' ratios and their quartiles show what spread remains. Then each side runs COLD_CLI, a fresh CLI process whose
-run solves, COLD_RUNS times in its extracted tree, alternating as the pairs;
-`cold_cli` holds each side's summary of the wall time and of the peak RSS
-that `os.wait4` reports, and that of their change/parent ratios per pair. The
-benchmark's `setup_s` cannot show what a first solve costs, for its set-up
-makes none. Last, each side runs the tier-1 suite twice in its extracted tree
-(`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, with
-`--durations=0`), in the order parent, change, change, parent, so a drift of
-the host over the four runs weighs on both sides alike. Each run's wall time,
-last output line, exit code and c03, c07 and c10 call durations are stored
-in that side's `tier1` `runs`, with the side's medians of the wall time and
-of c10 beside them.
-
-The script uses the standard library only; it neither imports psgdkit nor
-writes anything under benchmarks/: the traced runs write their span tables
-into the extracted trees, which are deleted at the end.
+PROTOCOL states how each block of the record is measured, and the record
+keeps a copy of it under `protocol`. The script uses the standard library
+only; it neither imports psgdkit nor writes anything under benchmarks/.
 """
 
 import argparse
@@ -77,35 +28,22 @@ GAIN_PAIRS = 9  # pairs of the PAIRS the change must read better in for a gain
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ENVIRONMENT = ("python", "numpy", "scipy", "nproc", *THREAD_VARS)
 TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are recorded
-TIER1_ORDER = ("parent", "change", "change", "parent")
-# (variant, shape fields) of the family record, and its runs per side (alternating)
+# (variant, shape fields) of the family record, and its runs per side
 FAMILY_SIZES = [("dense", (16,)), ("dense", (64,)), ("dense", (128,)), ("diag", (16,)),
                 ("kron", (4, 3)), ("kron", (6, 9)), ("kron", (16, 17)),
                 ("scan", (4, 3)), ("scan", (6, 9)), ("scan", (16, 17)),
                 ("splu", (16, 4)), ("splu", (128, 10))]
 FAMILY_RUNS = 9
 FAMILY_REPEATS, FAMILY_CALLS = 7, 300  # each time is the best of the repeats of the calls
-# A fresh CLI run whose preconditioner solves, timed COLD_RUNS times per side (alternating).
-# A first solve's loading is a few per cent of such a run's wall time, under the spread
-# of a handful of runs on a shared host.
+# A fresh CLI run whose preconditioner solves, and its runs per side
 COLD_CLI = ["-m", "psgdkit", "run", "--problem", "xor-mlp", "--precond", "kron", "--iters", "3"]
 COLD_RUNS = 15
-# Run in a fresh interpreter with one compute thread: argv is the repeats, the calls per
+# The family block's process (PROTOCOL["families"]). argv is the repeats, the calls per
 # repeat, FAMILY_SIZES as JSON and a JSON object mapping each side, the one that runs first
-# first, to its tree's src/psgdkit. The process loads both trees' psgdkit, each under a
-# package name of its own, so that both sides share each slow phase of a shared host. Each
-# side's state of each size is trained by 40 updates at step 0.1 on eight seeded pairs, and
-# for each state, kind and repeat the two sides run one after the other, the side that
-# runs first alternating. The kinds: update at step 1e-9, so each call is admitted by the
-# proven bound and the state barely moves; fallback, update at step 1e-9 on a copy whose
-# first factor entry set_factors puts at 1e120, above the bound's range, so every call
-# scans; apply and apply_inv, each repeat on a fresh copy of the state, so that no one
-# placement of its factors in memory sets every repeat's time; and load, state_from_bytes
-# of the trained state's record. Each kind maps to a function that makes the callable to
-# time for one repeat, and to its arguments. It prints one JSON object mapping each side
-# to "variant shape" to each kind's best per-call time in us over the repeats, and to
-# update_minflt, the minor page faults (ru_minflt) per timed update call over all the
-# repeats.
+# first, to its tree's src/psgdkit, which it loads under a package name of its own. Each
+# kind maps to a function that makes the callable to time for one repeat, and to its
+# arguments. It prints one JSON object mapping each side to "variant shape" to each kind's
+# best per-call time in us over the repeats, and to update_minflt.
 FAMILY_SCRIPT = """
 import copy, importlib.util, json, resource, sys, time
 import numpy as np
@@ -171,12 +109,10 @@ for variant, shape in json.loads(sys.argv[3]):
                 entry["update_minflt"] = faults[side] / (repeats * calls)
 print(json.dumps(record))
 """
-# CLI invocations whose exit code, stdout, stderr and written files must be identical at
-# the parent and the change; none passes --timing. Each runs as `python -m psgdkit` with
-# one compute thread in a fresh directory of its own per side, so the relative --out,
-# --save-precond and --config paths are the same on both sides; a --config file holds
-# BIT_CONFIG. The first is quad-cli's argv (benchmarks/workloads.py) at 300 iterations, and
-# QUAD_CLI_DIAG is its --quad-diag as that argv writes it.
+# The bits block's CLI invocations (PROTOCOL["bits"]). None passes --timing, and the --out,
+# --save-precond and --config paths are relative; a --config file holds BIT_CONFIG. The
+# first is quad-cli's argv (benchmarks/workloads.py) at 300 iterations, and QUAD_CLI_DIAG
+# is its --quad-diag as that argv writes it.
 QUAD_CLI_DIAG = ("0.1,0.13593563908785256,0.18478497974222907,0.251188643150958,"
                  "0.34145488738336016,0.46415888336127786,0.6309573444801932,"
                  "0.8576958985908941,1.1659144011798317,1.5848931924611134,"
@@ -210,6 +146,8 @@ BIT_CLI = [
     ["run", "--problem", "quad", "--noise", "0.1", "--batch-size", "3", "--precond", "splu",
      "--splu-order", "1", "--clip", "auto", "--damping", "trad:0.1", "--iters", "80", "--out",
      "runs"],
+    ["run", "--problem", "xor-mlp", "--precond", "kron", "--damping", "noncvx:0.1", "--iters",
+     "100", "--out", "runs"],
     ["sweep", "--config", "exp.cfg", "--out", "runs"],
     ["sweep", "--problem", "xor-mlp", "--iters", "50", "--run", "sgd::1.0", "--run",
      "rmsprop::0.01", "--run", "esgd::0.1", "--reps", "2", "--out", "runs"],
@@ -225,6 +163,71 @@ BIT_OUTPUTS = ("exit", "stdout", "stderr", "files")
 NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER)
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+# How each block of the record is measured. main copies it into the record's `protocol`,
+# with the run's pair count, seconds and seeds.
+PROTOCOL = {
+    "revisions": "parent is the --parent revision and change a snapshot of this checkout's tracked "
+                 "files (git stash create, or HEAD when nothing changed; stage new files first), "
+                 "so edits made while it runs are not measured; each side records its revision "
+                 "and src_tree, the hash of its src/, and is extracted with git archive into a "
+                 "temporary directory, where each of its commands runs, deleted at the end",
+    "code_size": "per side: src_lines, the wc -l total of src/psgdkit/*.py; src_code_lines, the "
+                 "lines of those files that hold a token other than a comment, less docstrings "
+                 "(code_lines); src_code_lines_by_file, the same count per file",
+    "order": "pair i runs the parent first when i is even and the change first when it is odd "
+             "(run_order): the pairs, the traced runs, the family processes, the cold CLI runs "
+             "and the tier-1 runs alternate so, and a drift of the host weighs on both sides alike",
+    "bits": f"first, each of the {len(BIT_CLI)} BIT_CLI invocations as PYTHONPATH=src python -m "
+            "psgdkit in each tree, one compute thread, from a fresh directory per side and "
+            "invocation, so the relative paths match: per invocation its argv, parent_exit and "
+            "whether the exit code, stdout, stderr and the names and bytes of the written files "
+            "are identical, and identical over them all",
+    "command": "python3 benchmarks/run.py --trace 0",
+    "workloads": "then the command on each workload of BENCHMARK.json for its run_seconds, in "
+                 "pairs that run both sides on seed --first-seed + i, its last output line one "
+                 "JSON object: per side, correct (every run correct, the traced runs included), "
+                 "failed and attempted over the pairs, and per end-to-end metric each side's "
+                 "per-pair values with their median and quartiles, change_over_parent (the same "
+                 "summary of each pair's change/parent ratio, null when a parent value is 0), "
+                 "change_better, verdict and gain; environment is the side's first run's",
+    "layers": f"after a workload's pairs, python3 benchmarks/run.py --trace 1, {TRACED} runs per "
+              "side on the first seeds, writing span tables into the trees: per per-layer "
+              "metric its unit, each side's values with their median and quartiles, and "
+              "change_lower, the runs whose change value is below the parent's on the same seed",
+    "layer_claim": f"a layer moved only if change_lower is {TRACED} (lower) or 0 (higher) of "
+                   f"{TRACED} runs and the medians differ by more than the parent's q3 - q1; "
+                   "otherwise it is unresolved",
+    "verdict": "per end-to-end metric and workload: worse when the median change/parent ratio "
+               "is worse than 1 -/+ its bound in BENCHMARK.json; unresolved when the parent's "
+               "(q3 - q1) / median exceeds the bound and not every change run beats every "
+               "parent run; within_bound otherwise. change_better counts the pairs the change "
+               "reads better, ties for neither side",
+    "gain": "per end-to-end metric and workload: true when the change reads better in at least "
+            f"{GAIN_PAIRS} of the {PAIRS} pairs and its median is better than the parent's by "
+            "more than the parent's q3 - q1",
+    "families": f"after the workloads, {FAMILY_RUNS} FAMILY_SCRIPT processes with one compute "
+                "thread, each loading both trees and running the sides one after the other per "
+                "state, kind and repeat, the side that runs first alternating, so both share "
+                "each phase in which a shared host runs a process about twice as slow: the best "
+                f"per-call time in us of {FAMILY_REPEATS} repeats of {FAMILY_CALLS} calls on "
+                "each FAMILY_SIZES state, trained by 40 updates at step 0.1 on eight seeded "
+                "pairs, of update_us (step 1e-9, so the proven bound admits each call and the "
+                "state barely moves), fallback_us (the same after set_factors puts the first "
+                "factor entry at 1e120, so every call scans), apply_us and apply_inv_us (each "
+                "repeat on a fresh copy of the state, so no one placement of its factors in "
+                "memory sets every repeat's time) and load_us (state_from_bytes), and "
+                "update_minflt, the minor page faults per timed update call; per state and "
+                "kind, each side's summary and change_over_parent",
+    "cold_cli": f"then PYTHONPATH=src python {' '.join(COLD_CLI)} in each tree, {COLD_RUNS} "
+                "fresh processes per side, for a first solve's loading is a few per cent of its "
+                "wall time: each side's summary of the wall time and the os.wait4 peak RSS, and "
+                "change_over_parent; the benchmark's setup_s makes no solve, so it cannot show "
+                "what a first solve costs",
+    "tier1": "last, PYTHONPATH=src python -m pytest -q --continue-on-collection-errors "
+             "--durations=0 in each tree, two pairs: per side, each run's wall time, last "
+             f"output line, exit code and the call durations of {', '.join(TIER1_TIMED)}, and "
+             "the medians of the wall time and of c10",
+}
 
 
 def git(*args):
@@ -233,6 +236,8 @@ def git(*args):
 
 
 def extract(rev, dest):
+    """Extract revision rev of this repository into dest, a directory it creates."""
+    os.mkdir(dest)
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
@@ -305,13 +310,14 @@ def compared(values):
     return entry
 
 
-def family_record(runs):
-    """Per "variant shape" and kind (update_us, apply_us, ...): compared() of the
-    sides' family runs. runs maps each side to its list of families() records."""
-    return {key: {kind: compared({side: [r[key][kind] for r in rs]
-                                  for side, rs in runs.items()})
-                  for kind in kinds}
-            for key, kinds in runs["parent"][0].items()}
+def compared_records(runs):
+    """compared() of each leaf of the sides' records, in their key tree. runs maps each
+    side to its list of records, in run order: numbers, or dicts of one key tree whose
+    leaves are numbers (a families() side, a cold_cli() result)."""
+    if not isinstance(runs["parent"][0], dict):
+        return compared(runs)
+    return {key: compared_records({side: [r[key] for r in rs] for side, rs in runs.items()})
+            for key in runs["parent"][0]}
 
 
 def cold_cli(tree, out):
@@ -329,13 +335,6 @@ def cold_cli(tree, out):
     if proc.returncode:
         raise RuntimeError(f"cold CLI run in {tree} failed\n{stderr.decode()}")
     return {"wall_s": wall_s, "peak_rss_mb": usage.ru_maxrss / 1024.0}
-
-
-def cold_record(runs):
-    """Per measure (wall_s, peak_rss_mb): compared() of the sides' cold_cli runs. runs
-    maps each side to its list of cold_cli() results."""
-    return {measure: compared({side: [r[measure] for r in rs] for side, rs in runs.items()})
-            for measure in ("wall_s", "peak_rss_mb")}
 
 
 def bit_run(tree, cwd, argv):
@@ -389,14 +388,26 @@ def tier1(tree):
                          env={**os.environ, "PYTHONPATH": pythonpath})
     wall_s = time.perf_counter() - start
     lines = out.stdout.strip().splitlines()
-    durations = {}
-    for line in lines:  # "31.20s call     tests/test_acceptance.py::test_c10_..."
-        parts = line.split()
-        for test in TIER1_TIMED:
-            if len(parts) == 3 and parts[1] == "call" and f"::test_{test}_" in parts[2]:
-                durations[test] = float(parts[0].rstrip("s"))
+    # "31.20s call     tests/test_acceptance.py::test_c10_..."
+    durations = {test: float(parts[0].rstrip("s")) for parts in map(str.split, lines)
+                 for test in TIER1_TIMED
+                 if len(parts) == 3 and parts[1] == "call" and f"::test_{test}_" in parts[2]}
     return {"wall_s": wall_s, "result": lines[-1] if lines else "", "exit": out.returncode,
             "call_s": durations}
+
+
+def run_order(i):
+    """The sides in the order they run in pair i: the parent first when i is even."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def alternating(pairs, run):
+    """Each side's list of run(side, i) over the pairs i, each pair in run_order."""
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in run_order(i):
+            runs[side].append(run(side, i))
+    return runs
 
 
 def summary(values):
@@ -405,17 +416,8 @@ def summary(values):
 
 
 def verdict(spec, entry):
-    """(change_better, verdict) of one end-to-end metric's entry on one workload.
-
-    spec is the metric's declaration in BENCHMARK.json, with its `better`
-    direction and its `bound`. change_better counts the pairs whose change
-    value is better in that direction; a tie counts for neither side. The
-    verdict is "worse" when the median change/parent ratio is worse than
-    1 - bound (higher is better) or 1 + bound (lower is better);
-    "unresolved" when the parent's (q3 - q1) / median exceeds the bound and
-    not every change run beats every parent run; and "within_bound"
-    otherwise.
-    """
+    """(change_better, verdict) of one end-to-end metric's entry on one workload, by
+    PROTOCOL["verdict"]; spec is the metric's declaration in BENCHMARK.json."""
     higher, bound = spec["better"] == "higher", spec["bound"]
 
     def beats(change, parent):
@@ -434,18 +436,48 @@ def verdict(spec, entry):
 
 
 def gain(spec, entry):
-    """True when one end-to-end metric's entry on one workload shows a gain.
-
-    The change must read better in at least GAIN_PAIRS of the pairs
-    (`change_better`, which `verdict` counts), and its median must be better
-    than the parent's, in the metric's `better` direction, by more than the
-    parent's q3 - q1.
-    """
+    """Whether one end-to-end metric's entry on one workload, with its change_better,
+    shows a gain by PROTOCOL["gain"]; spec is the metric's declaration in BENCHMARK.json."""
     parent, change = entry["parent"], entry["change"]
     ahead = change["median"] - parent["median"]
     if spec["better"] != "higher":
         ahead = -ahead
     return entry["change_better"] >= GAIN_PAIRS and ahead > parent["q3"] - parent["q1"]
+
+
+def workload_record(trees, workload, spec, first_seed, record):
+    """One workload's entry (PROTOCOL["workloads"] and ["layers"]); the first run of each
+    side sets record[side]["environment"]."""
+
+    def runs(pairs, trace):
+        def run(side, i):
+            env, result = bench(trees[side], workload, first_seed + i, spec["run_seconds"],
+                                trace)
+            record[side].setdefault("environment", env)
+            print(f"{workload} trace {trace} pair {i} {side}: correct={result['correct']}",
+                  flush=True)
+            return result
+        return alternating(pairs, run)
+
+    paired, traced = runs(PAIRS, 0), runs(TRACED, 1)
+    entry = {side: {"correct": all(r["correct"] for r in rs + traced[side]),
+                    "failed": sum(r["failed"] for r in rs),
+                    "attempted": sum(r["attempted"] for r in rs)}
+             for side, rs in paired.items()}
+    entry["layers"] = {}
+    for layer, first in traced["parent"][0]["metrics"].items():
+        per_side = {side: [r["metrics"][layer]["value"] for r in rs]
+                    for side, rs in traced.items()}
+        entry["layers"][layer] = {
+            "unit": first["unit"], **{side: summary(v) for side, v in per_side.items()},
+            "change_lower": sum(c < p for p, c in zip(per_side["parent"], per_side["change"]))}
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        entry[name] = compared({side: [r["metrics"][name]["value"] for r in rs]
+                                for side, rs in paired.items()})
+        entry[name]["change_better"], entry[name]["verdict"] = verdict(metric, entry[name])
+        entry[name]["gain"] = gain(metric, entry[name])
+    return entry
 
 
 def main(argv=None):
@@ -456,137 +488,39 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = spec["run_seconds"]
-    workloads = [w["name"] for w in spec["workloads"]]
 
-    parent_rev = git("rev-parse", args.parent)
-    change_rev = git("rev-parse", git("stash", "create") or "HEAD")
+    revisions = {"parent": git("rev-parse", args.parent),
+                 "change": git("rev-parse", git("stash", "create") or "HEAD")}
     record = {side: {"revision": rev, "src_tree": git("rev-parse", f"{rev}:src")}
-              for side, rev in (("parent", parent_rev), ("change", change_rev))}
-    record["protocol"] = {"command": "python3 benchmarks/run.py --trace 0",
-                          "pairs": PAIRS, "seconds": seconds,
-                          "seeds": [args.first_seed + i for i in range(PAIRS)],
-                          "order": "alternating; parent first in even pairs",
-                          "bits": f"each of the {len(BIT_CLI)} BIT_CLI invocations as "
-                                  "PYTHONPATH=src python -m psgdkit in each tree, one compute "
-                                  "thread, from a fresh directory per side and invocation, "
-                                  "before the pairs: whether the exit code, stdout, stderr "
-                                  "and the names and bytes of the written files are identical",
-                          "layers": f"python3 benchmarks/run.py --trace 1, {TRACED} runs per "
-                                    "side on the first seeds, alternating as the pairs, after "
-                                    "the pairs",
-                          "layer_claim": "a layer moved only if change_lower is "
-                                         f"{TRACED} (lower) or 0 (higher) of {TRACED} runs and "
-                                         "the medians differ by more than the parent's q3 - q1; "
-                                         "otherwise it is unresolved",
-                          "verdict": "per end-to-end metric and workload: worse when the "
-                                     "median change/parent ratio is worse than 1 -/+ its bound "
-                                     "in BENCHMARK.json; unresolved when the parent's "
-                                     "(q3 - q1) / median exceeds the bound and not every "
-                                     "change run beats every parent run; within_bound "
-                                     "otherwise. change_better counts the pairs the change "
-                                     "reads better, ties for neither side",
-                          "gain": "per end-to-end metric and workload: true when the "
-                                  f"change reads better in at least {GAIN_PAIRS} of the "
-                                  f"{PAIRS} pairs and its median is better than the "
-                                  "parent's by more than the parent's q3 - q1",
-                          "families": f"FAMILY_SCRIPT, {FAMILY_RUNS} processes that each load "
-                                      "both trees, after the layers, the side that runs first "
-                                      "alternating per process and per state, kind and "
-                                      "repeat: the best per-call update (step 1e-9), fallback "
-                                      "(update at step 1e-9 after set_factors puts the first "
-                                      "factor entry at 1e120, so every call scans), apply, "
-                                      "apply_inv and load (state_from_bytes) time in us of "
-                                      f"{FAMILY_REPEATS} repeats of {FAMILY_CALLS} calls on "
-                                      "each FAMILY_SIZES state, trained by 40 updates at step "
-                                      "0.1, and update_minflt, the minor page faults per timed "
-                                      "update call over all repeats; each kind's "
-                                      "change_over_parent summarizes the per-pair ratios",
-                          "cold_cli": f"PYTHONPATH=src python {' '.join(COLD_CLI)} in each "
-                                      f"tree, {COLD_RUNS} fresh processes per side alternating "
-                                      "as the pairs, after the families: wall time and the "
-                                      "os.wait4 peak RSS, with the per-pair ratios",
-                          "tier1": "PYTHONPATH=src python -m pytest -q "
-                                   "--continue-on-collection-errors --durations=0, twice per "
-                                   "side in the order parent, change, change, parent, after "
-                                   "the cold CLI runs"}
+              for side, rev in revisions.items()}
+    record["protocol"] = {"pairs": PAIRS, "seconds": spec["run_seconds"],
+                          "seeds": [args.first_seed + i for i in range(PAIRS)], **PROTOCOL}
     record["workloads"] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
-        for side, rev in (("parent", parent_rev), ("change", change_rev)):
-            os.mkdir(trees[side])
+        trees = {side: os.path.join(tmp, side) for side in revisions}
+        for side, rev in revisions.items():
             extract(rev, trees[side])
-            record[side]["src_lines"] = src_lines(trees[side])
             by_file = src_code_lines_by_file(trees[side])
-            record[side]["src_code_lines"] = sum(by_file.values())
-            record[side]["src_code_lines_by_file"] = by_file
+            record[side].update(src_lines=src_lines(trees[side]),
+                                src_code_lines=sum(by_file.values()),
+                                src_code_lines_by_file=by_file)
         record["bits"] = bits(trees, tmp)
         print(f"bits: identical={record['bits']['identical']}", flush=True)
-        for workload in workloads:
-            runs = {"parent": [], "change": []}
-            for i in range(PAIRS):
-                seed = args.first_seed + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    env, result = bench(trees[side], workload, seed, seconds)
-                    record[side].setdefault("environment", env)
-                    runs[side].append(result)
-                    value = result["metrics"].get("calibrated_iters_per_s", {}).get("value")
-                    print(f"{workload} pair {i} seed {seed} {side}: correct={result['correct']} "
-                          f"calibrated_iters_per_s={value}", flush=True)
-            entry = {side: {"correct": all(r["correct"] for r in rs),
-                            "failed": sum(r["failed"] for r in rs),
-                            "attempted": sum(r["attempted"] for r in rs)}
-                     for side, rs in runs.items()}
-            traced = {"parent": [], "change": []}
-            for i in range(TRACED):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    _, result = bench(trees[side], workload, args.first_seed + i, seconds,
-                                      trace=1)
-                    entry[side]["correct"] = entry[side]["correct"] and result["correct"]
-                    traced[side].append(result["metrics"])
-                    print(f"{workload} traced {i} {side}: correct={result['correct']}",
-                          flush=True)
-            entry["layers"] = {}
-            for layer, first in traced["parent"][0].items():
-                per_side = {side: [m[layer]["value"] for m in ms] for side, ms in traced.items()}
-                entry["layers"][layer] = {
-                    "unit": first["unit"],
-                    **{side: summary(v) for side, v in per_side.items()},
-                    "change_lower": sum(c < p for p, c in zip(per_side["parent"],
-                                                              per_side["change"]))}
-            for metric in spec["end_to_end"]:
-                name = metric["name"]
-                entry[name] = compared({side: [r["metrics"][name]["value"] for r in rs]
-                                        for side, rs in runs.items()})
-                entry[name]["change_better"], entry[name]["verdict"] = verdict(metric,
-                                                                               entry[name])
-                entry[name]["gain"] = gain(metric, entry[name])
-            record["workloads"][workload] = entry
-        family_runs = {"parent": [], "change": []}
-        for i in range(FAMILY_RUNS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side, times in families({side: trees[side] for side in order}).items():
-                family_runs[side].append(times)
-            print(f"families {i}", flush=True)
-        record["families"] = family_record(family_runs)
-        cold_runs = {"parent": [], "change": []}
-        for i in range(COLD_RUNS):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                cold_runs[side].append(cold_cli(trees[side], os.path.join(tmp, "cold_cli")))
-                print(f"cold CLI {i} {side}: {cold_runs[side][-1]}", flush=True)
-        record["cold_cli"] = cold_record(cold_runs)
-        tier1_runs = {"parent": [], "change": []}
-        for side in TIER1_ORDER:
-            tier1_runs[side].append(tier1(trees[side]))
-            print(f"tier-1 {side}: {tier1_runs[side][-1]['result']}", flush=True)
-        for side, runs in tier1_runs.items():
+        for w in spec["workloads"]:
+            record["workloads"][w["name"]] = workload_record(trees, w["name"], spec,
+                                                             args.first_seed, record)
+        family_runs = [families({side: trees[side] for side in run_order(i)})
+                       for i in range(FAMILY_RUNS)]
+        record["families"] = compared_records({side: [r[side] for r in family_runs]
+                                               for side in revisions})
+        record["cold_cli"] = compared_records(alternating(
+            COLD_RUNS, lambda side, i: cold_cli(trees[side], os.path.join(tmp, "cold_cli"))))
+        for side, runs in alternating(2, lambda side, i: tier1(trees[side])).items():
             c10 = [r["call_s"]["c10"] for r in runs if "c10" in r["call_s"]]
-            record[side]["tier1"] = {
-                "runs": runs,
-                "median_wall_s": statistics.median(r["wall_s"] for r in runs),
-                "median_c10_s": statistics.median(c10) if c10 else None}
+            print(f"tier-1 {side}: {[r['result'] for r in runs]}", flush=True)
+            record[side]["tier1"] = {"runs": runs,
+                                     "median_wall_s": statistics.median(r["wall_s"] for r in runs),
+                                     "median_c10_s": statistics.median(c10) if c10 else None}
     with open(os.path.join(ROOT, args.out), "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
