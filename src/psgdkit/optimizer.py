@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import (
-    APPROX_PROBE_STD,
-    ProbeConfig,
-    approx_delta_g,
-    exact_delta_g,
-    make_tangent_pair,
-)
+from .curvature import ProbeConfig, make_tangent_pair
 from .errors import (
     ContractViolationError,
     DegenerateCurvatureError,
@@ -45,6 +39,8 @@ __all__ = [
 # constant added to its root before dividing.
 RMSPROP_BETA = 0.9
 RMSPROP_EPS = 1e-8
+# ESGD's probes: exact Hvps when the problem has them, else differencing.
+_ESGD_PROBES = {True: ProbeConfig(mode="exact"), False: ProbeConfig(mode="approximate")}
 
 
 @dataclass
@@ -170,15 +166,12 @@ def _esgd(theta, ev, g, state, cfg, t, rng):
     """Equilibrated SGD: divide the gradient by the RMS gradient response.
 
     Unit-normal probes feed a running mean of the squared Hessian-vector
-    product; the exact Hvp is used when the problem provides one, otherwise
-    gradient differencing at the small probe scale, rescaled back to a
-    unit-normal probe by linearity.
+    product. make_tangent_pair draws them: exact Hvps when the problem
+    provides them, otherwise differencing at the small probe scale, rescaled
+    back to a unit-normal probe by linearity.
     """
-    v = rng.standard_normal(theta.shape[0])
-    if ev.hvp is not None:
-        h = exact_delta_g(ev.hvp, theta, v)
-    else:
-        h = approx_delta_g(ev.grad, theta, APPROX_PROBE_STD * v) / APPROX_PROBE_STD
+    probe = _ESGD_PROBES[ev.hvp is not None]
+    h = make_tangent_pair(ev, theta, probe, rng).delta_g / probe.sample_std
     m2_sum, count = (np.zeros_like(g), 0) if state is None else state
     m2_sum = m2_sum + h * h
     count += 1

@@ -177,8 +177,12 @@ class Preconditioner:
     The constructor (the identity state), ``factor_shapes`` (each shape field
     checked to be at least 1, nothing allocated), ``set_factors``,
     ``min_diag``, ``param_count`` and the checkpoint record derive from this
-    declaration. ``set_factors`` is the one checked way to set factors: the
-    constructor and it establish the group invariant, and ``update`` keeps it.
+    declaration. The shape fields hold the integers the constructor read.
+    ``_states`` lists a state's leaves, its family states: a family state
+    itself, a direct sum those of its blocks. ``min_diag`` and
+    ``param_count`` run over them. ``set_factors`` is the one checked way to
+    set factors: the constructor and it establish the group invariant, and
+    ``update`` keeps it.
     The invariant is stated once: ``_extent`` reduces a factor array to its
     extent (hi, lo), its largest entry magnitude and its smallest diagonal
     entry (``_DIAGONAL`` says which entries those are), and
@@ -230,8 +234,9 @@ class Preconditioner:
     sides = None
 
     def __init__(self, *shape):
-        shapes = self.factor_shapes(*shape)
-        vars(self).update(zip(self.shape_fields, shape))
+        fields = self._read_fields(shape)
+        shapes = self._factor_shapes(*fields)
+        vars(self).update(zip(self.shape_fields, fields))
         if "dim" not in self.shape_fields:
             self.dim = self.m * self.n
         for (name, structure), s in zip(self.factors, shapes):
@@ -276,8 +281,13 @@ class Preconditioner:
 
     @classmethod
     def factor_shapes(cls, *shape) -> list:
-        """The factors' shapes; ContractViolationError for rejected shape fields:
-        each is read as an integer (see problems._integer) of at least 1."""
+        """The factors' shapes; ContractViolationError for rejected shape fields."""
+        return cls._factor_shapes(*cls._read_fields(shape))
+
+    @classmethod
+    def _read_fields(cls, shape) -> list:
+        """The shape fields, each read as an integer (see problems._integer) of at
+        least 1; ContractViolationError else."""
         if len(shape) != len(cls.shape_fields):
             raise ContractViolationError(
                 f"{cls.__name__} takes {len(cls.shape_fields)} shape fields, got {len(shape)}")
@@ -287,7 +297,7 @@ class Preconditioner:
             if (value := _integer(value, what)) < 1:
                 raise ContractViolationError(f"{what} must be at least 1, got {value}")
             fields.append(value)
-        return cls._factor_shapes(*fields)
+        return fields
 
     @_quiet
     def update(self, pair: TangentPair, step: float) -> None:
@@ -399,19 +409,25 @@ class Preconditioner:
                          for name, structure in self.factors])
         return max(his), min(los)
 
+    @property
+    def _states(self) -> list:
+        """The leaf states: a family state itself, computed so no state refers to
+        itself and each is freed once unreferenced."""
+        return [self]
+
     def min_diag(self) -> float:
-        """Smallest diagonal entry over the factors, the smallest lo of their
-        extents; the group needs it positive. It is nan when a diagonal entry
-        is nan, which np.min keeps and Python's min may pass over."""
-        return np.min([_extent(structure, getattr(self, name))[1]
-                       for name, structure in self.factors])
+        """Smallest diagonal entry over the leaf states' factors, the smallest lo
+        of their extents; the group needs it positive. It is nan when a diagonal
+        entry is nan, which np.min keeps and Python's min may pass over."""
+        return np.min([_extent(structure, getattr(s, name))[1]
+                       for s in self._states for name, structure in s.factors])
 
     def param_count(self) -> int:
-        """Factor entries the group lets vary: a triangular factor counts its
-        triangle, any other factor all its entries."""
-        shapes = self.factor_shapes(*(getattr(self, f) for f in self.shape_fields))
-        return sum(s[0] * (s[0] + 1) // 2 if structure in ("upper", "lower") else math.prod(s)
-                   for (_, structure), s in zip(self.factors, shapes))
+        """Factor entries the group lets vary over the leaf states: a triangular
+        factor counts its triangle, any other factor all its entries."""
+        return sum(len(a) * (len(a) + 1) // 2 if structure in ("upper", "lower") else a.size
+                   for s in self._states for name, structure in s.factors
+                   for a in [getattr(s, name)])
 
     def materialize_q(self) -> np.ndarray:
         """Dense Q in flat coordinates; test and diagnostic helper."""
@@ -729,6 +745,7 @@ class DirectSumPrecond(Preconditioner):
     """
 
     tag = 6
+    _states = None  # the blocks' leaf states, set by __init__ in place of the property
 
     def __init__(self, blocks):
         blocks = list(blocks)
@@ -741,9 +758,7 @@ class DirectSumPrecond(Preconditioner):
                     f"direct sum block {i} must be a (str name, Preconditioner) pair, "
                     f"got {entry!r}")
         self.blocks = blocks
-        # the family states under the sum, those of nested sums included
-        self._states = [s for _, p in blocks
-                        for s in (p._states if isinstance(p, DirectSumPrecond) else [p])]
+        self._states = [s for _, p in blocks for s in p._states]
         self.slices = []
         start = 0
         for _, p in blocks:
@@ -779,12 +794,6 @@ class DirectSumPrecond(Preconditioner):
             for p, attributes in zip(self._states, saved):
                 vars(p).update(attributes)
             raise
-
-    def min_diag(self):
-        return np.min([p.min_diag() for _, p in self.blocks])
-
-    def param_count(self):
-        return sum(p.param_count() for _, p in self.blocks)
 
     def materialize_q(self):
         q = np.zeros((self.dim, self.dim))

@@ -281,13 +281,13 @@ def positivity_violations(rng, updates, step):
     ]
     counts = {}
     for name, p in variants:
-        counts[name], states = 0, getattr(p, "_states", [p])
+        counts[name] = 0
         for _ in range(updates):
             dt = rng.standard_normal(p.dim)
             dg = rng.standard_normal(p.dim) * rng.uniform(0.1, 3.0)
             p.update(TangentPair(dt, dg), step)
             counts[name] += any(_invariant_fault(*_extent(structure, getattr(s, factor)))
-                                for s in states for factor, structure in s.factors)
+                                for s in p._states for factor, structure in s.factors)
     return counts
 
 

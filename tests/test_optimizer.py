@@ -7,7 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from psgdkit.curvature import ProbeConfig, TangentPair
+from psgdkit import optimizer
+from psgdkit.curvature import ProbeConfig, TangentPair, make_tangent_pair
 from psgdkit.errors import ContractViolationError
 from psgdkit.optimizer import (
     METHODS,
@@ -141,6 +142,27 @@ class TestBaselines:
         assert plain.rows == clip.rows and not any(r.clipped for r in clip.rows)
         np.testing.assert_array_equal(plain.theta, clip.theta)
 
+    @pytest.mark.parametrize("prob, mode", [
+        (make_xor_mlp(4), "exact"),
+        (make_addition_rnn(10, 6, batch_size=16), "approximate"),
+    ], ids=["xor-hvp", "rnn-differencing"])
+    def test_esgd_probes_through_make_tangent_pair(self, prob, mode, monkeypatch):
+        # one probe per step through the one probe route: the Hvp where the
+        # problem has one, differencing where it has none
+        cfg = RunConfig(method="esgd", mu=0.05, iters=20, seed=0)
+        plain = run(prob, cfg)
+        modes = []
+
+        def counted(ev, theta, probe, rng):
+            modes.append(probe.mode)
+            return make_tangent_pair(ev, theta, probe, rng)
+
+        monkeypatch.setattr(optimizer, "make_tangent_pair", counted)
+        counted_run = run(prob, cfg)
+        assert modes == [mode] * cfg.iters
+        assert counted_run.rows == plain.rows
+        np.testing.assert_array_equal(counted_run.theta, plain.theta)
+
 
 class TestRunLoop:
     def test_bitwise_determinism(self):
@@ -161,7 +183,6 @@ class TestRunLoop:
 
         res = run(prob, cfg)
 
-        from psgdkit.curvature import make_tangent_pair
         from psgdkit.optimizer import _probe_stream
         theta = prob.initial_theta(cfg.seed)
         rng = _probe_stream(cfg)

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ class TestUpdate:
 
 
 def family_states(p):
-    return p._states if isinstance(p, DirectSumPrecond) else [p]
+    return p._states
 
 
 UNKNOWN = (math.inf, 0.0)  # a bound that proves nothing, so update scans every side
@@ -723,6 +724,27 @@ class TestDeclaration:
         p = DensePrecond(np.int64(3))
         assert p.dim == 3 and p.q.shape == (3, 3)
 
+    def test_shape_fields_hold_the_integers_read(self):
+        # so a state's record is that of the same state built from plain ints
+        for cls, shape in [(DensePrecond, (np.int64(3),)),
+                           (KronPrecond, (np.int32(2), np.int64(3))),
+                           (SpluPrecond, (np.int64(6), np.int64(2)))]:
+            p = cls(*shape)
+            assert all(type(getattr(p, f)) is int for f in ("dim",) + cls.shape_fields)
+            assert state_to_bytes(p) == state_to_bytes(cls(*map(int, shape)))
+
+    def test_state_freed_with_its_last_reference(self):
+        # no state refers to itself, so dropping it frees it without the cycle
+        # collector (a loader that builds many states holds none of them)
+        for make in (lambda: DensePrecond(3), lambda: KronPrecond(2, 3),
+                     lambda: DirectSumPrecond([("s", DirectSumPrecond([("a", DiagPrecond(2))])),
+                                               ("b", ScanPrecond(2, 3))])):
+            p = make()
+            leaves = [weakref.ref(s) for s in p._states]
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None and all(r() is None for r in leaves)
+
     def test_shape_field_count_checked(self):
         for shape in ((), (2, 3)):
             with pytest.raises(ContractViolationError, match="takes 1 shape fields"):
@@ -866,6 +888,8 @@ class TestParamCount:
     def test_direct_sum_sums_blocks(self):
         p = DirectSumPrecond([("a", KronPrecond(2, 3)), ("b", DiagPrecond(4))])
         assert p.param_count() == KronPrecond(2, 3).param_count() + 4
+        nested = DirectSumPrecond([("s", p), ("c", DensePrecond(2))])
+        assert nested.param_count() == p.param_count() + 3
 
 
 class TestFactory:
@@ -919,7 +943,9 @@ class TestMinDiag:
         splu = SpluPrecond(4, 2).set_factors(l2=np.full((2, 2), -3.0), u3=[2.0, 0.1])
         scan = ScanPrecond(2, 3).set_factors(c2=[-4.0, -4.0], d2=[1.0, 0.5, 2.0])
         cases = [(kron, 0.25), (splu, 0.1), (scan, 0.5),
-                 (DirectSumPrecond([("a", DiagPrecond(2)), ("b", kron)]), 0.25)]
+                 (DirectSumPrecond([("a", DiagPrecond(2)), ("b", kron)]), 0.25),
+                 (DirectSumPrecond([("s", DirectSumPrecond([("a", scan), ("b", splu)])),
+                                    ("c", kron)]), 0.1)]
         for p, expected in cases:
             assert p.min_diag() == expected
 

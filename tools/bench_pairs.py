@@ -151,6 +151,8 @@ BIT_CLI = [
     ["sweep", "--config", "exp.cfg", "--out", "runs"],
     ["sweep", "--problem", "xor-mlp", "--iters", "50", "--run", "sgd::1.0", "--run",
      "rmsprop::0.01", "--run", "esgd::0.1", "--reps", "2", "--out", "runs"],
+    # esgd's differenced probes: addition-rnn has no exact Hessian-vector product
+    ["run", "--problem", "addition-rnn", "--method", "esgd", "--iters", "60", "--out", "runs"],
     ["run", "--problem", "quad", "--quad-diag", "2,8", "--method", "sgd", "--mu", "0.1",
      "--iters", "3", "--name", "golden", "--out", "runs"],
     # no exact Hessian-vector product: exits 2 and writes no output directory
