@@ -571,48 +571,52 @@ class ScanPrecond(Preconditioner):
     def _factor_shapes(cls, m, n):
         return [(m,), (n,), (n - 1,)]
 
-    # Q2 is d2 on the diagonal and c2 above it in the last column, so X Q2^T
-    # adds X's last column times c2 to the other columns of X * d2, and X Q2
-    # adds X's other columns dotted with c2 to the last column of X * d2.
+    # A block v is X's columns in turn, so V = v.reshape(n, m) holds X's column
+    # j in row j: d2 and c2 scale its rows and q1 its columns. Q2 is d2 on the
+    # diagonal and c2 above it in the last column, so X Q2^T adds V's last row
+    # times c2 to the other rows of V * d2, and X Q2 adds c2 dotted with the
+    # other rows to the last row of V * d2.
 
     def _apply(self, g):
         n, d2, c2, q1 = self.n, self.d2, self.c2, self.q1
-        x = g.reshape(n, self.m).T
-        y = x * d2  # X Q2^T
+        x = g.reshape(n, self.m)
+        rows = d2[:, None]
+        y = x * rows  # X Q2^T
         if n > 1:
-            y[:, :-1] += x[:, -1:] * c2
-        z = y * d2  # (X Q2^T) Q2
+            y[:-1] += x[-1] * c2[:, None]
+        z = y * rows  # (X Q2^T) Q2
         if n > 1:
-            z[:, -1] += y[:, :-1].dot(c2)
-        return ((q1 * q1)[:, None] * z).T.ravel()
+            z[-1] += c2.dot(y[:-1])
+        z *= q1 * q1
+        return z.ravel()
 
     def _apply_inv(self, v):
-        n, d2, c2, q1 = self.n, self.d2, self.c2, self.q1
-        x = v.reshape(n, self.m).T / (q1 * q1)[:, None]
-        y = x / d2  # solve Y Q2 = X
+        n, d2, c2 = self.n, self.d2, self.c2
+        x = v.reshape(n, self.m) / (self.q1 * self.q1)
+        y = x / d2[:, None]  # solve Y Q2 = X
         if n > 1:
-            y[:, -1] = (x[:, -1] - y[:, :-1].dot(c2)) / d2[-1]
+            y[-1] = (x[-1] - c2.dot(y[:-1])) / d2[-1]
         z = np.empty_like(y)  # solve Z Q2^T = Y
-        z[:, -1] = y[:, -1] / d2[-1]
+        z[-1] = y[-1] / d2[-1]
         if n > 1:
-            z[:, :-1] = (y[:, :-1] - z[:, -1:] * c2) / d2[:-1]
-        return z.T.ravel()
+            z[:-1] = (y[:-1] - z[-1] * c2[:, None]) / d2[:-1, None]
+        return z.ravel()
 
     def _pair_gradient(self, dt, dg):
         m, n, d2, c2, q1 = self.m, self.n, self.d2, self.c2, self.q1
-        dt, dg = dt.reshape(n, m).T, dg.reshape(n, m).T
-        a = dg * d2  # Q1 dG Q2^T
+        dt, dg = dt.reshape(n, m), dg.reshape(n, m)
+        a = dg * d2[:, None]  # Q1 dG Q2^T
         if n > 1:
-            a[:, :-1] += dg[:, -1:] * c2
-        a = q1[:, None] * a
-        x = dt / q1[:, None]
-        bt = x / d2  # Q1^{-1} dT Q2^{-1}
+            a[:-1] += dg[-1] * c2[:, None]
+        a *= q1
+        x = dt / q1
+        bt = x / d2[:, None]  # Q1^{-1} dT Q2^{-1}
         if n > 1:
-            bt[:, -1] = (x[:, -1] - bt[:, :-1].dot(c2)) / d2[-1]
+            bt[-1] = (x[-1] - c2.dot(bt[:-1])) / d2[-1]
         aa, bb = a * a, bt * bt
-        g1 = np.add.reduce(aa, 1) - np.add.reduce(bb, 1)
-        gd = np.add.reduce(aa, 0) - np.add.reduce(bb, 0)
-        gc = a[:, :-1].T.dot(a[:, -1]) - bt[:, :-1].T.dot(bt[:, -1]) if n > 1 else np.zeros(0)
+        g1 = np.add.reduce(aa, 0) - np.add.reduce(bb, 0)
+        gd = np.add.reduce(aa, 1) - np.add.reduce(bb, 1)
+        gc = a[:-1].dot(a[-1]) - bt[:-1].dot(bt[-1]) if n > 1 else np.zeros(0)
         return g1, gd, gc
 
     def _q2_candidates(self, mu, gd, gc):

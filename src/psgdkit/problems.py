@@ -370,10 +370,11 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
         rng = _batch_rng(seed)
         values = rng.random((batch_size, seq_len))
         pos = rng.random((batch_size, seq_len)).argsort(1)[:, :2]
-        targets = 0.5 * np.add.reduce(values[rows, pos], 1)  # the two values, summed in order
+        marked = values[rows, pos]
+        targets = 0.5 * (marked[:, 0] + marked[:, 1])  # the two values, summed in order
         # step t's augmented input [h_{t-1}, x_t, 1], so w_rec's gradient is one
-        # product per step. The batch fixes x_t = [value, mark] and the 1 here;
-        # each theta fills h_{t-1} into its own copy, never into this one.
+        # stacked product over the steps. The batch fixes x_t = [value, mark] and
+        # the 1 here; each theta fills h_{t-1} into its own copy, never into this one.
         xs_batch = np.zeros((seq_len, batch_size, hidden + 3))
         xs_batch[:, :, hidden] = values.T
         xs_batch[pos, rows, hidden + 1] = 1.0
@@ -401,14 +402,16 @@ def make_addition_rnn(seq_len: int, hidden: int, batch_size: int = 8) -> Problem
 
             dpred = 2.0 * (pred - targets) / batch_size
             dtanh = 1.0 - states * states
-            gw = np.zeros((hidden, hidden + 3))  # summed from t = seq_len down, starting at 0
+            das = np.empty((seq_len, batch_size, hidden))  # step t's da in das[t - 1]
             dh = dpred[:, None] * wo[:hidden]
             for t in range(seq_len, 0, -1):
-                da = dh * dtanh[t]
-                gw += da.T.dot(xs[t - 1])
+                da = np.multiply(dh, dtanh[t], out=das[t - 1])
                 if t > 1:  # no step before the first reads dh
                     dh = da.dot(wh)
-            grad = np.concatenate([gw.ravel(order="F"), dpred.dot(ha)])
+            # step t's product [h_{t-1}, x_t, 1]^T da, w_rec's gradient transposed, as
+            # its own product would round; summed from t = seq_len down
+            gwt = np.add.reduce(np.matmul(xs.transpose(0, 2, 1), das)[::-1], 0)
+            grad = np.concatenate([gwt.ravel(), dpred.dot(ha)])
             grad.flags.writeable = False
             return pred, grad
 

@@ -504,6 +504,12 @@ def _golden_cases():
             method="psgd", precond_variant="kron", mu=0.5, precond_mu=0.05,
             clip_omega=10.0 * math.sqrt(xor.dim), probe=ProbeConfig(mode="exact"),
             iters=200, seed=0)),
+        # scan on the xor-psgd-kron settings: the 4 x 3 and 1 x 5 blocks, whose
+        # c2 is not empty, with exact probes and an update every iteration
+        "xor-psgd-scan": (xor, RunConfig(
+            method="psgd", precond_variant="scan", mu=0.5, precond_mu=0.05,
+            clip_omega=10.0 * math.sqrt(xor.dim), probe=ProbeConfig(mode="exact"),
+            iters=200, seed=0)),
         # the paper's two damping modes on the xor-psgd-kron settings
         **{f"xor-psgd-kron-{short}": (xor, RunConfig(
             method="psgd", precond_variant="kron", mu=0.5, precond_mu=0.05,
@@ -545,6 +551,7 @@ GOLDEN_TRAJECTORIES = {
     "rnn-psgd-scan": "e7e1e1791e8f57c707ceb0255714654f0cac1c161862fb31a2ecdfa1dcc60951",
     "rnn-esgd": "12236b5071ef69fa9bb72e05a3b6897a11517292aca929286b9e6366d25a3ec5",
     "xor-psgd-kron": "7a15f53e8ea62ecd2bcedfba44a7379ee487c7ab4574013ee0a6c1fd00634b6e",
+    "xor-psgd-scan": "c0c7c9388b71bafd18c86e8eb0be95f391c2a7f9d2c25b430eea08563474fcd3",
     "xor-psgd-kron-trad": "2a78946a736478fbca843963673e32c00b7696eae00c65e89ce1d4c7f6bb21f5",
     "xor-psgd-kron-noncvx": "7f5a88a8f44dab6f3fddfc2ce46a8d051b3b903139040a7433f4dec400e20df5",
     "xor3-psgd-kron": "a8a2621f3aeaf8799e02f40f7c92964b6d5b752a6036a1cece0c064da45fdd7a",

@@ -522,6 +522,70 @@ class TestScanQ2Matvec:
                         <= 1e-12 * np.linalg.norm(expect_v))
 
 
+def scan_apply_reference(p, g):
+    """Q^T Q g of a ScanPrecond with X = g's (m, n) matrix: (q1^2 * ((X Q2^T) Q2)) raveled."""
+    n, d2, c2, q1 = p.n, p.d2, p.c2, p.q1
+    x = g.reshape(n, p.m).T
+    y = x * d2
+    if n > 1:
+        y[:, :-1] += x[:, -1:] * c2
+    z = y * d2
+    if n > 1:
+        z[:, -1] += y[:, :-1].dot(c2)
+    return ((q1 * q1)[:, None] * z).T.ravel()
+
+
+def scan_apply_inv_reference(p, v):
+    """(Q^T Q)^{-1} v of a ScanPrecond: the two triangular solves on v's (m, n) matrix."""
+    n, d2, c2, q1 = p.n, p.d2, p.c2, p.q1
+    x = v.reshape(n, p.m).T / (q1 * q1)[:, None]
+    y = x / d2
+    if n > 1:
+        y[:, -1] = (x[:, -1] - y[:, :-1].dot(c2)) / d2[-1]
+    z = np.empty_like(y)
+    z[:, -1] = y[:, -1] / d2[-1]
+    if n > 1:
+        z[:, :-1] = (y[:, :-1] - z[:, -1:] * c2) / d2[:-1]
+    return z.T.ravel()
+
+
+def scan_pair_gradient_reference(p, dt, dg):
+    """(g1, gd, gc) of a ScanPrecond from A = Q1 dG Q2^T and B = Q1^{-1} dT Q2^{-1}, (m, n)."""
+    m, n, d2, c2, q1 = p.m, p.n, p.d2, p.c2, p.q1
+    dt, dg = dt.reshape(n, m).T, dg.reshape(n, m).T
+    a = dg * d2
+    if n > 1:
+        a[:, :-1] += dg[:, -1:] * c2
+    a = q1[:, None] * a
+    x = dt / q1[:, None]
+    bt = x / d2
+    if n > 1:
+        bt[:, -1] = (x[:, -1] - bt[:, :-1].dot(c2)) / d2[-1]
+    aa, bb = a * a, bt * bt
+    g1 = np.add.reduce(aa, 1) - np.add.reduce(bb, 1)
+    gd = np.add.reduce(aa, 0) - np.add.reduce(bb, 0)
+    gc = a[:, :-1].T.dot(a[:, -1]) - bt[:, :-1].T.dot(bt[:, -1]) if n > 1 else np.zeros(0)
+    return g1, gd, gc
+
+
+class TestScanKernels:
+    # scan's three kernels bit for bit against the (m, n)-layout formulas above,
+    # on trained states and on inputs scaled from 1e-5 to 1e5
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (3, 1), (4, 3), (6, 9), (16, 17)])
+    def test_kernels_match_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        p = ScanPrecond(*shape)
+        for _ in range(40):
+            p.update(random_pair(rng, p.dim, scale=rng.uniform(0.3, 2.0)), 0.3)
+        for scale in np.logspace(-5.0, 5.0, 11):
+            g, v, dt, dg = scale * rng.standard_normal((4, p.dim))
+            assert p._apply(g).tobytes() == scan_apply_reference(p, g).tobytes()
+            assert p._apply_inv(v).tobytes() == scan_apply_inv_reference(p, v).tobytes()
+            got = p._pair_gradient(dt, dg)
+            expect = scan_pair_gradient_reference(p, dt, dg)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+
+
 # A side candidate that steps along the wrong side: Q - mu Q G for kron's q1,
 # and U1 - mu G U1 for splu's u1, by its side's index.
 WRONG_SIDES = {

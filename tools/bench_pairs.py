@@ -31,7 +31,7 @@ TIER1_TIMED = ("c03", "c07", "c10")  # acceptance tests whose durations are reco
 # (variant, shape fields) of the family record, and its runs per side
 FAMILY_SIZES = [("dense", (16,)), ("dense", (64,)), ("dense", (128,)), ("diag", (16,)),
                 ("kron", (4, 3)), ("kron", (6, 9)), ("kron", (16, 17)),
-                ("scan", (4, 3)), ("scan", (6, 9)), ("scan", (16, 17)),
+                ("scan", (1, 7)), ("scan", (4, 3)), ("scan", (6, 9)), ("scan", (16, 17)),
                 ("splu", (16, 4)), ("splu", (128, 10))]
 FAMILY_RUNS = 9
 FAMILY_REPEATS, FAMILY_CALLS = 7, 300  # each time is the best of the repeats of the calls
@@ -139,6 +139,9 @@ BIT_CLI = [
     ["run", "--problem", "addition-rnn", "--precond", "scan", "--skip", "log10", "--iters",
      "120", "--out", "runs"],
     ["run", "--problem", "addition-rnn", "--precond", "kron", "--iters", "60", "--out", "runs"],
+    # the rnn-scan workload's shape, with an update every iteration and its saved scan state
+    ["run", "--problem", "addition-rnn", "--hidden", "6", "--seq-len", "10", "--batch-size",
+     "16", "--precond", "scan", "--iters", "100", "--save-precond", "state.pcs", "--out", "runs"],
     ["run", "--problem", "rosenbrock", "--iters", "200", "--out", "runs"],
     # a 2 x 1 kron block and its saved state
     ["run", "--problem", "rosenbrock", "--precond", "kron", "--iters", "200", "--save-precond",
